@@ -23,7 +23,7 @@ from .hypergraph import (
 )
 from .apg import ApgParams, ApgResult, minimize, project_rows, seeded_features
 from .coarsen import Hierarchy, coarsen, project_partition
-from .initial import CandidateGrid, generate_candidates, prim_mst, prune_clusters
+from .initial import prim_mst, prune_clusters
 from .operators import CliqueGraph, ObjectiveOperator, clique_expand, laplacian
 from .pipeline import PipelineConfig, PipelineResult, improve_partition, run_pipeline
 from .refine import (

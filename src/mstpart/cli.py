@@ -118,6 +118,10 @@ def _resolve_epsilon(args) -> float:
 
 
 def _config_from_args(args) -> PipelineConfig:
+    if args.num_init < 1:
+        raise CliError("--num-init must be >= 1")
+    if args.threads < 0:
+        raise CliError("--threads must be >= 0")
     config = PipelineConfig()
     config.num_init = args.num_init
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
@@ -210,18 +214,16 @@ def cmd_partition(args) -> int:
     return 0 if res.feasible else 2
 
 
-def _edge_span_histogram(h, assignment, k) -> np.ndarray:
-    spans = np.zeros(h.m, dtype=np.int64)
-    for e in range(h.m):
-        spans[e] = np.unique(assignment[h.edge_pins(e)]).shape[0]
-    return np.bincount(spans, minlength=k + 1)[1 : k + 1]
+def _edge_span_histogram(p: Partition) -> np.ndarray:
+    spans = np.count_nonzero(p.pin_count, axis=1)
+    return np.bincount(spans, minlength=p.k + 1)[1 : p.k + 1]
 
 
 def cmd_evaluate(args) -> int:
     h, spec, eps, _ = _load_instance(args)
     p = read_partition(_read_text(args.partition), h, spec.k)
     feasible = is_feasible(p, spec)
-    hist = _edge_span_histogram(h, p.assignment, spec.k)
+    hist = _edge_span_histogram(p)
     lines = [
         f"cutsize={p.cutsize}",
         f"k={spec.k}",

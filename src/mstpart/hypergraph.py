@@ -306,12 +306,14 @@ def default_epsilon(k: int) -> float:
 # Partitions
 
 class Partition:
-    """Vertex-to-block assignment with cached block weights and cutsize.
+    """Vertex-to-block assignment with cached block weights, cutsize and pin counts.
 
-    The caches stay exact under the single-vertex ``move`` API.
+    ``pin_count[e, b]`` is the number of pins of hyperedge e in block b
+    (int64, shape m x k); every km1 move gain is read from it.  All caches
+    always match ``assignment``, and only ``move`` mutates them.
     """
 
-    __slots__ = ("h", "k", "assignment", "block_weight", "cutsize")
+    __slots__ = ("h", "k", "assignment", "block_weight", "cutsize", "pin_count")
 
     def __init__(self, h: Hypergraph, assignment, k: int):
         assignment = np.asarray(assignment, dtype=np.int64)
@@ -327,7 +329,12 @@ class Partition:
         self.block_weight = np.bincount(
             assignment, weights=h.vertex_weight, minlength=k
         ).astype(np.int64)
-        self.cutsize = km1_value(h, assignment, k)
+        edge_ids = np.repeat(np.arange(h.m, dtype=np.int64), np.diff(h.pin_offsets))
+        self.pin_count = np.bincount(
+            edge_ids * k + assignment[h.pin_list], minlength=h.m * k
+        ).reshape(h.m, k)
+        spans = np.count_nonzero(self.pin_count, axis=1)
+        self.cutsize = int(h.edge_weight @ (spans - 1))
 
     def move(self, v: int, block: int) -> int:
         """Move vertex v to `block`, updating caches.  Returns the cutsize delta."""
@@ -336,19 +343,47 @@ class Partition:
             return 0
         h = self.h
         delta = 0
-        for e in h.vertex_edges(v):
-            pins = h.edge_pins(e)
-            before = len(set(self.assignment[pins].tolist()))
-            self.assignment[v] = block
-            after = len(set(self.assignment[pins].tolist()))
-            self.assignment[v] = old
-            delta += int(h.edge_weight[e]) * (after - before)
+        for e in h.vertex_edges(v).tolist():
+            row = self.pin_count[e]
+            if row[block] == 0:
+                delta += int(h.edge_weight[e])
+            if row[old] == 1:
+                delta -= int(h.edge_weight[e])
+            row[old] -= 1
+            row[block] += 1
         self.assignment[v] = block
         w = int(h.vertex_weight[v])
         self.block_weight[old] -= w
         self.block_weight[block] += w
         self.cutsize += delta
         return delta
+
+    def move_deltas(self, vertices) -> np.ndarray:
+        """Cutsize deltas for moving each of `vertices` to every block.
+
+        Row i, column t is sum_e w_e [pin_count(e, t) = 0] minus
+        sum_e w_e [pin_count(e, src) = 1] over the nets e of vertices[i],
+        where src is its current block; the src column is 0.
+        """
+        h = self.h
+        vertices = np.asarray(vertices, dtype=np.int64)
+        starts = h.inc_offsets[vertices]
+        degrees = h.inc_offsets[vertices + 1] - starts
+        bounds = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
+        np.cumsum(degrees, out=bounds[1:])
+        # the incident nets of all vertices, concatenated in order
+        edges = h.inc_list[np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], degrees)]
+        src = np.repeat(self.assignment[vertices], degrees)
+        w = h.edge_weight[edges]
+        pc = self.pin_count[edges]
+        per_net = w[:, None] * (pc == 0)
+        per_net -= (w * (pc[np.arange(edges.shape[0]), src] == 1))[:, None]
+        # per-vertex sums as differences of running sums over the nets
+        running = np.zeros((edges.shape[0] + 1, self.k), dtype=np.int64)
+        np.cumsum(per_net, axis=0, out=running[1:])
+        out = running[bounds[1:]] - running[bounds[:-1]]
+        out[np.arange(vertices.shape[0]), self.assignment[vertices]] = 0
+        return out
 
     def copy(self) -> "Partition":
         p = Partition.__new__(Partition)
@@ -357,6 +392,7 @@ class Partition:
         p.assignment = self.assignment.copy()
         p.block_weight = self.block_weight.copy()
         p.cutsize = self.cutsize
+        p.pin_count = self.pin_count.copy()
         return p
 
 

@@ -10,27 +10,22 @@ heaviest fifth of the vertices and place the rest by nearest centroid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .apg import ApgParams, minimize, seeded_features
 from .hypergraph import BalanceSpec, Hypergraph, Partition
-from .operators import ObjectiveOperator, clique_expand
 
 __all__ = [
     "SpanningTree",
     "ClusterSet",
     "DisconnectedGraphError",
-    "CandidateGrid",
-    "InitialCandidate",
     "build_similarity_graph",
     "prim_mst",
     "prune_clusters",
     "mst_partition_small",
     "representative_partition_large",
     "candidate_p_values",
-    "generate_candidates",
 ]
 
 LARGE_SCALE_THRESHOLD = 35_000
@@ -351,38 +346,13 @@ def candidate_p_values(n: int, k: int) -> tuple[int, int]:
     return math.ceil(math.sqrt(n / 2.0)), math.ceil(n / (5.0 * k))
 
 
-@dataclass
-class CandidateGrid:
-    """Parameter grid for initial candidates.  The (lam1, lam2) product is
-    walked in order and cycled until num_init candidates exist.
-    """
-
-    num_init: int = 10
-    lambda1: tuple = (0.9, 0.5, 0.15, 0.015)
-    lambda2: tuple = (1.0, 0.9, 0.8)
-    tau: float = 0.2
-    p_rules: tuple = ("sqrt", "linear")
-    p_override: int | None = None
-    large_threshold: int = LARGE_SCALE_THRESHOLD
-    apg: ApgParams = field(default_factory=ApgParams)
-
-
-@dataclass
-class InitialCandidate:
-    partition: Partition
-    lam1: float
-    lam2: float
-    p: int
-    cutsize: int
-
-
-def _p_choices(n: int, k: int, grid: CandidateGrid) -> list[int]:
-    if grid.p_override is not None:
-        raw = [grid.p_override]
+def _p_choices(n: int, k: int, p_rules, p_override) -> list[int]:
+    if p_override is not None:
+        raw = [p_override]
     else:
         sqrt_p, lin_p = candidate_p_values(n, k)
         chosen = {"sqrt": sqrt_p, "linear": lin_p}
-        raw = [chosen[r] for r in grid.p_rules]
+        raw = [chosen[r] for r in p_rules]
     out = []
     for p in raw:
         p = min(max(p, k), n)
@@ -395,25 +365,3 @@ def _route_partition(X, h, spec, p, tau, large_threshold):
     if h.n > large_threshold:
         return representative_partition_large(X, h, spec, p, tau)
     return mst_partition_small(X, h, spec, p, tau)
-
-
-def generate_candidates(h: Hypergraph, spec: BalanceSpec, grid: CandidateGrid | None = None) -> list[InitialCandidate]:
-    """Produce num_init initial partitions, one per grid entry, each keeping
-    the better scoring of the two cluster-count rules.  Deterministic order.
-    """
-    grid = grid or CandidateGrid()
-    combos = [(l1, l2) for l1 in grid.lambda1 for l2 in grid.lambda2]
-    clique = clique_expand(h)
-    out: list[InitialCandidate] = []
-    for i in range(grid.num_init):
-        lam1, lam2 = combos[i % len(combos)]
-        op = ObjectiveOperator.embedding(clique, h.vertex_weight, lam1, lam2)
-        X = minimize(op, seeded_features(h.n, spec.k, stream=i), grid.apg).X
-        best: InitialCandidate | None = None
-        for p in _p_choices(h.n, spec.k, grid):
-            part = _route_partition(X, h, spec, p, grid.tau, grid.large_threshold)
-            cand = InitialCandidate(part, lam1, lam2, p, part.cutsize)
-            if best is None or cand.cutsize < best.cutsize:
-                best = cand
-        out.append(best)
-    return out

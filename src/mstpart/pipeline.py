@@ -17,7 +17,7 @@ from .apg import ApgParams, minimize, seeded_features
 from .coarsen import Hierarchy, coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
-from .initial import LARGE_SCALE_THRESHOLD, CandidateGrid, _p_choices, _route_partition
+from .initial import LARGE_SCALE_THRESHOLD, _p_choices, _route_partition
 from .operators import ObjectiveOperator, clique_expand
 from .refine import PairwiseParams, kway_fm, pairwise_improve, repair_feasibility
 
@@ -54,18 +54,6 @@ class PipelineConfig:
     threads: int = 1
     deterministic: bool = True
 
-    def candidate_grid(self) -> CandidateGrid:
-        return CandidateGrid(
-            num_init=self.num_init,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            tau=self.tau,
-            p_rules=self.p_rules,
-            p_override=self.p_override,
-            large_threshold=self.large_threshold,
-            apg=self.apg,
-        )
-
     def pairwise_params(self) -> PairwiseParams:
         return PairwiseParams(
             xi1_grid=self.xi1,
@@ -101,13 +89,14 @@ def _improve_candidate(h, part, spec, clique, pparams):
     return pairwise_improve(h, part, spec, pparams, clique=clique)
 
 
-def _build_candidate(i, h, spec, clique, combos, grid, pparams):
+def _build_candidate(i, h, spec, clique, config, pparams):
+    combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
     lam1, lam2 = combos[i % len(combos)]
     op = ObjectiveOperator.embedding(clique, h.vertex_weight, lam1, lam2)
-    X = minimize(op, seeded_features(h.n, spec.k, stream=i), grid.apg).X
+    X = minimize(op, seeded_features(h.n, spec.k, stream=i), config.apg).X
     best_part, best_p = None, None
-    for p in _p_choices(h.n, spec.k, grid):
-        part = _route_partition(X, h, spec, p, grid.tau, grid.large_threshold)
+    for p in _p_choices(h.n, spec.k, config.p_rules, config.p_override):
+        part = _route_partition(X, h, spec, p, config.tau, config.large_threshold)
         if best_part is None or part.cutsize < best_part.cutsize:
             best_part, best_p = part, p
     part = _improve_candidate(h, best_part, spec, clique, pparams)
@@ -125,6 +114,8 @@ def run_pipeline(
     whether all block weights ended within their caps.
     """
     config = config or PipelineConfig()
+    if config.num_init < 1:
+        raise ValueError(f"num_init must be >= 1, got {config.num_init}")
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -146,7 +137,6 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     clique = clique_expand(coarse)
-    grid = config.candidate_grid()
     pparams = config.pairwise_params()
 
     if coarse.n <= spec.k:
@@ -158,11 +148,10 @@ def run_pipeline(
             CandidateReport(0.0, 0.0, coarse.n, part.cutsize, is_feasible(part, spec))
         ]
     else:
-        combos = [(l1, l2) for l1 in grid.lambda1 for l2 in grid.lambda2]
         indices = range(config.num_init)
         if config.deterministic or config.threads <= 1:
             results = [
-                _build_candidate(i, coarse, spec, clique, combos, grid, pparams)
+                _build_candidate(i, coarse, spec, clique, config, pparams)
                 for i in indices
             ]
         else:
@@ -170,7 +159,7 @@ def run_pipeline(
                 results = list(
                     pool.map(
                         lambda i: _build_candidate(
-                            i, coarse, spec, clique, combos, grid, pparams
+                            i, coarse, spec, clique, config, pparams
                         ),
                         indices,
                     )

@@ -139,16 +139,10 @@ class PairPlan:
 
 def block_connectivity(h: Hypergraph, p: Partition) -> np.ndarray:
     """Symmetric k x k matrix: total weight of hyperedges spanning each pair."""
-    S = np.zeros((p.k, p.k))
-    for e in range(h.m):
-        spanned = np.unique(p.assignment[h.edge_pins(e)])
-        if spanned.shape[0] < 2:
-            continue
-        w = float(h.edge_weight[e])
-        for a, b in itertools.combinations(spanned.tolist(), 2):
-            S[a, b] += w
-            S[b, a] += w
-    return S
+    spans = (p.pin_count > 0).astype(np.int64)
+    S = (spans.T * h.edge_weight) @ spans
+    np.fill_diagonal(S, 0)
+    return S.astype(np.float64)
 
 
 def pair_blocks(h: Hypergraph, p: Partition) -> PairPlan:
@@ -267,23 +261,6 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, params) -> bool:
 # ---------------------------------------------------------------------------
 # feasibility repair
 
-def _relocation_deltas(h: Hypergraph, part: Partition, src: int, edge_ids, w_pin):
-    """Cutsize deltas for moving each vertex of block src to every block.
-
-    Moving v out of src adds w_e for each incident edge with no pin in the
-    target yet and removes w_e for each incident edge whose only src pin is
-    v, so delta(v, t) = pen[v, t] - base[v].  Rows of vertices outside src
-    are meaningless and must not be read.
-    """
-    ph = np.zeros((h.m, part.k), dtype=np.int64)
-    np.add.at(ph, (edge_ids, part.assignment[h.pin_list]), 1)
-    base = np.zeros(h.n, dtype=np.int64)
-    np.add.at(base, h.pin_list, w_pin * (ph[edge_ids, src] == 1))
-    pen = np.zeros((h.n, part.k), dtype=np.int64)
-    np.add.at(pen, h.pin_list, w_pin[:, None] * (ph[edge_ids] == 0))
-    return pen - base[:, None]
-
-
 def repair_feasibility(
     h: Hypergraph, p: Partition, spec: BalanceSpec, max_ops: int | None = None
 ) -> tuple[Partition, bool]:
@@ -301,8 +278,6 @@ def repair_feasibility(
     caps = spec.upper_bounds
     if max_ops is None:
         max_ops = 2 * h.n
-    edge_ids = np.repeat(np.arange(h.m, dtype=np.int64), np.diff(h.pin_offsets))
-    w_pin = h.edge_weight[edge_ids].astype(np.int64)
     ops = 0
     while ops < max_ops:
         over = part.block_weight - caps
@@ -310,15 +285,15 @@ def repair_feasibility(
         if over[src] <= 0:
             return part, True
         members = np.where(part.assignment == src)[0].tolist()
-        delta = _relocation_deltas(h, part, src, edge_ids, w_pin)
+        delta = part.move_deltas(members)
 
         best = None
-        for v in members:
+        for i, v in enumerate(members):
             bv = int(h.vertex_weight[v])
             for t in range(part.k):
                 if t == src or part.block_weight[t] + bv > caps[t]:
                     continue
-                key = (int(delta[v, t]), bv, v, t)
+                key = (int(delta[i, t]), bv, v, t)
                 if best is None or key < best:
                     best = key
         if best is not None:
@@ -372,39 +347,27 @@ def kway_fm(
     part = p.copy()
     if h.n == 0 or part.k < 2:
         return part
-    edge_ids = np.repeat(np.arange(h.m), np.diff(h.pin_offsets))
     for _ in range(max_passes):
-        if _fm_pass(h, part, spec.upper_bounds, edge_ids) <= 0:
+        if _fm_pass(h, part, spec.upper_bounds) <= 0:
             break
     return part
 
 
-def _fm_pass(h: Hypergraph, part: Partition, caps, edge_ids) -> int:
+def _fm_pass(h: Hypergraph, part: Partition, caps) -> int:
     n, k = h.n, part.k
-    pin_blocks = np.zeros((h.m, k), dtype=np.int64)
-    np.add.at(pin_blocks, (edge_ids, part.assignment[h.pin_list]), 1)
     version = np.zeros(n, dtype=np.int64)
     locked = np.zeros(n, dtype=bool)
     heap: list[tuple[int, int, int, int]] = []
 
-    def push_moves(v: int):
-        s = int(part.assignment[v])
-        edges = h.vertex_edges(v)
-        if edges.shape[0]:
-            w = h.edge_weight[edges]
-            ph = pin_blocks[edges]
-            base = int(w[ph[np.arange(edges.shape[0]), s] == 1].sum())
-            penalty = (w[:, None] * (ph == 0)).sum(axis=0)
-        else:
-            base = 0
-            penalty = np.zeros(k, dtype=np.int64)
-        ver = int(version[v])
-        for t in range(k):
-            if t != s:
-                heapq.heappush(heap, (int(penalty[t]) - base, v, t, ver))
+    def push_moves(vs: list[int]):
+        rows = part.move_deltas(vs).tolist()
+        blocks, versions = part.assignment[vs].tolist(), version[vs].tolist()
+        for v, s, ver, delta in zip(vs, blocks, versions, rows):
+            for t in range(k):
+                if t != s:
+                    heapq.heappush(heap, (delta[t], v, t, ver))
 
-    for v in range(n):
-        push_moves(v)
+    push_moves(list(range(n)))
 
     applied: list[tuple[int, int, int]] = []
     cum = best_cum = best_len = 0
@@ -423,20 +386,16 @@ def _fm_pass(h: Hypergraph, part: Partition, caps, edge_ids) -> int:
         locked[v] = True
         touched: set[int] = set()
         for e in h.vertex_edges(v):
-            pin_blocks[e, frm] -= 1
-            pin_blocks[e, t] += 1
             touched.update(h.edge_pins(e).tolist())
-        touched.discard(v)
 
         cum += -neg_gain
         applied.append((v, frm, t))
         if cum > best_cum:
             best_cum, best_len = cum, len(applied)
 
-        for u in touched:
-            if not locked[u]:
-                version[u] += 1
-                push_moves(u)
+        fresh = [u for u in touched if not locked[u]]
+        version[fresh] += 1
+        push_moves(fresh)
         if deferred:
             for d in deferred:
                 heapq.heappush(heap, d)

@@ -298,3 +298,14 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     ])
     stdout = capsys.readouterr().out
     assert metrics_path.read_text() == stdout
+
+
+@pytest.mark.parametrize("flag, value", [("--num-init", "0"), ("--threads", "-1")])
+def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
+    hgr = two_clique_file(tmp_path)
+    code = main([
+        "partition", "--input", str(hgr), "--k", "2", flag, value,
+        "--output", str(tmp_path / "o.txt"),
+    ])
+    assert code == 1
+    assert flag in capsys.readouterr().err

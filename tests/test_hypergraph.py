@@ -203,20 +203,58 @@ def test_partition_validates_ids():
         Partition(h, [0], 2)
 
 
-def test_move_api_keeps_caches_exact():
-    rng = np.random.default_rng(23)
+def pin_count_oracle(h, assignment, k):
+    table = np.zeros((h.m, k), dtype=np.int64)
+    for e in range(h.m):
+        for v in h.edge_pins(e):
+            table[e, assignment[v]] += 1
+    return table
+
+
+def cache_instances(rng):
+    """Random weighted instances plus the degenerate shapes: no nets, an
+    isolated vertex, one net over every vertex, and k >= n."""
     for _ in range(30):
         n = int(rng.integers(4, 12))
         h = random_hypergraph(rng, n, int(rng.integers(3, 14)), weighted=True)
-        k = int(rng.integers(2, 5))
+        yield h, int(rng.integers(2, 5))
+    yield Hypergraph.from_edges([], n=5), 3
+    yield Hypergraph.from_edges([[0, 1], [1, 2], [0, 2]], n=4, edge_weight=[1, 2, 3]), 2
+    yield Hypergraph.from_edges([list(range(7))], n=7, edge_weight=[4]), 3
+    yield Hypergraph.from_edges([[0, 1, 2], [2, 3]], n=4), 6
+
+
+def test_move_api_keeps_caches_exact():
+    rng = np.random.default_rng(23)
+    for h, k in cache_instances(rng):
         p = random_partition(rng, h, k)
+        assert np.array_equal(p.pin_count, pin_count_oracle(h, p.assignment, k))
         for _ in range(25):
-            v = int(rng.integers(0, n))
+            v = int(rng.integers(0, h.n))
             b = int(rng.integers(0, k))
-            p.move(v, b)
+            before = km1_oracle(h, p.assignment)
+            delta = p.move(v, b)
             scratch = Partition(h, p.assignment, k)
             assert p.cutsize == scratch.cutsize
             assert p.block_weight.tolist() == scratch.block_weight.tolist()
+            assert np.array_equal(p.pin_count, scratch.pin_count)
+            assert delta == km1_oracle(h, p.assignment) - before
+            assert p.cutsize == km1_oracle(h, p.assignment)
+
+
+def test_move_deltas_match_moves():
+    rng = np.random.default_rng(29)
+    for h, k in cache_instances(rng):
+        p = random_partition(rng, h, k)
+        vertices = rng.permutation(h.n)[: int(rng.integers(0, h.n + 1))]
+        table = p.move_deltas(vertices)
+        assert table.shape == (vertices.shape[0], k)
+        for row, v in zip(table.tolist(), vertices.tolist()):
+            for t in range(k):
+                trial = p.copy()
+                assert row[t] == trial.move(v, t)
+        # trial moves on copies leave the original's table alone
+        assert np.array_equal(p.pin_count, pin_count_oracle(h, p.assignment, k))
 
 
 def test_move_returns_delta():

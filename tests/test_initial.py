@@ -1,5 +1,5 @@
 """Initial-partitioning tests: similarity graphs, Prim vs Kruskal, pruning,
-cluster merging, and candidate generation."""
+cluster merging, and the pipeline's candidate builder."""
 
 import math
 
@@ -15,16 +15,17 @@ from helpers import (
 from mstpart.apg import project_rows, seeded_features
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from mstpart.initial import (
-    CandidateGrid,
     DisconnectedGraphError,
     build_similarity_graph,
     candidate_p_values,
-    generate_candidates,
     mst_partition_small,
     prim_mst,
     prune_clusters,
     representative_partition_large,
 )
+from mstpart.operators import clique_expand
+from mstpart.pipeline import PipelineConfig, _build_candidate
+from mstpart.refine import PairwiseParams
 
 
 def angles_to_features(angles):
@@ -302,38 +303,51 @@ def test_candidate_p_values():
     assert candidate_p_values(8, 2) == (2, 1)
 
 
+def build_candidates(h, spec, num_init):
+    """Run the pipeline's candidate builder for candidates 0..num_init-1.
+    Pairwise rounds are off so only the embedding, clustering and repair run."""
+    config = PipelineConfig(num_init=num_init)
+    clique = clique_expand(h)
+    no_pairwise = PairwiseParams(max_rounds=0)
+    return [
+        _build_candidate(i, h, spec, clique, config, no_pairwise)
+        for i in range(num_init)
+    ]
+
+
 def test_generate_candidates_first_grid_entry():
     rng = np.random.default_rng(241)
     h = random_hypergraph(rng, 40, 60)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
-    cands = generate_candidates(h, spec, CandidateGrid(num_init=1))
+    cands = build_candidates(h, spec, 1)
     assert len(cands) == 1
-    assert (cands[0].lam1, cands[0].lam2) == (0.9, 1.0)
+    _, report = cands[0]
+    assert (report.lam1, report.lam2) == (0.9, 1.0)
 
 
 def test_generate_candidates_full_run():
     rng = np.random.default_rng(251)
     h = random_hypergraph(rng, 1000, 1500, max_edge_size=5)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
-    cands = generate_candidates(h, spec, CandidateGrid(num_init=10))
+    cands = build_candidates(h, spec, 10)
     assert len(cands) == 10
-    lam_pairs = [(c.lam1, c.lam2) for c in cands]
+    lam_pairs = [(r.lam1, r.lam2) for _, r in cands]
     assert lam_pairs == [
         (0.9, 1.0), (0.9, 0.9), (0.9, 0.8),
         (0.5, 1.0), (0.5, 0.9), (0.5, 0.8),
         (0.15, 1.0), (0.15, 0.9), (0.15, 0.8),
         (0.015, 1.0),
     ]
-    for c in cands:
-        assert c.cutsize == c.partition.cutsize
-        assert c.partition.h.n == h.n
+    for part, report in cands:
+        assert report.cutsize == part.cutsize
+        assert part.h.n == h.n
 
 
 def test_generate_candidates_deterministic():
     rng = np.random.default_rng(257)
     h = random_hypergraph(rng, 60, 90)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.06)
-    a = generate_candidates(h, spec, CandidateGrid(num_init=3))
-    b = generate_candidates(h, spec, CandidateGrid(num_init=3))
-    for x, y in zip(a, b):
-        assert np.array_equal(x.partition.assignment, y.partition.assignment)
+    a = build_candidates(h, spec, 3)
+    b = build_candidates(h, spec, 3)
+    for (x, _), (y, _) in zip(a, b):
+        assert np.array_equal(x.assignment, y.assignment)

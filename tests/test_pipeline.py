@@ -44,6 +44,13 @@ def test_k1_trivial():
     assert res.levels == 0 and "coarsen" not in res.timings
 
 
+def test_num_init_below_one_is_rejected():
+    h = Hypergraph.from_edges([[0, 1], [1, 2]])
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
+    with pytest.raises(ValueError, match="num_init"):
+        run_pipeline(h, spec, quick_config(num_init=0))
+
+
 def test_planted_clusters_and_validity():
     rng = np.random.default_rng(7)
     h = two_cluster_hypergraph(rng, half=15, inner=25, cross=2)

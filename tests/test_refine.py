@@ -126,6 +126,21 @@ def test_block_connectivity_matrix():
     expected = np.array([[0, 10, 1], [10, 0, 2], [1, 2, 0]], dtype=float)
     assert np.array_equal(S, expected)
 
+    rng = np.random.default_rng(131)
+    for _ in range(20):
+        n = int(rng.integers(3, 15))
+        h = random_hypergraph(rng, n, int(rng.integers(1, 20)), max_edge_size=6, weighted=True)
+        k = int(rng.integers(2, 6))
+        p = Partition(h, rng.integers(0, k, size=n), k)
+        expected = np.zeros((k, k))
+        for e in range(h.m):
+            blocks = sorted({int(p.assignment[v]) for v in h.edge_pins(e)})
+            for a in blocks:
+                for b in blocks:
+                    if a != b:
+                        expected[a, b] += h.edge_weight[e]
+        assert np.array_equal(block_connectivity(h, p), expected)
+
 
 def test_pair_blocks_two_blocks():
     h = Hypergraph.from_edges([[0, 1]])
