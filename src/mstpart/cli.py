@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 
@@ -59,9 +58,6 @@ def _add_instance_flags(sp, partition_file=False):
 
 def _add_pipeline_flags(sp):
     sp.add_argument("--num-init", type=int, default=10, help="initial partition candidates")
-    sp.add_argument("--threads", type=int, default=0, help="candidate worker threads (0 = all cores)")
-    sp.add_argument("--deterministic", action="store_true",
-                    help="sequential candidate evaluation, reproducible byte-for-byte")
     sp.add_argument("--metrics", help="also write the metric lines to this file")
     sp.add_argument("--lambda1", type=float, nargs="+", help="embedding grid for lambda1")
     sp.add_argument("--lambda2", type=float, nargs="+", help="embedding grid for lambda2")
@@ -120,13 +116,8 @@ def _resolve_epsilon(args) -> float:
 def _config_from_args(args) -> PipelineConfig:
     if args.num_init < 1:
         raise CliError("--num-init must be >= 1")
-    if args.threads < 0:
-        raise CliError("--threads must be >= 0")
     config = PipelineConfig()
     config.num_init = args.num_init
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    config.threads = threads
-    config.deterministic = bool(args.deterministic)
     if args.lambda1:
         config.lambda1 = tuple(args.lambda1)
     if args.lambda2:

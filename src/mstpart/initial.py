@@ -45,8 +45,9 @@ class SpanningTree:
 
     ``vertices`` holds original ids; ``edges`` are (u, v, weight) triples and
     ``parent`` is the Prim parent pointer (-1 at the root), both positional
-    into ``vertices``.  ``bridges`` counts fallback edges added to join
-    components of a disconnected similarity graph.
+    into ``vertices``.  Position 0 is the root, and every edge joins a
+    vertex to its parent: ``u == parent[v]``.  ``bridges`` counts fallback
+    edges added to join components of a disconnected similarity graph.
     """
 
     vertices: np.ndarray
@@ -60,6 +61,27 @@ class SpanningTree:
 
     def sorted_weights(self) -> np.ndarray:
         return np.sort(np.array([w for _, _, w in self.edges], dtype=np.float64))
+
+    def cut(self, edge_ids) -> np.ndarray:
+        """Component of every tree position once the listed edges are removed.
+
+        Components are numbered in order of their lowest position, so the
+        root's component is 0.  Reads ``parent`` only: each position points
+        at its parent unless it is the root or the child end of a removed
+        edge, and pointer jumping then reaches every component's top.
+        """
+        head = np.where(self.parent < 0, np.arange(self.parent.shape[0]), self.parent)
+        children = [self.edges[i][1] for i in edge_ids]
+        head[children] = children
+        while True:
+            nxt = head[head]
+            if np.array_equal(nxt, head):
+                break
+            head = nxt
+        _, first, labels = np.unique(head, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.shape[0])
+        return rank[labels]
 
 
 @dataclass
@@ -75,7 +97,8 @@ def build_similarity_graph(X: np.ndarray, tau: float = 0.2):
     """Sparse symmetric graph over thresholded feature similarities.
 
     Returns a scipy CSR matrix whose entries are 1 - <x_i, x_j> wherever the
-    dot product exceeds tau.  Works in row blocks to bound memory.
+    dot product exceeds tau, stored even when zero (identical rows).  Works
+    in row blocks to bound memory.
     """
     from scipy import sparse
 
@@ -95,8 +118,9 @@ def build_similarity_graph(X: np.ndarray, tau: float = 0.2):
     r = np.concatenate(rows) if rows else np.empty(0, dtype=int)
     c = np.concatenate(cols) if cols else np.empty(0, dtype=int)
     v = np.concatenate(vals) if vals else np.empty(0)
-    upper = sparse.coo_matrix((v, (r, c)), shape=(n, n))
-    return (upper + upper.T).tocsr()
+    # both halves in one COO: a sparse sum would drop the zero weights
+    both = (np.concatenate([v, v]), (np.concatenate([r, c]), np.concatenate([c, r])))
+    return sparse.coo_matrix(both, shape=(n, n)).tocsr()
 
 
 def prim_mst(
@@ -188,21 +212,10 @@ def _bridge(local, in_tree, dist, parent, euclid):
 def _count_components(local, tau, euclid):
     if euclid:
         return 1
-    n = local.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            nbrs = np.where((local @ local[u] > tau) & ~seen)[0]
-            seen[nbrs] = True
-            stack.extend(nbrs.tolist())
-    return comps
+    # imported here: csgraph loads scipy.linalg, and only this error path needs it
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(build_similarity_graph(local, tau), directed=False)[0]
 
 
 def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.ndarray) -> ClusterSet:
@@ -214,30 +227,7 @@ def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.
     if not 1 <= p <= nv:
         raise ValueError(f"p={p} out of range 1..{nv}")
     order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
-    removed = set(order[: p - 1])
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for i, (u, v, _) in enumerate(tree.edges):
-        if i in removed:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    comp = np.full(nv, -1, dtype=np.int64)
-    cid = 0
-    for s in range(nv):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = cid
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(v)
-        cid += 1
-    if cid != p:
-        raise AssertionError(f"pruning produced {cid} parts, expected {p}")
-
+    comp = tree.cut(order[: p - 1])
     clusters = []
     weights = np.zeros(p, dtype=np.int64)
     centroids = np.zeros((p, X.shape[1]))

@@ -8,13 +8,12 @@ projects it back up with FM refinement at every level.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .apg import ApgParams, minimize, seeded_features
-from .coarsen import Hierarchy, coarsen
+from .coarsen import coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from .initial import LARGE_SCALE_THRESHOLD, _p_choices, _route_partition
@@ -51,8 +50,6 @@ class PipelineConfig:
     cut_fraction: float = 0.2
     fm_passes: int = 50
     apg: ApgParams = field(default_factory=ApgParams)
-    threads: int = 1
-    deterministic: bool = True
 
     def pairwise_params(self) -> PairwiseParams:
         return PairwiseParams(
@@ -148,22 +145,10 @@ def run_pipeline(
             CandidateReport(0.0, 0.0, coarse.n, part.cutsize, is_feasible(part, spec))
         ]
     else:
-        indices = range(config.num_init)
-        if config.deterministic or config.threads <= 1:
-            results = [
-                _build_candidate(i, coarse, spec, clique, config, pparams)
-                for i in indices
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(
-                    pool.map(
-                        lambda i: _build_candidate(
-                            i, coarse, spec, clique, config, pparams
-                        ),
-                        indices,
-                    )
-                )
+        results = [
+            _build_candidate(i, coarse, spec, clique, config, pparams)
+            for i in range(config.num_init)
+        ]
         parts = [r[0] for r in results]
         reports = [r[1] for r in results]
     timings["initial"] = time.perf_counter() - t0

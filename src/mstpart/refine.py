@@ -81,13 +81,6 @@ def mst_bipartition(
     else:
         keys = np.sort(np.lexsort((np.arange(n), -B))[:n_key])
     tree = prim_mst(X, vertices=keys, metric="euclidean")
-    nk = keys.shape[0]
-    children: list[list[int]] = [[] for _ in range(nk)]
-    for child in range(nk):
-        par = int(tree.parent[child])
-        if par >= 0:
-            children[par].append(child)
-
     order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
     m_cand = max(1, math.ceil(cut_fraction * len(tree.edges)))
 
@@ -95,13 +88,7 @@ def mst_bipartition(
     best_feasible = best_any = None
     candidates: list[tuple[float, bool]] = []
     for ei in order[:m_cand]:
-        _, child, _ = tree.edges[ei]
-        side2 = np.zeros(nk, dtype=bool)
-        stack = [child]
-        while stack:
-            u = stack.pop()
-            side2[u] = True
-            stack.extend(children[u])
+        side2 = tree.cut([ei]) == 1  # the root is position 0, so label 0
         c1 = X[keys[~side2]].mean(axis=0)
         c2 = X[keys[side2]].mean(axis=0)
         d1 = np.sum((X - c1) ** 2, axis=1)

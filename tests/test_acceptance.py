@@ -113,7 +113,7 @@ def test_criterion_02_feasibility_of_emitted_partitions(tmp_path):
         out = tmp_path / f"c2_{i}.part"
         code = cli.main(
             ["partition", "--input", str(hgr), "--k", str(k),
-             "--deterministic", "--output", str(out)] + extra
+             "--output", str(out)] + extra
         )
         assert code in (0, 2), f"instance {i}: unexpected exit {code}"
         if code != 0:
@@ -535,7 +535,7 @@ def test_criterion_09_byte_identical_deterministic_runs(tmp_path):
         met = tmp_path / f"c9_{i}.met"
         code = cli.main(
             ["partition", "--input", str(hgr), "--k", "2", "--num-init", "3",
-             "--deterministic", "--output", str(out), "--metrics", str(met)]
+             "--output", str(out), "--metrics", str(met)]
         )
         assert code == 0
         outputs.append(out.read_bytes())
@@ -565,7 +565,7 @@ def test_criterion_10_benchmark_target(tmp_path):
     start = time.perf_counter()
     code = cli.main(
         ["partition", "--input", str(BENCHMARK), "--k", "2",
-         "--epsilon", "0.04", "--deterministic", "--output", str(out)]
+         "--epsilon", "0.04", "--output", str(out)]
     )
     elapsed = time.perf_counter() - start
     assert code == 0

@@ -40,7 +40,7 @@ def test_partition_two_cliques(tmp_path, capsys):
     out = tmp_path / "part.txt"
     code = main([
         "partition", "--input", str(hgr), "--k", "2", "--epsilon", "0.04",
-        "--num-init", "3", "--deterministic", "--output", str(out),
+        "--num-init", "3", "--output", str(out),
     ])
     metrics = metric_map(capsys.readouterr().out)
     assert code == 0
@@ -58,7 +58,7 @@ def test_partition_written_file_revalidates(tmp_path, capsys):
     out = tmp_path / "part.txt"
     main([
         "partition", "--input", str(hgr), "--k", "2", "--num-init", "2",
-        "--deterministic", "--output", str(out),
+        "--output", str(out),
     ])
     cut = metric_map(capsys.readouterr().out)["cutsize"]
     code = main([
@@ -87,7 +87,7 @@ def test_partition_infeasible_still_written(tmp_path, capsys):
     out = tmp_path / "part.txt"
     code = main([
         "partition", "--input", str(hgr), "--k", "2", "--epsilon", "0.0",
-        "--num-init", "2", "--deterministic", "--output", str(out),
+        "--num-init", "2", "--output", str(out),
     ])
     metrics = metric_map(capsys.readouterr().out)
     assert code == 2
@@ -102,7 +102,7 @@ def test_partition_deterministic_byte_identical(tmp_path, capsys):
         out = tmp_path / name
         code = main([
             "partition", "--input", str(hgr), "--k", "2", "--num-init", "3",
-            "--deterministic", "--output", str(out),
+            "--output", str(out),
         ])
         assert code == 0
         outputs.append(out.read_bytes())
@@ -218,7 +218,7 @@ def test_sweep_num_init(tmp_path, capsys):
     hgr = two_clique_file(tmp_path)
     code = main([
         "sweep", "--input", str(hgr), "--k", "2", "--epsilon", "0.04",
-        "--deterministic", "--axis", "num_init", "--values", "1", "2",
+        "--axis", "num_init", "--values", "1", "2",
     ])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
@@ -232,7 +232,7 @@ def test_sweep_p_axis_default_rules(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     code = main([
         "sweep", "--input", str(hgr), "--k", "2", "--num-init", "2",
-        "--deterministic", "--axis", "p", "--csv", str(csv),
+        "--axis", "p", "--csv", str(csv),
     ])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
@@ -244,7 +244,7 @@ def test_sweep_single_lambda_value(tmp_path, capsys):
     hgr = two_clique_file(tmp_path)
     code = main([
         "sweep", "--input", str(hgr), "--k", "2", "--num-init", "2",
-        "--deterministic", "--axis", "lambda1", "--values", "0.5",
+        "--axis", "lambda1", "--values", "0.5",
     ])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
@@ -294,7 +294,7 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     metrics_path = tmp_path / "metrics.txt"
     main([
         "partition", "--input", str(hgr), "--k", "2", "--num-init", "2",
-        "--deterministic", "--output", str(out), "--metrics", str(metrics_path),
+        "--output", str(out), "--metrics", str(metrics_path),
     ])
     stdout = capsys.readouterr().out
     assert metrics_path.read_text() == stdout

@@ -39,15 +39,19 @@ def angles_to_features(angles):
 def test_similarity_graph_matches_dense_oracle():
     rng = np.random.default_rng(211)
     X = project_rows(rng.normal(size=(30, 3)))
-    got = build_similarity_graph(X, tau=0.2).tocoo()
-    got_edges = {
-        (min(i, j), max(i, j)): w
-        for i, j, w in zip(got.row.tolist(), got.col.tolist(), got.data.tolist())
-    }
-    want = {(i, j): w for i, j, w in dense_similarity_edges(X, 0.2)}
-    assert set(got_edges) == set(want)
-    for key, w in want.items():
-        assert got_edges[key] == pytest.approx(w, abs=1e-12)
+    # duplicated axis rows have similarity exactly 1: edges of weight 0
+    duplicated = np.vstack([X, X[:4], np.eye(3), np.eye(3)])
+    for feats in (X, duplicated):
+        got = build_similarity_graph(feats, tau=0.2).tocoo()
+        got_edges = {
+            (min(i, j), max(i, j)): w
+            for i, j, w in zip(got.row.tolist(), got.col.tolist(), got.data.tolist())
+        }
+        assert got.nnz == 2 * len(got_edges)  # both directions, once each
+        want = {(i, j): w for i, j, w in dense_similarity_edges(feats, 0.2)}
+        assert set(got_edges) == set(want)
+        for key, w in want.items():
+            assert got_edges[key] == pytest.approx(w, abs=1e-12)
 
 
 def test_similarity_graph_threshold_strict():
@@ -154,32 +158,58 @@ def test_prune_tie_break_by_edge_index():
 
 def test_prune_extremes_and_oracle():
     rng = np.random.default_rng(229)
-    X = project_rows(rng.normal(size=(12, 3)))
-    tree = prim_mst(X, tau=-1.1)
-    whole = prune_clusters(tree, 1, np.ones(12, dtype=np.int64), X)
-    assert len(whole.clusters) == 1 and whole.clusters[0].shape[0] == 12
+    # a complete graph, then bridged trees: a high tau strands vertices
+    for tau in (-1.1, 0.7, 0.9):
+        X = project_rows(rng.normal(size=(12, 3)))
+        tree = prim_mst(X, tau=tau)
+        assert (tree.bridges > 0) == (tau > 0)
+        whole = prune_clusters(tree, 1, np.ones(12, dtype=np.int64), X)
+        assert len(whole.clusters) == 1 and whole.clusters[0].shape[0] == 12
 
-    single = prune_clusters(tree, 12, np.ones(12, dtype=np.int64), X)
-    assert sorted(c.tolist()[0] for c in single.clusters) == list(range(12))
+        single = prune_clusters(tree, 12, np.ones(12, dtype=np.int64), X)
+        assert [c.tolist() for c in single.clusters] == [[v] for v in range(12)]
 
-    for p in (2, 4, 7):
-        cs = prune_clusters(tree, p, np.ones(12, dtype=np.int64), X)
-        # oracle: union-find over the kept edges
-        order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
-        removed = set(order[: p - 1])
-        uf = UnionFind(12)
+        for p in (2, 4, 7):
+            cs = prune_clusters(tree, p, np.ones(12, dtype=np.int64), X)
+            # oracle: union-find over the kept edges
+            order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
+            removed = set(order[: p - 1])
+            uf = UnionFind(12)
+            for i, (u, v, _) in enumerate(tree.edges):
+                if i not in removed:
+                    uf.union(u, v)
+            want = {}
+            for v in range(12):
+                want.setdefault(uf.find(v), set()).add(v)
+            got = {frozenset(c.tolist()) for c in cs.clusters}
+            assert got == {frozenset(s) for s in want.values()}
+            # clusters come in order of their lowest member
+            lowest = [int(c.min()) for c in cs.clusters]
+            assert lowest == sorted(lowest)
+            # centroids and weights
+            for c, w, cent in zip(cs.clusters, cs.weights, cs.centroids):
+                assert w == len(c)
+                assert np.allclose(cent, X[c].mean(axis=0))
+
+
+def test_spanning_tree_cut_matches_union_find():
+    rng = np.random.default_rng(233)
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        X = project_rows(rng.normal(size=(n, 3)))
+        tree = prim_mst(X, tau=float(rng.choice([-1.1, 0.5, 0.9])))
+        assert tree.parent[0] == -1
+        assert all(tree.parent[v] == u for u, v, _ in tree.edges)
+        n_cut = int(rng.integers(0, len(tree.edges) + 1))
+        ids = rng.permutation(len(tree.edges))[:n_cut].tolist()
+        uf = UnionFind(n)
         for i, (u, v, _) in enumerate(tree.edges):
-            if i not in removed:
+            if i not in ids:
                 uf.union(u, v)
-        want = {}
-        for v in range(12):
-            want.setdefault(uf.find(v), set()).add(v)
-        got = {frozenset(c.tolist()) for c in cs.clusters}
-        assert got == {frozenset(s) for s in want.values()}
-        # centroids and weights
-        for c, w, cent in zip(cs.clusters, cs.weights, cs.centroids):
-            assert w == len(c)
-            assert np.allclose(cent, X[c].mean(axis=0))
+        # components numbered in order of their lowest position
+        number = {}
+        want = [number.setdefault(uf.find(v), len(number)) for v in range(n)]
+        assert tree.cut(ids).tolist() == want
 
 
 # ---------------------------------------------------------------------------

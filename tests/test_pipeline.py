@@ -90,16 +90,14 @@ def test_multilevel_path_runs_fm_each_level():
     assert res.cutsize == km1_oracle(h, res.partition.assignment)
 
 
-def test_determinism_across_runs_and_threads():
+def test_determinism_across_runs():
     rng = np.random.default_rng(51)
     h = random_hypergraph(rng, 30, 60, weighted=True)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.1)
     a = run_pipeline(h, spec, quick_config())
     b = run_pipeline(h, spec, quick_config())
-    c = run_pipeline(h, spec, quick_config(deterministic=False, threads=2))
     assert np.array_equal(a.partition.assignment, b.partition.assignment)
-    assert a.cutsize == b.cutsize == c.cutsize
-    assert np.array_equal(a.partition.assignment, c.partition.assignment)
+    assert a.cutsize == b.cutsize
 
 
 def test_spread_fallback_when_coarse_fits_in_blocks():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition
+from mstpart.initial import prim_mst
 from mstpart.operators import CliqueGraph, laplacian
 from mstpart.refine import (
     PairwiseParams,
@@ -103,6 +106,50 @@ def test_bipartition_candidate_envelope_and_brute_force():
             assert res.objective >= best - 1e-9
             checked_feasible += 1
     assert checked_feasible >= 15
+
+
+def test_bipartition_candidates_match_subtree_oracle():
+    # oracle: cut each scored tree edge in order, put the child's subtree
+    # (every key whose parent chain reaches the child) on side 2, and score
+    # the nearest-center labeling the docstring describes
+    rng = np.random.default_rng(37)
+    for _ in range(25):
+        n = int(rng.integers(4, 40))
+        X = rng.normal(size=(n, 2))
+        L = laplacian(CliqueGraph.from_adjacency(random_adjacency(rng, n)))
+        B = rng.integers(1, 5, size=n).astype(np.float64)
+        total = float(B.sum())
+        caps = (0.75 * total, 0.6 * total)  # unequal, so the sides differ
+        key_fraction = float(rng.choice([0.05, 0.5, 1.0]))
+        res = mst_bipartition(X, B, caps, L, key_fraction, 0.5)
+
+        n_key = math.ceil(key_fraction * n)
+        keys = np.arange(n) if n_key < 2 else np.sort(np.lexsort((np.arange(n), -B))[:n_key])
+        tree = prim_mst(X, vertices=keys, metric="euclidean")
+        order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
+        want, labelings = [], []
+        for ei in order[: max(1, math.ceil(0.5 * len(tree.edges)))]:
+            child = tree.edges[ei][1]
+            side2 = np.zeros(keys.shape[0], dtype=bool)
+            for v in range(keys.shape[0]):
+                u = v
+                while u >= 0 and u != child:
+                    u = int(tree.parent[u])
+                side2[v] = u == child
+            c1 = X[keys[~side2]].mean(axis=0)
+            c2 = X[keys[side2]].mean(axis=0)
+            d1 = np.sum((X - c1) ** 2, axis=1)
+            d2 = np.sum((X - c2) ** 2, axis=1)
+            y = np.where(d1 - d2 > 0.0, 1.0, -1.0)
+            yb = float(y @ B)
+            feasible = 0.5 * (total + yb) <= caps[0] and 0.5 * (total - yb) <= caps[1]
+            want.append((0.25 * float(y @ (L @ y)), feasible))
+            labelings.append(y)
+        assert res.candidates == want
+        # the first feasible candidate of least objective, else the first overall
+        pool = [i for i, (_, f) in enumerate(want) if f] or range(len(want))
+        best = min(pool, key=lambda i: want[i][0])
+        assert np.array_equal(res.labels, labelings[best])
 
 
 def test_bipartition_rejects_single_vertex():
