@@ -9,6 +9,7 @@ of a first-order residual built from consecutive iterates.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -77,29 +78,32 @@ class ApgResult:
 def project_rows(X: np.ndarray) -> np.ndarray:
     """Scale each row to unit norm; an all-zero row becomes (1, 0, ..., 0)."""
     X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
+    # the sum and root np.linalg.norm(X, axis=1) computes, without its checks
+    norms = np.sqrt(np.add.reduce(X * X, axis=1))
+    if norms.all():
+        return X / norms[:, None]
     zero = norms == 0.0
-    out = np.empty_like(X)
-    safe = np.where(zero, 1.0, norms)
+    norms[zero] = 1.0
     with np.errstate(invalid="ignore"):
-        out[:] = X / safe[:, None]
-    if np.any(zero):
-        out[zero] = 0.0
-        out[zero, 0] = 1.0
+        out = X / norms[:, None]
+    out[zero] = 0.0
+    out[zero, 0] = 1.0
     return out
 
 
-def initial_stepsize(op, X0: np.ndarray) -> float:
+def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray | None = None) -> float:
     """Secant estimate between X0 and the projected gradient direction:
     ||X0 - X1|| / ||grad(X0) - grad(X1)|| with X1 = project(grad(X0)).
-    Degenerate cases fall back to 1.0.
+    ``g0`` is grad(X0) when the caller already has it.  Degenerate cases
+    fall back to 1.0.
     """
-    g0 = op.gradient(X0)
+    if g0 is None:
+        g0 = op.gradient(X0)
     X1 = project_rows(g0)
     g1 = op.gradient(X1)
     num = np.linalg.norm(X0 - X1)
     den = np.linalg.norm(g0 - g1)
-    if den == 0.0 or not np.isfinite(den) or not np.isfinite(num) or num == 0.0:
+    if den == 0.0 or not math.isfinite(den) or not math.isfinite(num) or num == 0.0:
         return 1.0
     return float(num / den)
 
@@ -110,7 +114,7 @@ def _grow_term(k: int, p_tilde: float) -> float:
 
 
 def _check_finite(value: float, where: str, iteration: int):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FloatingPointError(
             f"non-finite objective at iteration {iteration} ({where})"
         )
@@ -133,15 +137,14 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     X_cur = project_rows(X0)
     eps = params.epsilon
 
-    alpha = initial_stepsize(op, X_cur)
-    g_cur = op.gradient(X_cur)
-    F_cur = op.value(X_cur)
+    F_cur, g_cur = _value_and_gradient(op, X_cur)
     _check_finite(F_cur, "start", 0)
+    alpha = initial_stepsize(op, X_cur, g_cur)
 
     # stationarity probe: a fixed point of the projected gradient map stops here
     probe = project_rows(X_cur - alpha * g_cur)
     error = float(
-        np.max(np.abs((probe - X_cur) / alpha + op.gradient(probe) - g_cur))
+        np.abs((probe - X_cur) / alpha + op.gradient(probe) - g_cur).max()
     )
     trace: list[IterRecord] = []
     if error <= eps:
@@ -164,8 +167,8 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
 
     while error > eps and k < params.max_iters:
         dX = X_cur - X_prev
-        dn2 = float(np.sum(dX * dX))
-        lhs = 2.0 * (F_cur - F_prev - float(np.sum(g_prev * dX)))
+        dn2 = float((dX * dX).sum())
+        lhs = 2.0 * (F_cur - F_prev - float((g_prev * dX).sum()))
         if dn2 > 0.0 and lhs > (params.mu0 / alpha) * dn2:
             alpha_next = params.mu1 * dn2 / lhs
         else:
@@ -176,9 +179,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         gy = op.gradient(y)
         z = project_rows(y - alpha_next * gy)
 
-        zy2 = float(np.sum((z - y) ** 2))
-        zx2 = float(np.sum((z - X_cur) ** 2))
-        yx2 = float(np.sum((y - X_cur) ** 2))
+        zy2 = float(((z - y) ** 2).sum())
+        zx2 = float(((z - X_cur) ** 2).sum())
+        yx2 = float(((y - X_cur) ** 2).sum())
         inflate = 1.0 + params.sigma / k ** params.r if k >= 1 else 1.0
         phi1 = zy2 + zx2 - inflate * yx2
         phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
@@ -194,7 +197,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
             accepted = False
 
         error = float(
-            np.max(np.abs((X_next - X_cur) / alpha_next + g_next - g_cur))
+            np.abs((X_next - X_cur) / alpha_next + g_next - g_cur).max()
         )
 
         bound_used = bound

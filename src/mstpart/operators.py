@@ -89,6 +89,13 @@ class ObjectiveOperator:
     Gu = n I - 1 1^T is the unit complete-graph Laplacian,
     Gw = S Diag(B) - B B^T is the weighted complete-graph Laplacian, and
     Kp is the Laplacian of the complete multipartite graph over given blocks.
+
+    The constants of the formula (S, B as a column, n minus each vertex's
+    block size, the flat block index of every entry) are computed once in
+    ``__init__``, and ``apply`` stays bit-equal to the formula evaluated term
+    by term into a zero array: the block sums add rows in index order, like
+    ``np.add.at``.  A nonzero coefficient without its input (``abar``,
+    ``weights`` or ``blocks``) is a ``ValueError``.
     """
 
     def __init__(self, n, *, abar=None, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
@@ -101,16 +108,24 @@ class ObjectiveOperator:
         self.cp = float(cp)
         self.mode = mode
         self.matrix = matrix
+        for coef, name, given in (("ca", "abar", abar), ("cw", "weights", weights),
+                                  ("cp", "blocks", blocks)):
+            if getattr(self, coef) and given is None:
+                raise ValueError(f"{coef} != 0 needs {name}")
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (self.n,):
                 raise ValueError("weights length mismatch")
+            self._weight_sum = weights.sum()
+            self._weight_col = weights[:, None]
         self.weights = weights
         if blocks is not None:
             blocks = np.asarray(blocks, dtype=np.int64)
             if blocks.shape != (self.n,):
                 raise ValueError("blocks length mismatch")
-            self._block_sizes = np.bincount(blocks)
+            sizes = np.bincount(blocks)
+            self._outside_counts = (self.n - sizes[blocks]).astype(np.float64)[:, None]
+            self._flat_blocks = {}  # column count k -> blocks * k + column
         self.blocks = blocks
 
     # -- constructors -------------------------------------------------------
@@ -163,26 +178,28 @@ class ObjectiveOperator:
         out = np.zeros_like(X)
         if self.matrix is not None:
             out += self.matrix @ X
-        if self.abar is not None and self.ca:
+        if self.ca:
             out += self.ca * (self.abar @ X)
         if self.cu:
             out += self.cu * (self.n * X - X.sum(axis=0, keepdims=True))
         if self.cw:
-            B = self.weights
-            colsum = B @ X  # (k,)
-            out += self.cw * (B.sum() * (B[:, None] * X) - np.outer(B, colsum))
+            B = self._weight_col
+            colsum = self.weights @ X  # (k,)
+            out += self.cw * (self._weight_sum * (B * X) - B * colsum)
         if self.cp:
-            sizes = self._block_sizes
-            block_sums = np.zeros((sizes.shape[0], X.shape[1]))
-            np.add.at(block_sums, self.blocks, X)
+            k = X.shape[1]
+            flat = self._flat_blocks.get(k)
+            if flat is None:
+                flat = self._flat_blocks[k] = (self.blocks[:, None] * k + np.arange(k)).ravel()
+            block_sums = np.bincount(flat, weights=X.ravel()).reshape(-1, k)
             others = X.sum(axis=0, keepdims=True) - block_sums[self.blocks]
-            out += self.cp * ((self.n - sizes[self.blocks])[:, None] * X - others)
+            out += self.cp * (self._outside_counts * X - others)
         return out
 
     def value(self, X: np.ndarray) -> float:
         """F(X) = -<C, X X^T>."""
         X = np.asarray(X, dtype=np.float64)
-        return -float(np.sum(self.apply(X) * X))
+        return -float((self.apply(X) * X).sum())
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
         """grad F(X) = -2 C X."""
@@ -192,7 +209,7 @@ class ObjectiveOperator:
         """Both quantities from a single operator application."""
         X = np.asarray(X, dtype=np.float64)
         cx = self.apply(X)
-        return -float(np.sum(cx * X)), -2.0 * cx
+        return -float((cx * X).sum()), -2.0 * cx
 
 
 def _check_unit(x, name):

@@ -47,6 +47,27 @@ def test_project_rows_idempotent():
     assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
 
 
+def test_project_rows_bit_equals_norm_division():
+    rng = np.random.default_rng(23)
+    for shape in [(1, 1), (7, 1), (30, 2), (50, 3), (40, 8)]:
+        X = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=(shape[0], 1))
+        X[X == 0.0] = 1.0
+        assert np.array_equal(project_rows(X), X / np.linalg.norm(X, axis=1)[:, None])
+
+
+def test_project_rows_zero_rows_exact():
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(12, 3))
+    zero = np.array([0, 4, 5, 11])
+    X[zero] = 0.0
+    X[5] = -0.0
+    X[2, 0] = 0.0  # a zero entry in a nonzero row
+    out = project_rows(X)
+    keep = np.setdiff1d(np.arange(12), zero)
+    assert np.array_equal(out[zero], np.tile([1.0, 0.0, 0.0], (zero.size, 1)))
+    assert np.array_equal(out[keep], X[keep] / np.linalg.norm(X[keep], axis=1)[:, None])
+
+
 # ---------------------------------------------------------------------------
 # initial stepsize
 
@@ -71,6 +92,13 @@ def test_initial_stepsize_positive_finite():
         X0 = seeded_features(n, k, stream=int(rng.integers(0, 1000)))
         a = initial_stepsize(op, X0)
         assert np.isfinite(a) and a > 0
+
+
+def test_initial_stepsize_reuses_given_gradient():
+    rng = np.random.default_rng(31)
+    op, n, k = random_embedding_op(rng, n_max=20)
+    X0 = seeded_features(n, k, stream=3)
+    assert initial_stepsize(op, X0, op.gradient(X0)) == initial_stepsize(op, X0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +178,44 @@ def test_minimize_deterministic():
     r2 = minimize(op, X0)
     assert np.array_equal(r1.X, r2.X)
     assert r1.trace == r2.trace
+
+
+def counted(op):
+    """Count the operator applications of ``op``, fused calls included."""
+    calls = [0]
+    apply = op.apply
+
+    def wrapper(X):
+        calls[0] += 1
+        return apply(X)
+
+    op.apply = wrapper
+    return calls
+
+
+def test_minimize_apply_count():
+    # 3 applies before the loop (value and gradient at the start, the
+    # stepsize secant, the stationarity probe); 2 per accepted iteration
+    # (extrapolated gradient, trial point) and 1 more for a fallback step
+    rng = np.random.default_rng(37)
+    h = random_hypergraph(rng, 30, 40, weighted=True)
+    g = clique_expand(h)
+    blocks = rng.integers(0, 2, size=h.n)
+    ops = [ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, xi1, 0.5)
+           for xi1 in (0.5, 0.15)]
+    ops += [random_embedding_op(rng, n_max=30)[0] for _ in range(4)]
+    branches = set()
+    for i, op in enumerate(ops):
+        calls = counted(op)
+        res = minimize(op, seeded_features(op.n, 2, stream=i), ApgParams(max_iters=200))
+        branches.update(rec.accepted for rec in res.trace)
+        assert calls[0] == 3 + sum(2 if rec.accepted else 3 for rec in res.trace)
+    assert branches == {True, False}
+    # a stationary start stops after the 3 start-up applies
+    op = ObjectiveOperator.identity(8)
+    calls = counted(op)
+    assert minimize(op, seeded_features(8, 2)).iterations == 0
+    assert calls[0] == 3
 
 
 def test_minimize_rejects_nonfinite():

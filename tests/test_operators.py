@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from helpers import random_hypergraph
 from mstpart.hypergraph import Hypergraph
@@ -162,6 +163,69 @@ def test_multipartite_part_three_blocks():
     K = dense_kpartite(blocks)
     X = rng.normal(size=(n, 4))
     assert np.allclose(op.apply(X), K @ X, atol=1e-10)
+
+
+def formula_apply(op, X):
+    """The documented formula term by term: a zero array, in-place adds,
+    np.outer for B colsum^T and np.add.at for the block sums."""
+    out = np.zeros_like(X)
+    if op.matrix is not None:
+        out += op.matrix @ X
+    if op.ca:
+        out += op.ca * (op.abar @ X)
+    if op.cu:
+        out += op.cu * (op.n * X - X.sum(axis=0, keepdims=True))
+    if op.cw:
+        B = op.weights
+        out += op.cw * (B.sum() * (B[:, None] * X) - np.outer(B, B @ X))
+    if op.cp:
+        sizes = np.bincount(op.blocks)
+        block_sums = np.zeros((sizes.shape[0], X.shape[1]))
+        np.add.at(block_sums, op.blocks, X)
+        others = X.sum(axis=0, keepdims=True) - block_sums[op.blocks]
+        out += op.cp * ((op.n - sizes[op.blocks])[:, None] * X - others)
+    return out
+
+
+@pytest.mark.parametrize("empty_block", [False, True])
+@pytest.mark.parametrize("num_blocks", [2, 3])
+@pytest.mark.parametrize("mode", ["embedding", "pair", "custom"])
+def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
+    rng = np.random.default_rng([109, num_blocks, empty_block])
+    for _ in range(5):
+        h = random_hypergraph(rng, 25, 30, weighted=True)
+        g = clique_expand(h)
+        blocks = rng.integers(0, num_blocks, size=h.n)
+        if empty_block:  # block id num_blocks - 2 keeps no member
+            blocks[blocks == num_blocks - 2] = num_blocks - 1
+        B = rng.uniform(0.5, 3.0, size=h.n)
+        c = rng.uniform(size=4)
+        if mode == "embedding":
+            op = ObjectiveOperator.embedding(g, B, c[0], c[1])
+        elif mode == "pair":
+            op = ObjectiveOperator.pair_refinement(g, B, blocks, c[0], c[1])
+        else:
+            abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
+            op = ObjectiveOperator(
+                h.n, abar=abar, ca=c[0], cu=-c[1], cw=c[2], cp=-c[3],
+                weights=B, blocks=blocks, matrix=g.adjacency,
+            )
+        # k = 2 twice: the second call reads the cached block index
+        for k in (1, 2, 4, 2):
+            X = rng.normal(size=(h.n, k))
+            want = formula_apply(op, X)
+            assert np.array_equal(op.apply(X), want)
+            value, grad = op.value_and_gradient(X)
+            assert value == -float(np.sum(want * X)) == op.value(X)
+            assert np.array_equal(grad, -2.0 * want)
+            assert np.array_equal(op.gradient(X), grad)
+
+
+@pytest.mark.parametrize("coef, field", [("ca", "abar"), ("cw", "weights"), ("cp", "blocks")])
+def test_nonzero_term_without_its_input_is_rejected(coef, field):
+    with pytest.raises(ValueError, match=field):
+        ObjectiveOperator(4, **{coef: 0.5})
+    ObjectiveOperator(4, **{coef: 0.0})  # a zero term needs no input
 
 
 # ---------------------------------------------------------------------------
