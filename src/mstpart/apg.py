@@ -120,24 +120,18 @@ def _check_finite(value: float, where: str, iteration: int):
         )
 
 
-def _value_and_gradient(op, X: np.ndarray):
-    fused = getattr(op, "value_and_gradient", None)
-    if fused is not None:
-        return fused(X)
-    return op.value(X), op.gradient(X)
-
-
 def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
-    """Run the solver from a row-feasible X0.  Every iterate stays on the row
-    sphere; the trace records (iteration, F, alpha, accepted flag, residual,
-    objective bound) per step.
+    """Run the solver from a row-feasible X0.  ``op`` provides
+    ``value_and_gradient(X)`` and ``gradient(X)``.  Every iterate stays on
+    the row sphere; the trace records (iteration, F, alpha, accepted flag,
+    residual, objective bound) per step.
     """
     params = params or ApgParams()
     X0 = np.asarray(X0, dtype=np.float64)
     X_cur = project_rows(X0)
     eps = params.epsilon
 
-    F_cur, g_cur = _value_and_gradient(op, X_cur)
+    F_cur, g_cur = op.value_and_gradient(X_cur)
     _check_finite(F_cur, "start", 0)
     alpha = initial_stepsize(op, X_cur, g_cur)
 
@@ -186,13 +180,13 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         phi1 = zy2 + zx2 - inflate * yx2
         phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
 
-        F_z, g_z = _value_and_gradient(op, z)
+        F_z, g_z = op.value_and_gradient(z)
         _check_finite(F_z, "trial", k)
         if phi1 >= 0.0 and F_z <= min(F_cur + phi2, bound):
             X_next, F_next, g_next, accepted = z, F_z, g_z, True
         else:
             X_next = project_rows(X_cur - alpha_next * g_cur)
-            F_next, g_next = _value_and_gradient(op, X_next)
+            F_next, g_next = op.value_and_gradient(X_next)
             _check_finite(F_next, "fallback", k)
             accepted = False
 

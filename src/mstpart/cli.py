@@ -116,6 +116,10 @@ def _resolve_epsilon(args) -> float:
 def _config_from_args(args) -> PipelineConfig:
     if args.num_init < 1:
         raise CliError("--num-init must be >= 1")
+    if args.pair_rounds is not None and args.pair_rounds < 0:
+        raise CliError("--pair-rounds must be >= 0")
+    if args.p_override is not None and args.p_override < 1:
+        raise CliError("--p must be >= 1")
     config = PipelineConfig()
     config.num_init = args.num_init
     if args.lambda1:

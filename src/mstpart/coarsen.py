@@ -150,14 +150,13 @@ def coarsen(
     h: Hypergraph,
     spec: BalanceSpec,
     coarsest_factor: int = 625,
-    stall_ratio: float = 0.8,
     max_rounds: int = 20,
 ) -> Hierarchy:
     """Repeat match-and-contract until any stop condition holds: the vertex
     count is at most coarsest_factor * k, the matching comes back empty, a
-    round shrinks the graph by less than the stall ratio, or the round cap is
-    reached.  The cap for pair weights is the first block bound of the
-    original instance.
+    round keeps more than 80 % of the vertices, or max_rounds rounds have
+    run.  The cap for pair weights is the first block bound of the original
+    instance.
     """
     levels: list[CoarseLevel] = []
     cur = h
@@ -171,7 +170,7 @@ def coarsen(
         level = contract(cur, matching)
         levels.append(level)
         nxt = level.hypergraph
-        stalled = nxt.n > stall_ratio * cur.n
+        stalled = nxt.n > 0.8 * cur.n
         cur = nxt
         if stalled:
             break

@@ -167,7 +167,8 @@ def parse_hmetis(text: str) -> Hypergraph:
     The header is ``m n [fmt]`` with fmt in {1, 10, 11}: 1 and 11 put a weight
     at the start of each hyperedge line, 10 and 11 append n vertex-weight
     lines.  File ids are 1-based; '%' lines are comments.  Duplicate pins are
-    deduplicated; single-pin hyperedges are kept.
+    deduplicated; single-pin hyperedges are kept.  Fewer or more data lines
+    than the header declares raise ``HgrFormatError``.
     """
     if isinstance(text, bytes):
         text = text.decode()
@@ -199,6 +200,11 @@ def parse_hmetis(text: str) -> Hypergraph:
         last = body[-1][0] if body else lineno
         raise HgrFormatError(
             f"truncated file: expected {expected} data lines, found {len(body)}", last
+        )
+    if len(body) > expected:
+        raise HgrFormatError(
+            f"surplus data: expected {expected} data lines, found {len(body)}",
+            body[expected][0],
         )
 
     pins: list[list[int]] = []

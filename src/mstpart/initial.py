@@ -19,7 +19,6 @@ from .hypergraph import BalanceSpec, Hypergraph, Partition
 __all__ = [
     "SpanningTree",
     "ClusterSet",
-    "DisconnectedGraphError",
     "build_similarity_graph",
     "prim_mst",
     "prune_clusters",
@@ -29,14 +28,6 @@ __all__ = [
 ]
 
 LARGE_SCALE_THRESHOLD = 35_000
-
-
-class DisconnectedGraphError(RuntimeError):
-    """Similarity graph fell apart under the threshold."""
-
-    def __init__(self, components: int):
-        self.components = components
-        super().__init__(f"similarity graph has {components} components")
 
 
 @dataclass
@@ -128,15 +119,14 @@ def prim_mst(
     vertices: np.ndarray | None = None,
     tau: float = 0.2,
     metric: str = "similarity",
-    on_disconnected: str = "bridge",
 ) -> SpanningTree:
     """Prim's algorithm over the implicit feature graph.
 
     metric "similarity": edges exist where <x_i, x_j> > tau, weighted
     1 - similarity.  metric "euclidean": complete graph under Euclidean
-    distance (tau is ignored).  When the similarity graph is disconnected,
-    on_disconnected "bridge" joins each stranded part through the lightest
-    available crossing edge (ignoring tau); "error" raises instead.
+    distance (tau is ignored).  A disconnected similarity graph is always
+    bridged: each stranded part joins the tree through the lightest
+    crossing edge, ignoring tau, and ``bridges`` counts those edges.
     """
     X = np.asarray(X, dtype=np.float64)
     if vertices is None:
@@ -163,9 +153,6 @@ def prim_mst(
         u = int(np.argmin(masked))
         if masked[u] == INF:
             # stranded: no thresholded edge reaches the rest
-            if on_disconnected == "error":
-                comps = _count_components(local, tau, euclid)
-                raise DisconnectedGraphError(comps)
             u = _bridge(local, in_tree, dist, parent, euclid)
             bridges += 1
         in_tree[u] = True
@@ -209,15 +196,6 @@ def _bridge(local, in_tree, dist, parent, euclid):
     return u
 
 
-def _count_components(local, tau, euclid):
-    if euclid:
-        return 1
-    # imported here: csgraph loads scipy.linalg, and only this error path needs it
-    from scipy.sparse.csgraph import connected_components
-
-    return connected_components(build_similarity_graph(local, tau), directed=False)[0]
-
-
 def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.ndarray) -> ClusterSet:
     """Remove the p - 1 heaviest tree edges (ties: larger weight first, then
     lower edge index) leaving exactly p connected parts.  Weights and feature
@@ -239,7 +217,7 @@ def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.
     return ClusterSet(clusters, weights, centroids)
 
 
-def _merge_clusters(clusters: ClusterSet, k: int, caps: np.ndarray, n: int) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+def _merge_clusters(clusters: ClusterSet, k: int, caps: np.ndarray) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
     """Seed blocks with the k heaviest clusters, then fold each remaining
     cluster into the centroid-nearest block when it fits the cap, else into
     the lightest block.  Returns members, weights, centroids, counts.
@@ -274,7 +252,7 @@ def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int,
         raise ValueError(f"p={p} exceeds the vertex count {h.n}")
     tree = prim_mst(X, tau=tau)
     clusters = prune_clusters(tree, p, h.vertex_weight, X)
-    members, _, _, _ = _merge_clusters(clusters, spec.k, spec.upper_bounds, h.n)
+    members, _, _, _ = _merge_clusters(clusters, spec.k, spec.upper_bounds)
     assignment = np.empty(h.n, dtype=np.int64)
     for b, chunks in enumerate(members):
         for chunk in chunks:
@@ -304,7 +282,7 @@ def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSp
     rep_total = int(clusters.weights.sum())
     adapted_cap = (1.0 + spec.epsilon) * rep_total / spec.k
     members, weights, centroids, counts = _merge_clusters(
-        clusters, spec.k, np.full(spec.k, adapted_cap), n
+        clusters, spec.k, np.full(spec.k, adapted_cap)
     )
 
     assignment = np.full(n, -1, dtype=np.int64)
@@ -351,7 +329,7 @@ def _p_choices(n: int, k: int, p_rules, p_override) -> list[int]:
     return out
 
 
-def _route_partition(X, h, spec, p, tau, large_threshold):
-    if h.n > large_threshold:
+def _route_partition(X, h, spec, p, tau):
+    if h.n > LARGE_SCALE_THRESHOLD:
         return representative_partition_large(X, h, spec, p, tau)
     return mst_partition_small(X, h, spec, p, tau)

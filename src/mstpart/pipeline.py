@@ -16,9 +16,9 @@ from .apg import ApgParams, minimize, seeded_features
 from .coarsen import coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
-from .initial import LARGE_SCALE_THRESHOLD, _p_choices, _route_partition
+from .initial import _p_choices, _route_partition
 from .operators import ObjectiveOperator, clique_expand
-from .refine import PairwiseParams, kway_fm, pairwise_improve, repair_feasibility
+from .refine import kway_fm, pairwise_improve, repair_feasibility
 
 __all__ = [
     "PipelineConfig",
@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass
 class PipelineConfig:
-    """Everything the pipeline can vary, with working defaults."""
+    """Everything the pipeline and its refiners can vary, with working defaults."""
 
     num_init: int = 10
     lambda1: tuple = (0.9, 0.5, 0.15, 0.015)
@@ -41,25 +41,9 @@ class PipelineConfig:
     tau: float = 0.2
     p_rules: tuple = ("sqrt", "linear")
     p_override: int | None = None
-    large_threshold: int = LARGE_SCALE_THRESHOLD
     coarsest_factor: int = 625
-    coarsen_rounds: int = 20
-    stall_ratio: float = 0.8
     pair_rounds: int = 5
-    key_fraction: float = 0.05
-    cut_fraction: float = 0.2
-    fm_passes: int = 50
     apg: ApgParams = field(default_factory=ApgParams)
-
-    def pairwise_params(self) -> PairwiseParams:
-        return PairwiseParams(
-            xi1_grid=self.xi1,
-            xi2_grid=self.xi2,
-            max_rounds=self.pair_rounds,
-            key_fraction=self.key_fraction,
-            cut_fraction=self.cut_fraction,
-            apg=self.apg,
-        )
 
 
 @dataclass
@@ -81,22 +65,34 @@ class PipelineResult:
     candidates: list
 
 
-def _improve_candidate(h, part, spec, clique, pparams):
+def _checked(config: PipelineConfig | None) -> PipelineConfig:
+    """The config, or the defaults; out-of-range counts raise ``ValueError``."""
+    config = config or PipelineConfig()
+    if config.num_init < 1:
+        raise ValueError(f"num_init must be >= 1, got {config.num_init}")
+    if config.pair_rounds < 0:
+        raise ValueError(f"pair_rounds must be >= 0, got {config.pair_rounds}")
+    if config.p_override is not None and config.p_override < 1:
+        raise ValueError(f"p_override must be >= 1, got {config.p_override}")
+    return config
+
+
+def _improve_candidate(h, part, spec, clique, config):
     part, _ = repair_feasibility(h, part, spec)
-    return pairwise_improve(h, part, spec, pparams, clique=clique)
+    return pairwise_improve(h, part, spec, config, clique=clique)
 
 
-def _build_candidate(i, h, spec, clique, config, pparams):
+def _build_candidate(i, h, spec, clique, config):
     combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
     lam1, lam2 = combos[i % len(combos)]
     op = ObjectiveOperator.embedding(clique, h.vertex_weight, lam1, lam2)
     X = minimize(op, seeded_features(h.n, spec.k, stream=i), config.apg).X
     best_part, best_p = None, None
     for p in _p_choices(h.n, spec.k, config.p_rules, config.p_override):
-        part = _route_partition(X, h, spec, p, config.tau, config.large_threshold)
+        part = _route_partition(X, h, spec, p, config.tau)
         if best_part is None or part.cutsize < best_part.cutsize:
             best_part, best_p = part, p
-    part = _improve_candidate(h, best_part, spec, clique, pparams)
+    part = _improve_candidate(h, best_part, spec, clique, config)
     return part, CandidateReport(
         lam1, lam2, best_p, part.cutsize, is_feasible(part, spec)
     )
@@ -110,9 +106,7 @@ def run_pipeline(
     The returned partition always covers every vertex; ``feasible`` reports
     whether all block weights ended within their caps.
     """
-    config = config or PipelineConfig()
-    if config.num_init < 1:
-        raise ValueError(f"num_init must be >= 1, got {config.num_init}")
+    config = _checked(config)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -122,31 +116,24 @@ def run_pipeline(
         return PipelineResult(part, True, part.cutsize, timings, 0, [])
 
     t0 = time.perf_counter()
-    hierarchy = coarsen(
-        h,
-        spec,
-        coarsest_factor=config.coarsest_factor,
-        stall_ratio=config.stall_ratio,
-        max_rounds=config.coarsen_rounds,
-    )
+    hierarchy = coarsen(h, spec, coarsest_factor=config.coarsest_factor)
     coarse = hierarchy.coarsest(h)
     timings["coarsen"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     clique = clique_expand(coarse)
-    pparams = config.pairwise_params()
 
     if coarse.n <= spec.k:
         # too few supervertices to embed meaningfully; spread them out
         part = Partition(coarse, np.arange(coarse.n, dtype=np.int64), spec.k)
-        part = _improve_candidate(coarse, part, spec, clique, pparams)
+        part = _improve_candidate(coarse, part, spec, clique, config)
         parts = [part]
         reports = [
             CandidateReport(0.0, 0.0, coarse.n, part.cutsize, is_feasible(part, spec))
         ]
     else:
         results = [
-            _build_candidate(i, coarse, spec, clique, config, pparams)
+            _build_candidate(i, coarse, spec, clique, config)
             for i in range(config.num_init)
         ]
         parts = [r[0] for r in results]
@@ -165,9 +152,9 @@ def run_pipeline(
         finer = hierarchy.levels[li - 1].hypergraph if li > 0 else h
         part = _project(hierarchy.levels[li], part, finer)
         if feasible:
-            part = kway_fm(finer, part, spec, max_passes=config.fm_passes)
+            part = kway_fm(finer, part, spec)
     if not hierarchy.levels and feasible:
-        part = kway_fm(h, part, spec, max_passes=config.fm_passes)
+        part = kway_fm(h, part, spec)
     timings["uncoarsen"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 
@@ -189,13 +176,13 @@ def improve_partition(
     whether a repair was needed, and final feasibility.  Cutsize never
     increases when the input is already feasible.
     """
-    config = config or PipelineConfig()
+    config = _checked(config)
     before = p.cutsize
     needed_repair = not is_feasible(p, spec)
     part, repair_ok = repair_feasibility(h, p, spec)
-    part = pairwise_improve(h, part, spec, config.pairwise_params())
+    part = pairwise_improve(h, part, spec, config)
     if is_feasible(part, spec):
-        part = kway_fm(h, part, spec, max_passes=config.fm_passes)
+        part = kway_fm(h, part, spec)
     report = {
         "cutsize_before": before,
         "cutsize_after": part.cutsize,

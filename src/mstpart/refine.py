@@ -12,19 +12,22 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .apg import ApgParams, minimize, seeded_features
+from .apg import minimize, seeded_features
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from .initial import prim_mst
 from .operators import CliqueGraph, ObjectiveOperator, clique_expand, laplacian
 
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
+
 __all__ = [
     "BipartitionResult",
     "PairPlan",
-    "PairwiseParams",
     "mst_bipartition",
     "block_connectivity",
     "pair_blocks",
@@ -158,51 +161,40 @@ def pair_blocks(h: Hypergraph, p: Partition) -> PairPlan:
     return PairPlan(pairs, leftover)
 
 
-@dataclass
-class PairwiseParams:
-    """Controls for the pairwise improvement rounds."""
-
-    xi1_grid: tuple = (0.5, 0.15)
-    xi2_grid: tuple = (1.0, 0.8, 0.2)
-    max_rounds: int = 5
-    key_fraction: float = 0.05
-    cut_fraction: float = 0.2
-    apg: ApgParams = field(default_factory=ApgParams)
-
-
 def pairwise_improve(
     h: Hypergraph,
     p: Partition,
     spec: BalanceSpec,
-    params: PairwiseParams | None = None,
+    config: PipelineConfig,
     clique: CliqueGraph | None = None,
 ) -> Partition:
     """Re-split block pairs through fresh 2-D embeddings.
 
     Each round pairs the blocks, then for every pair solves the embedding
-    objective over the induced sub-clique-graph on a small parameter grid,
-    re-bipartitions, and accepts the best result only when it is feasible
-    for the pair and strictly lowers the pair's clique-cut objective.  An
-    accepted pair that still raises the hypergraph cutsize is rolled back.
-    Rounds repeat until nothing improves.  The input partition is untouched.
+    objective over the induced sub-clique-graph on the ``config.xi1`` x
+    ``config.xi2`` grid with ``config.apg``, re-bipartitions, and accepts
+    the best result only when it is feasible for the pair and strictly
+    lowers the pair's clique-cut objective.  An accepted pair that still
+    raises the hypergraph cutsize is rolled back.  Rounds repeat until
+    nothing improves, at most ``config.pair_rounds`` times.  The input
+    partition is untouched.
     """
-    params = params or PairwiseParams()
     out = p.copy()
     if p.k < 2 or h.n == 0:
         return out
     if clique is None:
         clique = clique_expand(h)
-    for rnd in range(params.max_rounds):
+    for rnd in range(config.pair_rounds):
         plan = pair_blocks(h, out)
         improved = False
         for pi, (a, b) in enumerate(plan.pairs):
-            improved |= _refine_pair(h, out, spec, clique, a, b, rnd, pi, params)
+            improved |= _refine_pair(h, out, spec, clique, a, b, rnd, pi, config)
         if not improved:
             break
     return out
 
 
-def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, params) -> bool:
+def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> bool:
     idx = np.where((part.assignment == a) | (part.assignment == b))[0]
     nbar = idx.shape[0]
     if nbar < 2:
@@ -217,15 +209,11 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, params) -> bool:
     obj_cur = 0.25 * float(y_cur @ (L_sub @ y_cur))
 
     best = None
-    for gi, (xi1, xi2) in enumerate(
-        itertools.product(params.xi1_grid, params.xi2_grid)
-    ):
+    for gi, (xi1, xi2) in enumerate(itertools.product(config.xi1, config.xi2)):
         op = ObjectiveOperator.pair_refinement(sub, B_sub, labels01, xi1, xi2)
         stream = (rnd * 1024 + pair_idx) * 16 + gi
-        X = minimize(op, seeded_features(nbar, 2, stream=stream), params.apg).X
-        res = mst_bipartition(
-            X, B_sub, caps, L_sub, params.key_fraction, params.cut_fraction
-        )
+        X = minimize(op, seeded_features(nbar, 2, stream=stream), config.apg).X
+        res = mst_bipartition(X, B_sub, caps, L_sub)
         if res.feasible and (best is None or res.objective < best.objective):
             best = res
     if best is None or not best.objective < obj_cur:
@@ -249,7 +237,7 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, params) -> bool:
 # feasibility repair
 
 def repair_feasibility(
-    h: Hypergraph, p: Partition, spec: BalanceSpec, max_ops: int | None = None
+    h: Hypergraph, p: Partition, spec: BalanceSpec
 ) -> tuple[Partition, bool]:
     """Drain overweight blocks by cheap moves, swapping when nothing fits.
 
@@ -258,15 +246,13 @@ def repair_feasibility(
     (cutsize increase, vertex weight, vertex index, target).  If no vertex
     fits anywhere, try the best strictly-load-reducing swap with a vertex
     of another block that keeps the partner block within cap.  Gives up
-    after ``max_ops`` (default 2n) elementary moves.  Returns a new
-    partition and a success flag.
+    once it has made 2n elementary moves (a swap counts two).  Returns a
+    new partition and a success flag.
     """
     part = p.copy()
     caps = spec.upper_bounds
-    if max_ops is None:
-        max_ops = 2 * h.n
     ops = 0
-    while ops < max_ops:
+    while ops < 2 * h.n:
         over = part.block_weight - caps
         src = int(np.argmax(over))
         if over[src] <= 0:
@@ -318,23 +304,22 @@ def repair_feasibility(
 # ---------------------------------------------------------------------------
 # k-way FM
 
-def kway_fm(
-    h: Hypergraph, p: Partition, spec: BalanceSpec, max_passes: int = 50
-) -> Partition:
+def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     """Pass-based k-way FM refinement.
 
     Every pass moves each vertex at most once, always taking the highest
     gain (cutsize decrease) among moves that keep all blocks within cap,
     working through negative gains as well; the pass then rolls back to its
-    best prefix.  Passes repeat while they improve.  The result is feasible
-    and never worse than the input, which must itself be feasible.
+    best prefix.  Passes repeat while they improve, at most 50 times.  The
+    result is feasible and never worse than the input, which must itself be
+    feasible.
     """
     if not is_feasible(p, spec):
         raise ValueError("FM refinement requires a feasible starting partition")
     part = p.copy()
     if h.n == 0 or part.k < 2:
         return part
-    for _ in range(max_passes):
+    for _ in range(50):
         if _fm_pass(h, part, spec.upper_bounds) <= 0:
             break
     return part

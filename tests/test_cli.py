@@ -279,6 +279,17 @@ def test_missing_input_file_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_surplus_data_lines_are_an_error(tmp_path, capsys):
+    hgr = tmp_path / "surplus.hgr"
+    hgr.write_text("2 4\n1 2\n2 3\n3 4\n5\n6\n7\n8\n")
+    code = main([
+        "partition", "--input", str(hgr), "--k", "2",
+        "--output", str(tmp_path / "o.txt"),
+    ])
+    assert code == 1
+    assert "surplus" in capsys.readouterr().err
+
+
 def test_epsilon_and_ubfactor_conflict(tmp_path):
     hgr = two_clique_file(tmp_path)
     code = main([
@@ -300,7 +311,10 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     assert metrics_path.read_text() == stdout
 
 
-@pytest.mark.parametrize("flag, value", [("--num-init", "0"), ("--threads", "-1")])
+@pytest.mark.parametrize("flag, value", [
+    ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
+    ("--p", "0"), ("--p", "-5"),
+])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)
     code = main([

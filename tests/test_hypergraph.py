@@ -71,6 +71,11 @@ def test_parse_errors_carry_line_numbers():
         parse_hmetis("2 3\n1 2\n")
     assert "truncated" in str(exc.value)
 
+    # three net lines and four weight lines under a header without fmt 10
+    with pytest.raises(HgrFormatError) as exc:
+        parse_hmetis("2 4\n1 2\n2 3\n3 4\n5\n6\n7\n8\n")
+    assert "line 4" in str(exc.value) and "surplus" in str(exc.value)
+
     with pytest.raises(HgrFormatError) as exc:
         parse_hmetis("1 2\n1 5\n")
     assert "line 2" in str(exc.value) and "out of range" in str(exc.value)

@@ -15,7 +15,6 @@ from helpers import (
 from mstpart.apg import project_rows, seeded_features
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from mstpart.initial import (
-    DisconnectedGraphError,
     build_similarity_graph,
     candidate_p_values,
     mst_partition_small,
@@ -25,7 +24,6 @@ from mstpart.initial import (
 )
 from mstpart.operators import clique_expand
 from mstpart.pipeline import PipelineConfig, _build_candidate
-from mstpart.refine import PairwiseParams
 
 
 def angles_to_features(angles):
@@ -97,16 +95,9 @@ def test_prim_matches_kruskal_totals():
         done += 1
 
 
-def test_prim_disconnected_error_mode():
-    X = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-    with pytest.raises(DisconnectedGraphError) as exc:
-        prim_mst(X, tau=0.5, on_disconnected="error")
-    assert exc.value.components == 2
-
-
 def test_prim_disconnected_bridges():
     X = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-    tree = prim_mst(X, tau=0.5, on_disconnected="bridge")
+    tree = prim_mst(X, tau=0.5)
     assert tree.bridges == 1
     assert len(tree.edges) == 3  # spans all four vertices
     touched = {v for u, v, _ in tree.edges} | {u for u, v, _ in tree.edges}
@@ -336,13 +327,9 @@ def test_candidate_p_values():
 def build_candidates(h, spec, num_init):
     """Run the pipeline's candidate builder for candidates 0..num_init-1.
     Pairwise rounds are off so only the embedding, clustering and repair run."""
-    config = PipelineConfig(num_init=num_init)
+    config = PipelineConfig(num_init=num_init, pair_rounds=0)
     clique = clique_expand(h)
-    no_pairwise = PairwiseParams(max_rounds=0)
-    return [
-        _build_candidate(i, h, spec, clique, config, no_pairwise)
-        for i in range(num_init)
-    ]
+    return [_build_candidate(i, h, spec, clique, config) for i in range(num_init)]
 
 
 def test_generate_candidates_first_grid_entry():

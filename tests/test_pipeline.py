@@ -51,6 +51,19 @@ def test_num_init_below_one_is_rejected():
         run_pipeline(h, spec, quick_config(num_init=0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("pair_rounds", -1), ("p_override", 0), ("p_override", -5),
+])
+def test_out_of_range_config_is_rejected(field, value):
+    h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
+    config = quick_config(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        run_pipeline(h, spec, config)
+    with pytest.raises(ValueError, match=field):
+        improve_partition(h, Partition(h, [0, 0, 1, 1], 2), spec, config)
+
+
 def test_planted_clusters_and_validity():
     rng = np.random.default_rng(7)
     h = two_cluster_hypergraph(rng, half=15, inner=25, cross=2)

@@ -6,8 +6,8 @@ import pytest
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition
 from mstpart.initial import prim_mst
 from mstpart.operators import CliqueGraph, laplacian
+from mstpart.pipeline import PipelineConfig
 from mstpart.refine import (
-    PairwiseParams,
     block_connectivity,
     kway_fm,
     mst_bipartition,
@@ -243,7 +243,7 @@ def test_pairwise_keeps_optimal_partition():
     h = two_group_graph()
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
     p = Partition(h, [0, 0, 0, 0, 1, 1, 1, 1], 2)
-    out = pairwise_improve(h, p, spec)
+    out = pairwise_improve(h, p, spec, PipelineConfig())
     assert np.array_equal(out.assignment, p.assignment)
     assert out.cutsize == p.cutsize == 1
 
@@ -252,7 +252,7 @@ def test_pairwise_fixes_misplaced_vertex_to_brute_optimum():
     h = two_group_graph()
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
     p = Partition(h, [0, 0, 0, 1, 1, 1, 1, 1], 2)
-    out = pairwise_improve(h, p, spec)
+    out = pairwise_improve(h, p, spec, PipelineConfig())
     best_cut, _ = brute_force_bipartition(h, spec)
     assert out.cutsize == best_cut == 1
     assert out.cutsize < p.cutsize
@@ -269,13 +269,13 @@ def test_pairwise_leftover_block_untouched():
     spec = BalanceSpec.for_hypergraph(h, 3, 0.1)
     plan = pair_blocks(h, p)
     assert plan.leftover == 2
-    out = pairwise_improve(h, p, spec, PairwiseParams(max_rounds=1))
+    out = pairwise_improve(h, p, spec, PipelineConfig(pair_rounds=1))
     assert np.array_equal(np.where(out.assignment == 2)[0], np.array([6, 7, 8]))
 
 
 def test_pairwise_monotone_and_feasibility_preserving():
     rng = np.random.default_rng(17)
-    params = PairwiseParams(max_rounds=2)
+    config = PipelineConfig(pair_rounds=2)
     for _ in range(12):
         n = int(rng.integers(8, 16))
         k = int(rng.integers(2, 4))
@@ -284,7 +284,7 @@ def test_pairwise_monotone_and_feasibility_preserving():
         p = Partition(h, assign, k)
         need = float(p.block_weight.max()) / -(-int(h.total_weight) // k) - 1.0
         spec = BalanceSpec.for_hypergraph(h, k, max(0.0, need) + 0.05)
-        out = pairwise_improve(h, p, spec, params)
+        out = pairwise_improve(h, p, spec, config)
         assert out.cutsize <= p.cutsize
         assert out.cutsize == km1_oracle(h, out.assignment)
         assert np.all(out.block_weight <= spec.upper_bounds)
