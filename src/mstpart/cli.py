@@ -113,13 +113,17 @@ def _resolve_epsilon(args) -> float:
     return default_epsilon(args.k)
 
 
+def _checked_p(p: int, k: int) -> int:
+    if p < k:
+        raise CliError(f"--p must be >= k ({k}), got {p}")
+    return p
+
+
 def _config_from_args(args) -> PipelineConfig:
     if args.num_init < 1:
         raise CliError("--num-init must be >= 1")
     if args.pair_rounds is not None and args.pair_rounds < 0:
         raise CliError("--pair-rounds must be >= 0")
-    if args.p_override is not None and args.p_override < 1:
-        raise CliError("--p must be >= 1")
     config = PipelineConfig()
     config.num_init = args.num_init
     if args.lambda1:
@@ -133,7 +137,7 @@ def _config_from_args(args) -> PipelineConfig:
     if args.tau is not None:
         config.tau = args.tau
     if args.p_override is not None:
-        config.p_override = args.p_override
+        config.p_override = _checked_p(args.p_override, args.k)
     if args.p_rule != "both":
         config.p_rules = (args.p_rule,)
     if args.pair_rounds is not None:
@@ -272,7 +276,7 @@ def cmd_sweep(args) -> int:
         entries = []
         for raw in args.values:
             if args.axis == "p":
-                entries.append((raw, {"p_override": int(raw)}))
+                entries.append((raw, {"p_override": _checked_p(int(raw), args.k)}))
             elif args.axis == "num_init":
                 entries.append((raw, {"num_init": int(raw)}))
             else:

@@ -315,6 +315,12 @@ def candidate_p_values(n: int, k: int) -> tuple[int, int]:
 
 
 def _p_choices(n: int, k: int, p_rules, p_override) -> list[int]:
+    """Distinct cluster counts to try on an n-vertex level, each in k..n.
+
+    ``run_pipeline`` rejects a ``p_override`` below k, so only the rules can
+    fall under k here; any value above n, the override included, is lowered
+    to n, because the caller cannot know the coarsest level's size.
+    """
     if p_override is not None:
         raw = [p_override]
     else:

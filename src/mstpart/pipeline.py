@@ -1,8 +1,8 @@
 """End-to-end k-way partitioning.
 
 Coarsens the hypergraph, generates embedding-driven initial partitions on
-the coarsest level, repairs and pairwise-improves each, keeps the best, and
-projects it back up with FM refinement at every level.
+the coarsest level and repairs each, keeps the best, pairwise-improves that
+one once, and projects it back up with FM refinement at every level.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ class PipelineConfig:
 
 @dataclass
 class CandidateReport:
+    """One initial partition: its embedding weights, its cluster count, and
+    its cutsize and feasibility after ``repair_feasibility``."""
+
     lam1: float
     lam2: float
     p: int
@@ -65,21 +68,18 @@ class PipelineResult:
     candidates: list
 
 
-def _checked(config: PipelineConfig | None) -> PipelineConfig:
+def _checked(config: PipelineConfig | None, spec: BalanceSpec) -> PipelineConfig:
     """The config, or the defaults; out-of-range counts raise ``ValueError``."""
     config = config or PipelineConfig()
     if config.num_init < 1:
         raise ValueError(f"num_init must be >= 1, got {config.num_init}")
     if config.pair_rounds < 0:
         raise ValueError(f"pair_rounds must be >= 0, got {config.pair_rounds}")
-    if config.p_override is not None and config.p_override < 1:
-        raise ValueError(f"p_override must be >= 1, got {config.p_override}")
+    if config.p_override is not None and config.p_override < spec.k:
+        raise ValueError(
+            f"p_override must be >= k ({spec.k}), got {config.p_override}"
+        )
     return config
-
-
-def _improve_candidate(h, part, spec, clique, config):
-    part, _ = repair_feasibility(h, part, spec)
-    return pairwise_improve(h, part, spec, config, clique=clique)
 
 
 def _build_candidate(i, h, spec, clique, config):
@@ -92,7 +92,7 @@ def _build_candidate(i, h, spec, clique, config):
         part = _route_partition(X, h, spec, p, config.tau)
         if best_part is None or part.cutsize < best_part.cutsize:
             best_part, best_p = part, p
-    part = _improve_candidate(h, best_part, spec, clique, config)
+    part, _ = repair_feasibility(h, best_part, spec)
     return part, CandidateReport(
         lam1, lam2, best_p, part.cutsize, is_feasible(part, spec)
     )
@@ -106,7 +106,7 @@ def run_pipeline(
     The returned partition always covers every vertex; ``feasible`` reports
     whether all block weights ended within their caps.
     """
-    config = _checked(config)
+    config = _checked(config, spec)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -126,7 +126,7 @@ def run_pipeline(
     if coarse.n <= spec.k:
         # too few supervertices to embed meaningfully; spread them out
         part = Partition(coarse, np.arange(coarse.n, dtype=np.int64), spec.k)
-        part = _improve_candidate(coarse, part, spec, clique, config)
+        part, _ = repair_feasibility(coarse, part, spec)
         parts = [part]
         reports = [
             CandidateReport(0.0, 0.0, coarse.n, part.cutsize, is_feasible(part, spec))
@@ -138,13 +138,12 @@ def run_pipeline(
         ]
         parts = [r[0] for r in results]
         reports = [r[1] for r in results]
-    timings["initial"] = time.perf_counter() - t0
-
-    order = min(
+    chosen = min(
         range(len(parts)),
         key=lambda i: (not reports[i].feasible, parts[i].cutsize, i),
     )
-    part = parts[order]
+    part = pairwise_improve(coarse, parts[chosen], spec, config, clique=clique)
+    timings["initial"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     feasible = is_feasible(part, spec)
@@ -176,7 +175,7 @@ def improve_partition(
     whether a repair was needed, and final feasibility.  Cutsize never
     increases when the input is already feasible.
     """
-    config = _checked(config)
+    config = _checked(config, spec)
     before = p.cutsize
     needed_repair = not is_feasible(p, spec)
     part, repair_ok = repair_feasibility(h, p, spec)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .apg import minimize, seeded_features
-from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
+from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible, km1_value
 from .initial import prim_mst
 from .operators import CliqueGraph, ObjectiveOperator, clique_expand, laplacian
 
@@ -172,12 +172,12 @@ def pairwise_improve(
 
     Each round pairs the blocks, then for every pair solves the embedding
     objective over the induced sub-clique-graph on the ``config.xi1`` x
-    ``config.xi2`` grid with ``config.apg``, re-bipartitions, and accepts
-    the best result only when it is feasible for the pair and strictly
-    lowers the pair's clique-cut objective.  An accepted pair that still
-    raises the hypergraph cutsize is rolled back.  Rounds repeat until
-    nothing improves, at most ``config.pair_rounds`` times.  The input
-    partition is untouched.
+    ``config.xi2`` grid with ``config.apg`` and re-bipartitions.  Every
+    split that is feasible for the pair is scored by the hypergraph km1 of
+    the whole partition it gives; the lowest (ties: the earlier grid point)
+    is applied only when it is strictly below the current cutsize, so no
+    step is ever undone.  Rounds repeat until nothing improves, at most
+    ``config.pair_rounds`` times.  The input partition is untouched.
     """
     out = p.copy()
     if p.k < 2 or h.n == 0:
@@ -205,32 +205,24 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> bool:
     labels01 = (part.assignment[idx] == b).astype(np.int64)
     caps = (float(spec.upper_bounds[a]), float(spec.upper_bounds[b]))
 
-    y_cur = np.where(labels01 == 0, 1.0, -1.0)
-    obj_cur = 0.25 * float(y_cur @ (L_sub @ y_cur))
-
-    best = None
+    best_cut, best = part.cutsize, None
     for gi, (xi1, xi2) in enumerate(itertools.product(config.xi1, config.xi2)):
         op = ObjectiveOperator.pair_refinement(sub, B_sub, labels01, xi1, xi2)
         stream = (rnd * 1024 + pair_idx) * 16 + gi
         X = minimize(op, seeded_features(nbar, 2, stream=stream), config.apg).X
         res = mst_bipartition(X, B_sub, caps, L_sub)
-        if res.feasible and (best is None or res.objective < best.objective):
-            best = res
-    if best is None or not best.objective < obj_cur:
+        if not res.feasible:
+            continue
+        trial = part.assignment.copy()
+        trial[idx] = np.where(res.labels > 0, a, b)
+        cut = km1_value(h, trial, part.k)
+        if cut < best_cut:
+            best_cut, best = cut, trial
+    if best is None:
         return False
-
-    cut_before = part.cutsize
-    undo: list[tuple[int, int]] = []
-    for j, v in enumerate(idx.tolist()):
-        target = a if best.labels[j] > 0 else b
-        if part.assignment[v] != target:
-            undo.append((v, int(part.assignment[v])))
-            part.move(v, target)
-    if part.cutsize > cut_before:
-        for v, old in reversed(undo):
-            part.move(v, old)
-        return False
-    return bool(undo)
+    for v in idx[best[idx] != part.assignment[idx]].tolist():
+        part.move(v, int(best[v]))
+    return True
 
 
 # ---------------------------------------------------------------------------

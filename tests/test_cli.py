@@ -313,7 +313,7 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
-    ("--p", "0"), ("--p", "-5"),
+    ("--p", "0"), ("--p", "-5"), ("--p", "1"),
 ])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)
@@ -323,3 +323,16 @@ def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     ])
     assert code == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--p", "1", "--axis", "num_init", "--values", "1"],
+    ["--axis", "p", "--values", "2", "1"],
+])
+def test_sweep_p_below_k_is_an_error(tmp_path, capsys, extra):
+    hgr = two_clique_file(tmp_path)
+    code = main(["sweep", "--input", str(hgr), "--k", "2", "--num-init", "1", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--p" in captured.err
+    assert captured.out == ""

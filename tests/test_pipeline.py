@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mstpart.pipeline as pipeline
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
 
@@ -53,6 +54,7 @@ def test_num_init_below_one_is_rejected():
 
 @pytest.mark.parametrize("field, value", [
     ("pair_rounds", -1), ("p_override", 0), ("p_override", -5),
+    ("p_override", 1),  # below k = 2
 ])
 def test_out_of_range_config_is_rejected(field, value):
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
@@ -62,6 +64,39 @@ def test_out_of_range_config_is_rejected(field, value):
         run_pipeline(h, spec, config)
     with pytest.raises(ValueError, match=field):
         improve_partition(h, Partition(h, [0, 0, 1, 1], 2), spec, config)
+
+
+def count_pairwise_calls(monkeypatch):
+    calls = []
+    real = pipeline.pairwise_improve
+
+    def counting(h, p, *args, **kwargs):
+        calls.append(p.cutsize)
+        return real(h, p, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "pairwise_improve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("num_init", [1, 3])
+def test_pairwise_runs_once_on_the_chosen_candidate(monkeypatch, num_init):
+    calls = count_pairwise_calls(monkeypatch)
+    rng = np.random.default_rng(7)
+    h = two_cluster_hypergraph(rng, half=15, inner=25, cross=2)
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
+    res = run_pipeline(h, spec, quick_config(num_init=num_init, pair_rounds=1))
+    assert len(res.candidates) == num_init
+    _, chosen_cut = min((not r.feasible, r.cutsize) for r in res.candidates)
+    assert calls == [chosen_cut]
+
+
+def test_pairwise_runs_once_on_the_spread_and_never_for_k1(monkeypatch):
+    calls = count_pairwise_calls(monkeypatch)
+    h = Hypergraph.from_edges([[0, 1], [1, 2]], n=3)
+    run_pipeline(h, BalanceSpec.for_hypergraph(h, 3, 0.0))
+    assert len(calls) == 1
+    run_pipeline(h, BalanceSpec.for_hypergraph(h, 1, 0.0), quick_config(num_init=3))
+    assert len(calls) == 1
 
 
 def test_planted_clusters_and_validity():

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import mstpart.refine as refine
+from mstpart.apg import ApgParams
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition
 from mstpart.initial import prim_mst
 from mstpart.operators import CliqueGraph, laplacian
 from mstpart.pipeline import PipelineConfig
 from mstpart.refine import (
+    BipartitionResult,
     block_connectivity,
     kway_fm,
     mst_bipartition,
@@ -288,6 +291,68 @@ def test_pairwise_monotone_and_feasibility_preserving():
         assert out.cutsize <= p.cutsize
         assert out.cutsize == km1_oracle(h, out.assignment)
         assert np.all(out.block_weight <= spec.upper_bounds)
+
+
+def scripted_pairwise(monkeypatch, h, start, splits):
+    """One pairwise round on blocks (0, 1) of ``start`` in which the i-th
+    ``mst_bipartition`` call returns ``splits[i]`` = (blocks, objective,
+    feasible); ``blocks`` lists the block of every vertex of the pair."""
+    results = iter(splits)
+
+    def stub(X, B, caps, L):
+        blocks, objective, feasible = next(results)
+        labels = np.where(np.asarray(blocks) == 0, 1.0, -1.0)
+        return BipartitionResult(labels, objective, feasible, [])
+
+    monkeypatch.setattr(refine, "mst_bipartition", stub)
+    config = PipelineConfig(
+        xi1=(0.5,), xi2=(1.0, 0.8, 0.2)[: len(splits)], pair_rounds=1,
+        apg=ApgParams(max_iters=5),
+    )
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
+    p = Partition(h, start, 2)
+    out = pairwise_improve(h, p, spec, config)
+    assert next(results, None) is None  # one call per grid point
+    assert out.cutsize == km1_oracle(h, out.assignment)
+    return p, out
+
+
+GOOD = [0, 0, 0, 0, 1, 1, 1, 1]  # km1 1: only the light edge [3, 4] is cut
+MIRROR = [1, 1, 1, 1, 0, 0, 0, 0]  # the same split, km1 1
+MID = [0, 0, 0, 1, 0, 1, 1, 1]  # 3 and 4 swapped, km1 31
+ALTERNATING = [0, 1, 0, 1, 0, 1, 0, 1]  # km1 41
+
+
+def test_pair_split_is_chosen_by_km1_not_by_proxy(monkeypatch):
+    h = two_group_graph()
+    assert [km1_oracle(h, np.array(a)) for a in (GOOD, MID, ALTERNATING)] == [1, 31, 41]
+    # the all-in-one-block split has km1 0 but is infeasible, so it is skipped;
+    # MID has the lowest proxy objective but GOOD the lowest km1
+    _, out = scripted_pairwise(monkeypatch, h, ALTERNATING, [
+        ([0] * 8, -1.0, False), (MID, 0.0, True), (GOOD, 100.0, True),
+    ])
+    assert out.assignment.tolist() == GOOD
+    assert out.cutsize == 1
+
+
+def test_pair_split_not_strictly_better_leaves_input(monkeypatch):
+    h = two_group_graph()
+    p, out = scripted_pairwise(monkeypatch, h, GOOD, [
+        (MIRROR, 0.0, True), (MID, 0.0, True), (ALTERNATING, 0.0, True),
+    ])
+    assert out.assignment.tolist() == GOOD
+    assert out.cutsize == p.cutsize == 1
+    assert np.array_equal(out.pin_count, p.pin_count)
+
+
+@pytest.mark.parametrize("first, second", [(GOOD, MIRROR), (MIRROR, GOOD)])
+def test_pair_split_km1_tie_keeps_first_grid_point(monkeypatch, first, second):
+    h = two_group_graph()
+    _, out = scripted_pairwise(monkeypatch, h, ALTERNATING, [
+        (MID, 0.0, True), (first, 5.0, True), (second, 1.0, True),
+    ])
+    assert out.assignment.tolist() == first
+    assert out.cutsize == 1
 
 
 # ---------------------------------------------------------------------------
