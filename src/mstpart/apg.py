@@ -5,6 +5,25 @@ The stepsize adapts from local curvature, extrapolated trial points pass a
 nonmonotone acceptance test against an averaged objective bound, and a plain
 projected gradient step is the fallback.  Termination uses the infinity norm
 of a first-order residual built from consecutive iterates.
+
+The solver constants are fixed:
+
+- ``MU0 = 0.99``, ``MU1 = 0.95``: when the curvature estimate between the
+  last two iterates exceeds ``MU0 / alpha``, the next stepsize is
+  ``MU1 * ||dX||^2 / curvature``.
+- ``P_TILDE = 0.1``: otherwise the stepsize grows by
+  ``min(1, alpha) / k^(1 + P_TILDE)``, a summable sequence.
+- ``DELTA1 = 1e-4`` and δ2: the sufficient-decrease weights of the trial
+  point.  δ2 is ``min(2 * DELTA1, 0.49 * (1 - MU0) / alpha_1)``, with
+  alpha_1 the first grown stepsize, and stays frozen for the run; when that
+  is not above ``DELTA1``, δ1 drops to δ2 / 2.
+- ``SIGMA = 1.0``, ``R = 2.0``: the trial test inflates ||y - X||^2 by
+  ``1 + SIGMA / k^R``.
+- ``ETA = 0.8``: the weight of the averaged objective bound
+  c_{k+1} = (ETA q_k c_k + F_{k+1}) / q_{k+1}, q_{k+1} = 1 + ETA q_k.
+
+``ApgParams`` holds what a caller sets: the residual tolerance and the
+iteration cap.
 """
 
 from __future__ import annotations
@@ -23,44 +42,32 @@ __all__ = [
     "initial_stepsize",
     "minimize",
     "seeded_features",
-    "trace_csv",
 ]
 
 IterRecord = namedtuple("IterRecord", "iteration value alpha accepted error bound")
 
 
+MU0 = 0.99
+MU1 = 0.95
+DELTA1 = 1e-4
+ETA = 0.8
+P_TILDE = 0.1
+SIGMA = 1.0
+R = 2.0
+
+
 @dataclass
 class ApgParams:
-    """Solver controls.  delta2 = None resolves to min(2*delta1,
-    0.49*(1-mu0)/alpha_1) once the first stepsize update is known, then stays
-    frozen for the run.
+    """Solver controls: stop when the residual is at most ``epsilon`` or
+    after ``max_iters`` iterations.  The other constants are fixed; see the
+    module docstring.
     """
 
-    mu0: float = 0.99
-    mu1: float = 0.95
-    delta1: float = 1e-4
-    delta2: float | None = None
-    eta: float = 0.8
-    p_tilde: float = 0.1
-    sigma: float = 1.0
-    r: float = 2.0
     epsilon: float = 1e-3
     max_iters: int = 3000
 
     def __post_init__(self):
-        if not 0.0 < self.mu1 < self.mu0 < 1.0:
-            raise ValueError("need 0 < mu1 < mu0 < 1")
-        if self.delta1 <= 0:
-            raise ValueError("delta1 must be positive")
-        if self.delta2 is not None and self.delta2 <= self.delta1:
-            raise ValueError("delta2 must exceed delta1")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
-        if self.p_tilde <= 0:
-            raise ValueError("p_tilde must be positive")
-        if self.sigma <= 0 or self.r <= 0:
-            raise ValueError("sigma and r must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN too
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -108,9 +115,9 @@ def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray | None = None) -> float:
     return float(num / den)
 
 
-def _grow_term(k: int, p_tilde: float) -> float:
+def _grow_term(k: int) -> float:
     # summable increments; the k = 0 call reuses the k = 1 value
-    return 1.0 / max(k, 1) ** (1.0 + p_tilde)
+    return 1.0 / max(k, 1) ** (1.0 + P_TILDE)
 
 
 def _check_finite(value: float, where: str, iteration: int):
@@ -145,12 +152,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         return ApgResult(X_cur, trace, 0, True, error)
 
     # resolve delta2 from the first grown stepsize, then freeze it
-    alpha1 = alpha + min(1.0, alpha) * _grow_term(0, params.p_tilde)
-    if params.delta2 is None:
-        delta2 = min(2.0 * params.delta1, 0.49 * (1.0 - params.mu0) / alpha1)
-        delta1 = params.delta1 if delta2 > params.delta1 else delta2 / 2.0
-    else:
-        delta1, delta2 = params.delta1, params.delta2
+    alpha1 = alpha + min(1.0, alpha) * _grow_term(0)
+    delta2 = min(2.0 * DELTA1, 0.49 * (1.0 - MU0) / alpha1)
+    delta1 = DELTA1 if delta2 > DELTA1 else delta2 / 2.0
 
     X_prev = X_cur.copy()
     F_prev = F_cur
@@ -163,10 +167,10 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         dX = X_cur - X_prev
         dn2 = float((dX * dX).sum())
         lhs = 2.0 * (F_cur - F_prev - float((g_prev * dX).sum()))
-        if dn2 > 0.0 and lhs > (params.mu0 / alpha) * dn2:
-            alpha_next = params.mu1 * dn2 / lhs
+        if dn2 > 0.0 and lhs > (MU0 / alpha) * dn2:
+            alpha_next = MU1 * dn2 / lhs
         else:
-            alpha_next = alpha + min(1.0, alpha) * _grow_term(k, params.p_tilde)
+            alpha_next = alpha + min(1.0, alpha) * _grow_term(k)
 
         beta = k / (k + 3.0)
         y = X_cur + beta * dX
@@ -176,7 +180,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         zy2 = float(((z - y) ** 2).sum())
         zx2 = float(((z - X_cur) ** 2).sum())
         yx2 = float(((y - X_cur) ** 2).sum())
-        inflate = 1.0 + params.sigma / k ** params.r if k >= 1 else 1.0
+        inflate = 1.0 + SIGMA / k ** R if k >= 1 else 1.0
         phi1 = zy2 + zx2 - inflate * yx2
         phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
 
@@ -195,8 +199,8 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         )
 
         bound_used = bound
-        q_next = 1.0 + params.eta * q
-        bound = (params.eta * q * bound + F_next) / q_next
+        q_next = 1.0 + ETA * q
+        bound = (ETA * q * bound + F_next) / q_next
         q = q_next
 
         X_prev, X_cur = X_cur, X_next
@@ -207,17 +211,6 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         trace.append(IterRecord(k, F_next, alpha_next, accepted, error, bound_used))
 
     return ApgResult(X_cur, trace, k, error <= eps, error)
-
-
-def trace_csv(trace) -> str:
-    """Render a trace as CSV: iter, F, alpha, branch, error."""
-    lines = ["iter,F,alpha,branch,error"]
-    for rec in trace:
-        lines.append(
-            f"{rec.iteration},{rec.value:.17g},{rec.alpha:.17g},"
-            f"{int(rec.accepted)},{rec.error:.17g}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

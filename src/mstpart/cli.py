@@ -56,20 +56,24 @@ def _add_instance_flags(sp, partition_file=False):
     group.add_argument("--ubfactor", type=float, help="hMetis-style UBfactor, converted to epsilon")
 
 
-def _add_pipeline_flags(sp):
-    sp.add_argument("--num-init", type=int, default=10, help="initial partition candidates")
+def _add_refine_flags(sp):
     sp.add_argument("--metrics", help="also write the metric lines to this file")
-    sp.add_argument("--lambda1", type=float, nargs="+", help="embedding grid for lambda1")
-    sp.add_argument("--lambda2", type=float, nargs="+", help="embedding grid for lambda2")
     sp.add_argument("--xi1", type=float, nargs="+", help="pair-refinement grid for xi1")
     sp.add_argument("--xi2", type=float, nargs="+", help="pair-refinement grid for xi2")
+    sp.add_argument("--pair-rounds", type=int, help="pairwise improvement rounds")
+    sp.add_argument("--apg-max-iters", type=int, help="solver iteration cap")
+    sp.add_argument("--apg-epsilon", type=float, help="solver residual tolerance")
+
+
+def _add_pipeline_flags(sp):
+    _add_refine_flags(sp)
+    sp.add_argument("--num-init", type=int, default=10, help="initial partition candidates")
+    sp.add_argument("--lambda1", type=float, nargs="+", help="embedding grid for lambda1")
+    sp.add_argument("--lambda2", type=float, nargs="+", help="embedding grid for lambda2")
     sp.add_argument("--tau", type=float, help="similarity threshold for MST building")
     sp.add_argument("--p", type=int, dest="p_override", help="fixed cluster count override")
     sp.add_argument("--p-rule", choices=["sqrt", "linear", "both"], default="both",
                     help="cluster-count rule(s) when --p is not given")
-    sp.add_argument("--pair-rounds", type=int, help="pairwise improvement rounds")
-    sp.add_argument("--apg-max-iters", type=int, help="solver iteration cap")
-    sp.add_argument("--apg-epsilon", type=float, help="solver residual tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     si = sub.add_parser("improve", help="refine an existing partition")
     _add_instance_flags(si, partition_file=True)
-    _add_pipeline_flags(si)
+    _add_refine_flags(si)
     si.add_argument("--output", required=True, help="improved partition file to write")
     si.set_defaults(func=cmd_improve)
 
@@ -119,27 +123,19 @@ def _checked_p(p: int, k: int) -> int:
     return p
 
 
-def _config_from_args(args) -> PipelineConfig:
-    if args.num_init < 1:
-        raise CliError("--num-init must be >= 1")
+def _refine_config(args) -> PipelineConfig:
+    """The config that the flags of ``_add_refine_flags`` set."""
     if args.pair_rounds is not None and args.pair_rounds < 0:
         raise CliError("--pair-rounds must be >= 0")
+    if args.apg_max_iters is not None and args.apg_max_iters < 1:
+        raise CliError("--apg-max-iters must be >= 1")
+    if args.apg_epsilon is not None and not args.apg_epsilon > 0:  # NaN too
+        raise CliError("--apg-epsilon must be > 0")
     config = PipelineConfig()
-    config.num_init = args.num_init
-    if args.lambda1:
-        config.lambda1 = tuple(args.lambda1)
-    if args.lambda2:
-        config.lambda2 = tuple(args.lambda2)
     if args.xi1:
         config.xi1 = tuple(args.xi1)
     if args.xi2:
         config.xi2 = tuple(args.xi2)
-    if args.tau is not None:
-        config.tau = args.tau
-    if args.p_override is not None:
-        config.p_override = _checked_p(args.p_override, args.k)
-    if args.p_rule != "both":
-        config.p_rules = (args.p_rule,)
     if args.pair_rounds is not None:
         config.pair_rounds = args.pair_rounds
     apg_kw = {}
@@ -149,6 +145,24 @@ def _config_from_args(args) -> PipelineConfig:
         apg_kw["epsilon"] = args.apg_epsilon
     if apg_kw:
         config.apg = ApgParams(**apg_kw)
+    return config
+
+
+def _config_from_args(args) -> PipelineConfig:
+    if args.num_init < 1:
+        raise CliError("--num-init must be >= 1")
+    config = _refine_config(args)
+    config.num_init = args.num_init
+    if args.lambda1:
+        config.lambda1 = tuple(args.lambda1)
+    if args.lambda2:
+        config.lambda2 = tuple(args.lambda2)
+    if args.tau is not None:
+        config.tau = args.tau
+    if args.p_override is not None:
+        config.p_override = _checked_p(args.p_override, args.k)
+    if args.p_rule != "both":
+        config.p_rules = (args.p_rule,)
     return config
 
 
@@ -241,7 +255,7 @@ def cmd_evaluate(args) -> int:
 def cmd_improve(args) -> int:
     h, spec, eps, io_time = _load_instance(args)
     p = read_partition(_read_text(args.partition), h, spec.k)
-    config = _config_from_args(args)
+    config = _refine_config(args)
     out, report = improve_partition(h, p, spec, config)
 
     t0 = time.perf_counter()

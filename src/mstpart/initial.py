@@ -19,7 +19,6 @@ from .hypergraph import BalanceSpec, Hypergraph, Partition
 __all__ = [
     "SpanningTree",
     "ClusterSet",
-    "build_similarity_graph",
     "prim_mst",
     "prune_clusters",
     "mst_partition_small",
@@ -82,36 +81,6 @@ class ClusterSet:
     clusters: list[np.ndarray]
     weights: np.ndarray
     centroids: np.ndarray
-
-
-def build_similarity_graph(X: np.ndarray, tau: float = 0.2):
-    """Sparse symmetric graph over thresholded feature similarities.
-
-    Returns a scipy CSR matrix whose entries are 1 - <x_i, x_j> wherever the
-    dot product exceeds tau, stored even when zero (identical rows).  Works
-    in row blocks to bound memory.
-    """
-    from scipy import sparse
-
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    rows, cols, vals = [], [], []
-    step = max(1, 20_000_000 // max(n, 1))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        S = X[start:stop] @ X.T
-        r, c = np.nonzero(S > tau)
-        keep = r + start < c  # strict upper triangle, no self loops
-        r, c = r[keep], c[keep]
-        rows.append(r + start)
-        cols.append(c)
-        vals.append(1.0 - S[r, c])
-    r = np.concatenate(rows) if rows else np.empty(0, dtype=int)
-    c = np.concatenate(cols) if cols else np.empty(0, dtype=int)
-    v = np.concatenate(vals) if vals else np.empty(0)
-    # both halves in one COO: a sparse sum would drop the zero weights
-    both = (np.concatenate([v, v]), (np.concatenate([r, c]), np.concatenate([c, r])))
-    return sparse.coo_matrix(both, shape=(n, n)).tocsr()
 
 
 def prim_mst(

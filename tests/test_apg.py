@@ -5,12 +5,12 @@ import pytest
 
 from helpers import random_hypergraph
 from mstpart.apg import (
+    ETA,
     ApgParams,
     initial_stepsize,
     minimize,
     project_rows,
     seeded_features,
-    trace_csv,
 )
 from mstpart.operators import ObjectiveOperator, clique_expand
 from mstpart.hypergraph import Hypergraph
@@ -145,7 +145,6 @@ def test_minimize_trace_invariants():
     res = minimize(op, X0)
     assert np.allclose(np.linalg.norm(res.X, axis=1), 1.0, atol=1e-12)
     # replay the averaged-bound recurrence and the acceptance rule
-    eta = ApgParams().eta
     c = op.value(project_rows(X0))
     q = 1.0
     for rec in res.trace:
@@ -153,8 +152,8 @@ def test_minimize_trace_invariants():
         assert rec.bound == pytest.approx(c, rel=1e-12, abs=1e-12)
         if rec.accepted:
             assert rec.value <= rec.bound + 1e-9
-        q_next = 1.0 + eta * q
-        c = (eta * q * c + rec.value) / q_next
+        q_next = 1.0 + ETA * q
+        c = (ETA * q * c + rec.value) / q_next
         q = q_next
     if res.converged:
         assert res.error <= 1e-3
@@ -224,25 +223,12 @@ def test_minimize_rejects_nonfinite():
         minimize(ObjectiveOperator.from_matrix(np.nan_to_num(bad) + np.diag([np.inf, 1, 1])), seeded_features(3, 2))
 
 
-def test_trace_csv_shape():
-    rng = np.random.default_rng(19)
-    op, n, k = random_embedding_op(rng, n_max=10)
-    res = minimize(op, seeded_features(n, k))
-    text = trace_csv(res.trace)
-    lines = text.strip().splitlines()
-    assert lines[0] == "iter,F,alpha,branch,error"
-    assert len(lines) == len(res.trace) + 1
-
-
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ApgParams(mu0=0.5, mu1=0.9)
-    with pytest.raises(ValueError):
-        ApgParams(delta1=-1)
-    with pytest.raises(ValueError):
-        ApgParams(delta2=1e-5)  # below delta1
-    with pytest.raises(ValueError):
-        ApgParams(eta=1.0)
+    for eps in (0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            ApgParams(epsilon=eps)
+    with pytest.raises(ValueError, match="max_iters"):
+        ApgParams(max_iters=0)
 
 
 # ---------------------------------------------------------------------------

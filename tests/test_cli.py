@@ -214,6 +214,24 @@ def test_improve_repairs_infeasible_input(tmp_path, capsys):
     assert metrics["feasible"] == "true"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--num-init", "50"), ("--lambda1", "0.3"), ("--lambda2", "0.5"),
+    ("--tau", "0.9"), ("--p", "2"), ("--p-rule", "sqrt"),
+])
+def test_improve_rejects_flags_it_does_not_read(tmp_path, capsys, flag, value):
+    hgr = two_clique_file(tmp_path)
+    part = tmp_path / "opt.part"
+    part.write_text("0\n" * 5 + "1\n" * 5)
+    out = tmp_path / "better.part"
+    code = main([
+        "improve", "--input", str(hgr), "--partition", str(part),
+        "--k", "2", "--epsilon", "0.04", flag, value, "--output", str(out),
+    ])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_num_init(tmp_path, capsys):
     hgr = two_clique_file(tmp_path)
     code = main([
@@ -314,6 +332,7 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
     ("--p", "0"), ("--p", "-5"), ("--p", "1"),
+    ("--apg-epsilon", "0"), ("--apg-epsilon", "nan"), ("--apg-max-iters", "0"),
 ])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)

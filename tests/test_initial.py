@@ -1,4 +1,4 @@
-"""Initial-partitioning tests: similarity graphs, Prim vs Kruskal, pruning,
+"""Initial-partitioning tests: Prim vs Kruskal, pruning,
 cluster merging, and the pipeline's candidate builder."""
 
 import math
@@ -15,7 +15,6 @@ from helpers import (
 from mstpart.apg import project_rows, seeded_features
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from mstpart.initial import (
-    build_similarity_graph,
     candidate_p_values,
     mst_partition_small,
     prim_mst,
@@ -29,33 +28,6 @@ from mstpart.pipeline import PipelineConfig, _build_candidate
 def angles_to_features(angles):
     a = np.asarray(angles, dtype=np.float64)
     return np.stack([np.cos(a), np.sin(a)], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# similarity graph
-
-def test_similarity_graph_matches_dense_oracle():
-    rng = np.random.default_rng(211)
-    X = project_rows(rng.normal(size=(30, 3)))
-    # duplicated axis rows have similarity exactly 1: edges of weight 0
-    duplicated = np.vstack([X, X[:4], np.eye(3), np.eye(3)])
-    for feats in (X, duplicated):
-        got = build_similarity_graph(feats, tau=0.2).tocoo()
-        got_edges = {
-            (min(i, j), max(i, j)): w
-            for i, j, w in zip(got.row.tolist(), got.col.tolist(), got.data.tolist())
-        }
-        assert got.nnz == 2 * len(got_edges)  # both directions, once each
-        want = {(i, j): w for i, j, w in dense_similarity_edges(feats, 0.2)}
-        assert set(got_edges) == set(want)
-        for key, w in want.items():
-            assert got_edges[key] == pytest.approx(w, abs=1e-12)
-
-
-def test_similarity_graph_threshold_strict():
-    X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    g = build_similarity_graph(X, tau=1.0)  # s == 1 is not > 1
-    assert g.nnz == 0
 
 
 # ---------------------------------------------------------------------------
