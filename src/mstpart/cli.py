@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_epsilon(args) -> float:
     if args.epsilon is not None:
-        if args.epsilon < 0:
-            raise CliError("epsilon must be >= 0")
+        if not 0 <= args.epsilon < float("inf"):  # NaN fails too
+            raise CliError("--epsilon must be finite and >= 0")
         return args.epsilon
     if args.ubfactor is not None:
         return epsilon_from_ubfactor(args.ubfactor, args.k)
@@ -301,6 +301,8 @@ def cmd_sweep(args) -> int:
     for label, override in entries:
         config = dataclasses.replace(base, **override)
         res = run_pipeline(h, spec, config)
+        if override.get("p_override") and res.candidates:
+            label = res.candidates[0].p  # the p that ran: clamped to the coarsest n
         rows.append(f"{label},{res.cutsize},{res.timings['total']:.6f}")
         all_feasible = all_feasible and res.feasible
     out = "\n".join(rows) + "\n"

@@ -273,8 +273,8 @@ class BalanceSpec:
     def from_total(cls, total: int, k: int, epsilon: float) -> "BalanceSpec":
         if k < 1:
             raise ValueError("k must be >= 1")
-        if epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= epsilon < math.inf:  # NaN fails too
+            raise ValueError("epsilon must be finite and >= 0")
         avg = -(-int(total) // k)  # integer ceiling before applying the slack
         cap = (1.0 + epsilon) * avg
         return cls(k, float(epsilon), np.full(k, cap, dtype=np.float64))

@@ -237,53 +237,49 @@ def repair_feasibility(
     the single relocation into a block that stays within cap minimizing
     (cutsize increase, vertex weight, vertex index, target).  If no vertex
     fits anywhere, try the best strictly-load-reducing swap with a vertex
-    of another block that keeps the partner block within cap.  Gives up
-    once it has made 2n elementary moves (a swap counts two).  Returns a
-    new partition and a success flag.
+    of another block that keeps the partner block within cap, minimizing
+    (cutsize increase, vertex, partner, target).  Gives up once it has made
+    2n elementary moves (a swap counts two).  Returns a new partition and a
+    success flag.  A relocation step costs one ``move_deltas`` read; a swap
+    step costs two ``move`` calls and one ``move_deltas`` read per (vertex,
+    other block).
     """
     part = p.copy()
     caps = spec.upper_bounds
+    B = h.vertex_weight
     ops = 0
     while ops < 2 * h.n:
         over = part.block_weight - caps
         src = int(np.argmax(over))
         if over[src] <= 0:
             return part, True
-        members = np.where(part.assignment == src)[0].tolist()
-        delta = part.move_deltas(members)
-
-        best = None
-        for i, v in enumerate(members):
-            bv = int(h.vertex_weight[v])
-            for t in range(part.k):
-                if t == src or part.block_weight[t] + bv > caps[t]:
-                    continue
-                key = (int(delta[i, t]), bv, v, t)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            _, _, v, t = best
-            part.move(v, t)
+        members = np.nonzero(part.assignment == src)[0]
+        # src itself never fits: it is over cap and weights are >= 1
+        rows, ts = np.nonzero(part.block_weight + B[members, None] <= caps)
+        if rows.size:
+            vs = members[rows]
+            delta = part.move_deltas(members)[rows, ts]
+            i = np.lexsort((ts, vs, B[vs], delta))[0]
+            part.move(int(vs[i]), int(ts[i]))
             ops += 1
             continue
 
+        blocks = [np.nonzero(part.assignment == t)[0] for t in range(part.k)]
         best_swap = None
-        for v in members:
-            bv = int(h.vertex_weight[v])
-            for t in range(part.k):
+        for v in members.tolist():
+            bv = int(B[v])
+            for t, us in enumerate(blocks):
                 if t == src:
                     continue
-                for u in np.where(part.assignment == t)[0].tolist():
-                    bu = int(h.vertex_weight[u])
-                    if bv <= bu or part.block_weight[t] - bu + bv > caps[t]:
-                        continue
-                    d1 = part.move(v, t)
-                    d2 = part.move(u, src)
-                    part.move(u, t)
-                    part.move(v, src)
-                    key = (d1 + d2, v, u, t)
-                    if best_swap is None or key < best_swap:
-                        best_swap = key
+                us = us[(B[us] < bv) & (part.block_weight[t] - B[us] + bv <= caps[t])]
+                if us.size == 0:
+                    continue
+                d = part.move(v, t) + part.move_deltas(us)[:, src]
+                part.move(v, src)
+                j = int(np.argmin(d))
+                key = (int(d[j]), v, int(us[j]), t)
+                if best_swap is None or key < best_swap:
+                    best_swap = key
         if best_swap is None:
             return part, False
         _, v, u, t = best_swap

@@ -258,6 +258,17 @@ def test_sweep_p_axis_default_rules(tmp_path, capsys):
     assert csv.read_text().splitlines() == lines
 
 
+def test_sweep_p_axis_labels_rows_with_the_p_that_ran(tmp_path, capsys):
+    hgr = two_clique_file(tmp_path)  # 10 vertices: p = 500 runs as p = 10
+    code = main([
+        "sweep", "--input", str(hgr), "--k", "2", "--num-init", "1",
+        "--axis", "p", "--values", "2", "500",
+    ])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert [row.split(",")[0] for row in lines[1:]] == ["2", "10"]
+
+
 def test_sweep_single_lambda_value(tmp_path, capsys):
     hgr = two_clique_file(tmp_path)
     code = main([
@@ -333,6 +344,7 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
     ("--p", "0"), ("--p", "-5"), ("--p", "1"),
     ("--apg-epsilon", "0"), ("--apg-epsilon", "nan"), ("--apg-max-iters", "0"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"),
 ])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)

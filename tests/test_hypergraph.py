@@ -1,5 +1,7 @@
 """Core model tests: parsing, metrics, balance caps, partition I/O."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,12 @@ def test_balance_odd_total():
     # total 10, k 3 -> ceil = 4, cap 4.16
     spec = BalanceSpec.from_total(10, 3, 0.04)
     assert spec.cap == pytest.approx(4.16)
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, math.nan, math.inf])
+def test_balance_rejects_epsilon_outside_zero_to_inf(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        BalanceSpec.from_total(10, 2, epsilon)
 
 
 def test_epsilon_from_ubfactor():

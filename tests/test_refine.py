@@ -432,6 +432,101 @@ def test_repair_random_overloads():
     assert fixed >= 20
 
 
+def reference_repair(h, p, spec):
+    """The repair_feasibility rule by trial moves on a copy; also counts swaps."""
+    part = p.copy()
+    caps = spec.upper_bounds
+    ops = swaps = 0
+    while ops < 2 * h.n:
+        over = part.block_weight - caps
+        src = int(np.argmax(over))
+        if over[src] <= 0:
+            return part, True, swaps
+        members = np.where(part.assignment == src)[0].tolist()
+        moves = []
+        for v in members:
+            bv = int(h.vertex_weight[v])
+            for t in range(part.k):
+                if t != src and part.block_weight[t] + bv <= caps[t]:
+                    d = part.move(v, t)
+                    part.move(v, src)
+                    moves.append((d, bv, v, t))
+        if moves:
+            _, _, v, t = min(moves)
+            part.move(v, t)
+            ops += 1
+            continue
+        trials = []
+        for v in members:
+            bv = int(h.vertex_weight[v])
+            for t in range(part.k):
+                if t == src:
+                    continue
+                for u in np.where(part.assignment == t)[0].tolist():
+                    bu = int(h.vertex_weight[u])
+                    if bu < bv and part.block_weight[t] - bu + bv <= caps[t]:
+                        d = part.move(v, t) + part.move(u, src)
+                        part.move(u, t)
+                        part.move(v, src)
+                        trials.append((d, v, u, t))
+        if not trials:
+            return part, False, swaps
+        _, v, u, t = min(trials)
+        part.move(v, t)
+        part.move(u, src)
+        ops += 2
+        swaps += 1
+    return part, bool(np.all(part.block_weight <= caps)), swaps
+
+
+def test_repair_matches_reference_rule():
+    rng = np.random.default_rng(77)
+    swapped = 0
+    for trial in range(300):
+        n = int(rng.integers(6, 16))
+        k = int(rng.integers(2, 5))
+        h = random_hypergraph(rng, n, 2 * n, weighted=True)
+        assignment = rng.integers(0, k, size=n)
+        if trial % 2:
+            # pile about half the vertices onto block 0, overloading it
+            assignment[rng.random(n) < 0.5] = 0
+        p = Partition(h, assignment, k)
+        spec = BalanceSpec.for_hypergraph(h, k, float(rng.uniform(0.0, 0.3)))
+        ref, ref_ok, swaps = reference_repair(h, p, spec)
+        out, ok = repair_feasibility(h, p, spec)
+        assert np.array_equal(out.assignment, ref.assignment)
+        assert ok == ref_ok
+        assert out.cutsize == ref.cutsize == km1_oracle(h, out.assignment)
+        swapped += swaps > 0
+    assert swapped >= 20
+
+
+def test_repair_swap_step_move_calls_are_bounded(monkeypatch):
+    # block 0: 100 vertices of weight 3 (cap + 1); block 1: 149 of weight 2
+    # (cap - 1).  Nothing fits, so the repair is one swap step and the swap.
+    n = 249
+    weights = [3] * 100 + [2] * 149
+    rng = np.random.default_rng(5)
+    pins = [rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()
+            for _ in range(3 * n)]
+    h = Hypergraph.from_edges(pins, n=n, vertex_weight=weights)
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.0)  # cap = ceil(598 / 2) = 299
+    p = Partition(h, [0] * 100 + [1] * 149, 2)
+    assert p.block_weight.tolist() == [300, 298]
+
+    calls = []
+    original = Partition.move
+
+    def counting(self, v, block):
+        calls.append((v, block))
+        return original(self, v, block)
+
+    monkeypatch.setattr(Partition, "move", counting)
+    out, ok = repair_feasibility(h, p, spec)
+    assert ok and out.block_weight.tolist() == [299, 299]
+    assert len(calls) <= 2 * (2 - 1) * 100 + 2
+
+
 # ---------------------------------------------------------------------------
 # k-way FM
 
