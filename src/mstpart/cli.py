@@ -158,6 +158,8 @@ def _config_from_args(args) -> PipelineConfig:
     if args.lambda2:
         config.lambda2 = tuple(args.lambda2)
     if args.tau is not None:
+        if np.isnan(args.tau):
+            raise CliError("--tau must not be NaN")
         config.tau = args.tau
     if args.p_override is not None:
         config.p_override = _checked_p(args.p_override, args.k)

@@ -1,9 +1,11 @@
 """Multilevel coarsening: score-driven pair matching and contraction.
 
-Two vertices are attractive partners when they share many light hyperedges:
-score(u, v) = sum over shared hyperedges e of w_e / max(1, |e| - 1).
-Matching is greedy over vertices in descending weight order and respects the
-first block cap so contracted vertices can still fit a block.
+Two vertices are attractive partners when they share many light hyperedges.
+The score of a pair is its clique-expansion weight (``clique_expand``):
+score(u, v) = sum over shared hyperedges e of w_e / max(1, |e| - 1), the
+heavy-edge rating of KaHyPar.  Matching is greedy over vertices in
+descending weight order and respects the first block cap so contracted
+vertices can still fit a block.
 """
 
 from __future__ import annotations
@@ -13,27 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hypergraph import BalanceSpec, Hypergraph, Partition
+from .operators import clique_expand
 
 __all__ = [
-    "Matching",
     "CoarseLevel",
     "Hierarchy",
-    "matching_score",
     "build_matching",
     "contract",
     "coarsen",
     "project_partition",
 ]
-
-
-@dataclass
-class Matching:
-    """Disjoint matched vertex pairs, in the order they were formed."""
-
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 @dataclass
@@ -57,75 +48,50 @@ class Hierarchy:
         return len(self.levels)
 
 
-def matching_score(h: Hypergraph, vi: int, vj: int) -> float:
-    """Shared-hyperedge affinity of a vertex pair."""
-    if vi == vj:
-        raise ValueError("matching score of a vertex with itself is undefined")
-    ei = set(h.vertex_edges(vi).tolist())
-    score = 0.0
-    for e in h.vertex_edges(vj).tolist():
-        if e in ei:
-            size = int(h.pin_offsets[e + 1] - h.pin_offsets[e])
-            score += float(h.edge_weight[e]) / max(1, size - 1)
-    return score
-
-
-def build_matching(h: Hypergraph, cap: float) -> Matching:
+def build_matching(h: Hypergraph, cap: float) -> list[tuple[int, int]]:
     """Greedy matching: heaviest unmatched vertex first (ties by index), each
     taking its best-scoring unmatched neighbour subject to combined weight <= cap
-    (score ties broken by lower index).  Vertices without an eligible positive-
-    score neighbour stay unmatched.
+    (score ties broken by lower index).  Vertices without an eligible
+    neighbour stay unmatched.  Returns the pairs in the order formed.
+
+    Partners and scores are read from the vertex's row of the clique
+    expansion.  Its entries are the neighbours sharing a net, all with a
+    positive score since weights are >= 1, and its column indices ascend, so
+    ``argmax`` takes the lower index on a tie.
     """
-    n = h.n
-    order = np.lexsort((np.arange(n), -h.vertex_weight))
-    matched = np.zeros(n, dtype=bool)
-    sizes = h.edge_sizes()
+    adj = clique_expand(h).adjacency
     weights = h.vertex_weight
+    matched = np.zeros(h.n, dtype=bool)
     pairs: list[tuple[int, int]] = []
-    for vi in order.tolist():
+    for vi in np.lexsort((np.arange(h.n), -weights)).tolist():
         if matched[vi]:
             continue
-        scores: dict[int, float] = {}
-        for e in h.vertex_edges(vi).tolist():
-            gain = float(h.edge_weight[e]) / max(1, int(sizes[e]) - 1)
-            for u in h.edge_pins(e).tolist():
-                if u == vi or matched[u]:
-                    continue
-                if weights[vi] + weights[u] > cap:
-                    continue
-                scores[u] = scores.get(u, 0.0) + gain
-        best_u, best_s = -1, 0.0
-        for u, s in scores.items():
-            if s > best_s or (s == best_s and best_u != -1 and u < best_u):
-                best_u, best_s = u, s
-        if best_u != -1 and best_s > 0.0:
-            matched[vi] = matched[best_u] = True
-            pairs.append((vi, best_u))
-    return Matching(pairs)
+        lo, hi = adj.indptr[vi], adj.indptr[vi + 1]
+        nbrs, scores = adj.indices[lo:hi], adj.data[lo:hi]
+        ok = ~matched[nbrs] & (weights[vi] + weights[nbrs] <= cap)
+        if ok.any():
+            best = int(nbrs[ok][np.argmax(scores[ok])])
+            matched[vi] = matched[best] = True
+            pairs.append((vi, best))
+    return pairs
 
 
-def contract(h: Hypergraph, matching: Matching) -> CoarseLevel:
+def contract(h: Hypergraph, matching: list[tuple[int, int]]) -> CoarseLevel:
     """Merge matched pairs.  Pins are remapped and deduplicated, coarse edges
     that collapse to one pin are dropped, and identical pin sets merge with
     summed weights.  Coarse ids follow first appearance in fine index order.
     """
     n = h.n
     partner = np.full(n, -1, dtype=np.int64)
-    for a, b in matching.pairs:
+    for a, b in matching:
         if partner[a] != -1 or partner[b] != -1 or a == b:
             raise ValueError("matching pairs must be disjoint")
         partner[a], partner[b] = b, a
 
-    ids = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if ids[v] != -1:
-            continue
-        ids[v] = next_id
-        p = int(partner[v])
-        if p >= 0:
-            ids[p] = next_id
-        next_id += 1
+    # a pair first appears at its lower vertex, so ids rank the lower ends
+    first = np.where(partner >= 0, np.minimum(np.arange(n), partner), np.arange(n))
+    reps, ids = np.unique(first, return_inverse=True)
+    next_id = reps.shape[0]
 
     coarse_vw = np.bincount(ids, weights=h.vertex_weight, minlength=next_id).astype(np.int64)
 
@@ -165,7 +131,7 @@ def coarsen(
         if cur.n <= coarsest_factor * spec.k:
             break
         matching = build_matching(cur, cap)
-        if not matching.pairs:
+        if not matching:
             break
         level = contract(cur, matching)
         levels.append(level)

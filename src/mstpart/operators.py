@@ -51,27 +51,22 @@ class CliqueGraph:
 
 
 def clique_expand(h: Hypergraph) -> CliqueGraph:
-    """Weighted clique expansion; single-pin hyperedges contribute nothing."""
-    rows, cols, vals = [], [], []
-    sizes = h.edge_sizes()
-    for e in range(h.m):
-        size = int(sizes[e])
-        if size < 2:
-            continue
-        pins = h.edge_pins(e)
-        w = float(h.edge_weight[e]) / (size - 1)
-        iu, ju = np.triu_indices(size, k=1)
-        rows.append(pins[iu])
-        cols.append(pins[ju])
-        vals.append(np.full(iu.shape[0], w))
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        upper = sparse.coo_matrix((v, (r, c)), shape=(h.n, h.n))
-        adj = (upper + upper.T).tocsr()  # coo->csr sums duplicate pairs
-    else:
-        adj = sparse.csr_matrix((h.n, h.n))
+    """Weighted clique expansion: entry (u, v) sums w_e / (|e| - 1) over the
+    nets e holding both u and v, added up in ascending net order.
+
+    It is the sparse product W^T H of the incidence matrices, with W^T read
+    from ``inc_offsets``/``inc_list`` (data w_e / max(|e| - 1, 1)) and H from
+    ``pin_offsets``/``pin_list`` (data 1).  The CSR product adds each row's
+    terms in the order of that row's nets, which ascend.  The diagonal is
+    dropped, so single-pin nets contribute nothing; column indices are sorted.
+    """
+    scale = h.edge_weight / np.maximum(h.edge_sizes() - 1, 1)
+    wt = sparse.csr_matrix((scale[h.inc_list], h.inc_list, h.inc_offsets), shape=(h.n, h.m))
+    hm = sparse.csr_matrix((np.ones(h.pin_list.shape[0]), h.pin_list, h.pin_offsets),
+                           shape=(h.m, h.n))
+    prod = wt @ hm
+    adj = prod - sparse.diags(prod.diagonal(), format="csr")  # x - 0 == x
+    adj.sort_indices()
     return CliqueGraph.from_adjacency(adj)
 
 

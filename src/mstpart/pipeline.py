@@ -2,7 +2,9 @@
 
 Coarsens the hypergraph, generates embedding-driven initial partitions on
 the coarsest level and repairs each, keeps the best, pairwise-improves that
-one once, and projects it back up with FM refinement at every level.
+one once, and projects it back up with FM refinement at every level.  A
+partition that is still infeasible is repaired after each projection, and
+FM runs once it is feasible.
 """
 
 from __future__ import annotations
@@ -69,12 +71,15 @@ class PipelineResult:
 
 
 def _checked(config: PipelineConfig | None, spec: BalanceSpec) -> PipelineConfig:
-    """The config, or the defaults; out-of-range counts raise ``ValueError``."""
+    """The config, or the defaults; out-of-range counts and a NaN ``tau``
+    raise ``ValueError``."""
     config = config or PipelineConfig()
     if config.num_init < 1:
         raise ValueError(f"num_init must be >= 1, got {config.num_init}")
     if config.pair_rounds < 0:
         raise ValueError(f"pair_rounds must be >= 0, got {config.pair_rounds}")
+    if np.isnan(config.tau):
+        raise ValueError("tau must not be NaN")
     if config.p_override is not None and config.p_override < spec.k:
         raise ValueError(
             f"p_override must be >= k ({spec.k}), got {config.p_override}"
@@ -150,6 +155,8 @@ def run_pipeline(
     for li in range(len(hierarchy.levels) - 1, -1, -1):
         finer = hierarchy.levels[li - 1].hypergraph if li > 0 else h
         part = _project(hierarchy.levels[li], part, finer)
+        if not feasible:
+            part, feasible = repair_feasibility(finer, part, spec)
         if feasible:
             part = kway_fm(finer, part, spec)
     if not hierarchy.levels and feasible:

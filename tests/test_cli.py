@@ -344,7 +344,7 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
     ("--p", "0"), ("--p", "-5"), ("--p", "1"),
     ("--apg-epsilon", "0"), ("--apg-epsilon", "nan"), ("--apg-max-iters", "0"),
-    ("--epsilon", "nan"), ("--epsilon", "inf"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--tau", "nan"),
 ])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)
@@ -354,6 +354,16 @@ def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     ])
     assert code == 1
     assert flag in capsys.readouterr().err
+
+
+def test_sweep_rejects_nan_tau(tmp_path, capsys):
+    hgr = two_clique_file(tmp_path)
+    code = main(["sweep", "--input", str(hgr), "--k", "2", "--tau", "nan",
+                 "--axis", "num_init", "--values", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--tau" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("extra", [

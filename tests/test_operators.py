@@ -86,6 +86,37 @@ def test_clique_expand_matches_dense_oracle():
         assert np.allclose(A, dense_clique_oracle(h), atol=1e-12)
 
 
+def ascending_net_sums(h):
+    """Entry (u, v) summed as Python floats over the shared nets, ascending."""
+    sums = {}
+    for e in range(h.m):
+        pins = h.edge_pins(e).tolist()
+        w = float(h.edge_weight[e]) / max(len(pins) - 1, 1)
+        for u in pins:
+            for v in pins:
+                if u != v:
+                    sums[u, v] = sums.get((u, v), 0.0) + w
+    return sums
+
+
+def test_clique_expand_entries_equal_ascending_net_sums():
+    rng = np.random.default_rng(71)
+    graphs = [Hypergraph.from_edges([], n=4), Hypergraph.from_edges([[1], [2]], n=3)]
+    for _ in range(300):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(0, 40))
+        graphs.append(random_hypergraph(rng, n, m, max_edge_size=8, weighted=True))
+    single = isolated = 0
+    for h in graphs:
+        adj = clique_expand(h).adjacency
+        coo = adj.tocoo()
+        got = {(int(u), int(v)): float(x) for u, v, x in zip(coo.row, coo.col, coo.data)}
+        assert got == ascending_net_sums(h)  # exact, not approximate
+        assert adj.has_sorted_indices
+        single += bool(np.any(h.edge_sizes() == 1))
+        isolated += bool(np.any(np.diff(h.inc_offsets) == 0))
+    assert single >= 100 and isolated >= 50
+
+
 def test_laplacian_properties():
     rng = np.random.default_rng(67)
     h = random_hypergraph(rng, 12, 16, weighted=True)

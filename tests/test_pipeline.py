@@ -55,6 +55,7 @@ def test_num_init_below_one_is_rejected():
 @pytest.mark.parametrize("field, value", [
     ("pair_rounds", -1), ("p_override", 0), ("p_override", -5),
     ("p_override", 1),  # below k = 2
+    ("tau", float("nan")),
 ])
 def test_out_of_range_config_is_rejected(field, value):
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
@@ -180,3 +181,16 @@ def test_improve_partition_repairs_infeasible_input():
     assert report["repaired"]
     assert report["feasible"] == is_feasible(out, spec)
     assert report["feasible"]
+
+
+@pytest.mark.parametrize("k, cut", [(2, 2), (4, 8)])
+def test_unbalanced_coarsest_level_is_repaired_on_the_way_up(k, cut):
+    # every coarse vertex weighs 32, so no coarse k-way split fits the caps;
+    # a fine-level repair does, and FM then runs on the feasible partition
+    n = 300
+    h = Hypergraph.from_edges([list(range(n))] + [[i, i + 1] for i in range(n - 1)], n=n)
+    spec = BalanceSpec.for_hypergraph(h, k, 0.04)
+    res = run_pipeline(h, spec, PipelineConfig(num_init=2, pair_rounds=1, coarsest_factor=5))
+    assert res.levels > 0
+    assert res.feasible and is_feasible(res.partition, spec)
+    assert res.cutsize == cut == km1_oracle(h, res.partition.assignment)
