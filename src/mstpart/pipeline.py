@@ -71,9 +71,16 @@ class PipelineResult:
 
 
 def _checked(config: PipelineConfig | None, spec: BalanceSpec) -> PipelineConfig:
-    """The config, or the defaults; out-of-range counts and a NaN ``tau``
-    raise ``ValueError``."""
+    """The config, or the defaults; out-of-range counts, a NaN ``tau`` and an
+    empty weight grid or one with a value outside [0, 1] raise ``ValueError``."""
     config = config or PipelineConfig()
+    for name in ("lambda1", "lambda2", "xi1", "xi2"):
+        grid = getattr(config, name)
+        if len(grid) == 0:
+            raise ValueError(f"{name} must not be empty")
+        bad = [x for x in grid if not 0.0 <= x <= 1.0]  # NaN fails too
+        if bad:
+            raise ValueError(f"{name} values must lie in [0, 1], got {bad[0]}")
     if config.num_init < 1:
         raise ValueError(f"num_init must be >= 1, got {config.num_init}")
     if config.pair_rounds < 0:

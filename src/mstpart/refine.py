@@ -4,7 +4,10 @@ Four tools that share the clique-expansion view of the hypergraph: a
 bipartitioner that cuts a spanning tree over heavy "key" vertices and labels
 everything else by proximity to the two side centers, a pairwise pass that
 re-embeds two blocks at a time and re-splits them, a greedy move-and-swap
-repair for overweight blocks, and a pass-based k-way FM with rollback.
+repair for overweight blocks, and a pass-based k-way FM.  An FM pass runs on
+local copies of the gain table and pin counts, updates a gain only when a
+move takes one of its net's pin counts across 0/1/2, and applies only its
+best prefix of moves to the partition.
 """
 
 from __future__ import annotations
@@ -296,11 +299,19 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     """Pass-based k-way FM refinement.
 
     Every pass moves each vertex at most once, always taking the highest
-    gain (cutsize decrease) among moves that keep all blocks within cap,
-    working through negative gains as well; the pass then rolls back to its
-    best prefix.  Passes repeat while they improve, at most 50 times.  The
+    gain (cutsize decrease) among moves that keep all blocks within cap
+    (ties: lower vertex, then lower target block), working through negative
+    gains as well; only the pass's best prefix of moves is then applied to
+    the partition.  Passes repeat while they improve, at most 50 times.  The
     result is feasible and never worse than the input, which must itself be
     feasible.
+
+    A pass reads the gain table once and then keeps it exact itself: a move
+    v: s -> t changes a gain only on a net e of v whose pin count
+    Phi(e, t) rises to 1 or 2 or whose Phi(e, s) falls to 1 or 0.  Walking
+    v's nets therefore costs O(1) per net plus O(|e|) for each net that
+    crosses one of these thresholds, and each changed (vertex, block) gain
+    pushes one heap entry.
     """
     if not is_feasible(p, spec):
         raise ValueError("FM refinement requires a feasible starting partition")
@@ -308,59 +319,98 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     if h.n == 0 or part.k < 2:
         return part
     for _ in range(50):
-        if _fm_pass(h, part, spec.upper_bounds) <= 0:
+        if _fm_pass(h, part, spec.upper_bounds.tolist()) <= 0:
             break
     return part
 
 
-def _fm_pass(h: Hypergraph, part: Partition, caps) -> int:
+def _fm_pass(h: Hypergraph, part: Partition, caps: list) -> int:
+    """One FM pass on local copies of the partition's tables; applies the
+    best prefix of its moves to ``part`` and returns that prefix's gain."""
     n, k = h.n, part.k
-    version = np.zeros(n, dtype=np.int64)
-    locked = np.zeros(n, dtype=bool)
-    heap: list[tuple[int, int, int, int]] = []
+    inc, inc_off = h.inc_list.tolist(), h.inc_offsets.tolist()
+    nets = [inc[inc_off[v]:inc_off[v + 1]] for v in range(n)]
+    pin_list, pin_off = h.pin_list.tolist(), h.pin_offsets.tolist()
+    pins = [pin_list[pin_off[e]:pin_off[e + 1]] for e in range(h.m)]
+    edge_weight, vertex_weight = h.edge_weight.tolist(), h.vertex_weight.tolist()
+    delta = part.move_deltas(np.arange(n)).tolist()  # cutsize change of (v, t)
+    pin_count = part.pin_count.tolist()
+    block = part.assignment.tolist()
+    weight = part.block_weight.tolist()
+    locked = [False] * n
+    version = [0] * (n * k)  # of the live heap entry of (v, t), at v * k + t
+    heap = [(row[t], v, t, 0) for v, row in enumerate(delta)
+            for t in range(k) if t != block[v]]
+    heapq.heapify(heap)
+    deferred: list[list] = [[] for _ in range(k)]  # entries by target block
+    pop, push = heapq.heappop, heapq.heappush
 
-    def push_moves(vs: list[int]):
-        rows = part.move_deltas(vs).tolist()
-        blocks, versions = part.assignment[vs].tolist(), version[vs].tolist()
-        for v, s, ver, delta in zip(vs, blocks, versions, rows):
-            for t in range(k):
-                if t != s:
-                    heapq.heappush(heap, (delta[t], v, t, ver))
-
-    push_moves(list(range(n)))
-
-    applied: list[tuple[int, int, int]] = []
+    moves: list[tuple[int, int]] = []
     cum = best_cum = best_len = 0
-    deferred: list[tuple[int, int, int, int]] = []
-
     while heap:
-        item = heapq.heappop(heap)
-        neg_gain, v, t, ver = item
-        if locked[v] or ver != version[v] or part.assignment[v] == t:
+        item = pop(heap)
+        d, v, t, ver = item
+        if locked[v] or ver != version[v * k + t]:
             continue
-        if part.block_weight[t] + h.vertex_weight[v] > caps[t]:
-            deferred.append(item)
+        w = vertex_weight[v]
+        if weight[t] + w > caps[t]:
+            deferred[t].append(item)  # fits only after t loses weight
             continue
-        frm = int(part.assignment[v])
-        part.move(v, t)
+        s = block[v]
         locked[v] = True
-        touched: set[int] = set()
-        for e in h.vertex_edges(v):
-            touched.update(h.edge_pins(e).tolist())
-
-        cum += -neg_gain
-        applied.append((v, frm, t))
+        changed: set[int] = set()
+        for e in nets[v]:
+            row = pin_count[e]
+            ps, pt = row[s], row[t]
+            row[s], row[t] = ps - 1, pt + 1
+            if ps > 2 and pt > 1:
+                continue
+            we = edge_weight[e]
+            if pt == 0:  # t newly spanned: joining t no longer costs w_e
+                for u in pins[e]:
+                    if not locked[u]:
+                        delta[u][t] -= we
+                        changed.add(u * k + t)
+            elif pt == 1:  # the pin alone in t no longer frees e by leaving
+                for u in pins[e]:
+                    if block[u] == t:
+                        if not locked[u]:
+                            _shift_row(delta[u], we, u, t, k, changed)
+                        break
+            if ps == 1:  # s no longer spanned: joining s costs w_e
+                for u in pins[e]:
+                    if not locked[u]:
+                        delta[u][s] += we
+                        changed.add(u * k + s)
+            elif ps == 2:  # the pin left in s now frees e by leaving
+                for u in pins[e]:
+                    if u != v and block[u] == s:
+                        if not locked[u]:
+                            _shift_row(delta[u], -we, u, s, k, changed)
+                        break
+        block[v] = t
+        weight[s] -= w
+        weight[t] += w
+        moves.append((v, t))
+        cum -= d
         if cum > best_cum:
-            best_cum, best_len = cum, len(applied)
+            best_cum, best_len = cum, len(moves)
+        for key in changed:
+            version[key] += 1
+            u, b = divmod(key, k)
+            push(heap, (delta[u][b], u, b, version[key]))
+        for item in deferred[s]:  # the only block that lost weight
+            push(heap, item)
+        deferred[s].clear()
 
-        fresh = [u for u in touched if not locked[u]]
-        version[fresh] += 1
-        push_moves(fresh)
-        if deferred:
-            for d in deferred:
-                heapq.heappush(heap, d)
-            deferred = []
-
-    for v, frm, _ in reversed(applied[best_len:]):
-        part.move(v, frm)
+    for v, t in moves[:best_len]:
+        part.move(v, t)
     return best_cum
+
+
+def _shift_row(row: list, by: int, u: int, own: int, k: int, changed: set) -> None:
+    """Add ``by`` to the delta of every move of vertex u out of block ``own``."""
+    for b in range(k):
+        if b != own:
+            row[b] += by
+            changed.add(u * k + b)

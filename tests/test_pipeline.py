@@ -56,6 +56,9 @@ def test_num_init_below_one_is_rejected():
     ("pair_rounds", -1), ("p_override", 0), ("p_override", -5),
     ("p_override", 1),  # below k = 2
     ("tau", float("nan")),
+    ("lambda1", ()), ("lambda2", ()), ("xi1", ()), ("xi2", ()),
+    ("lambda1", (0.5, 1.5)), ("lambda2", (-0.1,)), ("lambda1", (float("nan"),)),
+    ("xi1", (2.0,)), ("xi2", (0.8, float("nan"))),
 ])
 def test_out_of_range_config_is_rejected(field, value):
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
@@ -65,6 +68,18 @@ def test_out_of_range_config_is_rejected(field, value):
         run_pipeline(h, spec, config)
     with pytest.raises(ValueError, match=field):
         improve_partition(h, Partition(h, [0, 0, 1, 1], 2), spec, config)
+
+
+@pytest.mark.parametrize("field, value", [("xi1", (2.0,)), ("lambda1", (1.5,))])
+def test_weight_grids_are_checked_where_they_are_not_read(field, value):
+    # no pairwise rounds, and a coarsest level that is spread, not embedded
+    h = Hypergraph.from_edges([[0, 1], [1, 2]], n=3)
+    spec = BalanceSpec.for_hypergraph(h, 3, 0.0)
+    config = quick_config(pair_rounds=0, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        run_pipeline(h, spec, config)
+    with pytest.raises(ValueError, match=field):
+        improve_partition(h, Partition(h, [0, 1, 2], 3), spec, config)
 
 
 def count_pairwise_calls(monkeypatch):

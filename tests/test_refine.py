@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -501,6 +502,18 @@ def test_repair_matches_reference_rule():
     assert swapped >= 20
 
 
+def count_move_calls(monkeypatch):
+    calls = []
+    original = Partition.move
+
+    def counting(self, v, block):
+        calls.append((v, block))
+        return original(self, v, block)
+
+    monkeypatch.setattr(Partition, "move", counting)
+    return calls
+
+
 def test_repair_swap_step_move_calls_are_bounded(monkeypatch):
     # block 0: 100 vertices of weight 3 (cap + 1); block 1: 149 of weight 2
     # (cap - 1).  Nothing fits, so the repair is one swap step and the swap.
@@ -514,14 +527,7 @@ def test_repair_swap_step_move_calls_are_bounded(monkeypatch):
     p = Partition(h, [0] * 100 + [1] * 149, 2)
     assert p.block_weight.tolist() == [300, 298]
 
-    calls = []
-    original = Partition.move
-
-    def counting(self, v, block):
-        calls.append((v, block))
-        return original(self, v, block)
-
-    monkeypatch.setattr(Partition, "move", counting)
+    calls = count_move_calls(monkeypatch)
     out, ok = repair_feasibility(h, p, spec)
     assert ok and out.block_weight.tolist() == [299, 299]
     assert len(calls) <= 2 * (2 - 1) * 100 + 2
@@ -585,3 +591,140 @@ def test_fm_random_instances_monotone_and_feasible():
         if out.cutsize < p.cutsize:
             improved += 1
     assert improved >= 50
+
+
+def test_fm_move_calls_are_kept_moves(monkeypatch):
+    h = triangle_pair_instance()
+    calls = count_move_calls(monkeypatch)
+    p = Partition(h, [0, 0, 0, 1, 1, 1], 2)
+    kway_fm(h, p, BalanceSpec.for_hypergraph(h, 2, 0.04))
+    assert calls == []  # already a local optimum: no move is kept
+
+    p = Partition(h, [0, 0, 1, 1, 1, 1], 2)
+    out = kway_fm(h, p, BalanceSpec.for_hypergraph(h, 2, 0.34))
+    assert calls == [(2, 0)]
+    assert out.assignment.tolist() == [0, 0, 0, 1, 1, 1]
+
+
+def reference_fm(h, p, spec):
+    """k-way FM as one plain pass loop: per-vertex entry versions, every gain
+    of a touched pin re-read with ``move_deltas`` after each move, every
+    deferred entry re-pushed after each move, and the tail rolled back.
+    Also returns how many moves were applied after being deferred once."""
+    part = p.copy()
+    if h.n == 0 or part.k < 2:
+        return part, 0
+    n, k, caps = h.n, part.k, spec.upper_bounds
+    revived = 0
+    for _ in range(50):
+        version = np.zeros(n, dtype=np.int64)
+        locked = np.zeros(n, dtype=bool)
+        heap = []
+
+        def push_moves(vs):
+            rows = part.move_deltas(vs).tolist()
+            for v, delta in zip(vs, rows):
+                for t in range(k):
+                    if t != part.assignment[v]:
+                        heapq.heappush(heap, (delta[t], v, t, int(version[v])))
+
+        push_moves(list(range(n)))
+        applied, deferred, waited = [], [], set()
+        cum = best_cum = best_len = 0
+        while heap:
+            item = heapq.heappop(heap)
+            delta, v, t, ver = item
+            if locked[v] or ver != version[v]:
+                continue
+            if part.block_weight[t] + h.vertex_weight[v] > caps[t]:
+                deferred.append(item)
+                waited.add(item)
+                continue
+            revived += item in waited
+            frm = int(part.assignment[v])
+            part.move(v, t)
+            locked[v] = True
+            applied.append((v, frm))
+            cum -= delta
+            if cum > best_cum:
+                best_cum, best_len = cum, len(applied)
+            touched = {int(u) for e in h.vertex_edges(v) for u in h.edge_pins(e)}
+            fresh = sorted(u for u in touched if not locked[u])
+            version[fresh] += 1
+            push_moves(fresh)
+            for d in deferred:
+                heapq.heappush(heap, d)
+            deferred = []
+        for v, frm in reversed(applied[best_len:]):
+            part.move(v, frm)
+        if best_cum <= 0:
+            break
+    return part, revived
+
+
+def feasible_start(rng, h, k, spec, near_cap):
+    """A random assignment within the caps, or None.  With ``near_cap``
+    block 0 is filled first until the next vertex would not fit."""
+    caps = spec.upper_bounds
+    weight = np.zeros(k)
+    assign = np.zeros(h.n, dtype=np.int64)
+    order = rng.permutation(h.n)
+    filling = near_cap
+    for v in order.tolist():
+        w = h.vertex_weight[v]
+        if filling and weight[0] + w <= caps[0]:
+            assign[v] = 0
+        else:
+            filling = False
+            fits = np.nonzero(weight + w <= caps)[0]
+            if fits.size == 0:
+                return None
+            assign[v] = int(rng.choice(fits))
+        weight[assign[v]] += w
+    return Partition(h, assign, k)
+
+
+def fm_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    while len(cases) < 300:
+        n = int(rng.integers(4, 30))
+        k = int(rng.integers(2, 6))
+        h = random_hypergraph(rng, n, int(rng.integers(n, 3 * n)),
+                              max_edge_size=int(rng.integers(2, 7)), weighted=True)
+        spec = BalanceSpec.for_hypergraph(h, k, float(rng.uniform(0.0, 0.1)))
+        p = feasible_start(rng, h, k, spec, near_cap=len(cases) % 3 == 0)
+        if p is not None:
+            cases.append((h, p, spec))
+    degenerate = [
+        Hypergraph.from_edges([], n=7, vertex_weight=[1, 2, 3, 1, 2, 3, 1]),  # m = 0
+        Hypergraph.from_edges([[0, 1], [1, 2, 3], [2, 3]], n=8),  # isolated vertices
+        Hypergraph.from_edges([list(range(9))], edge_weight=[4]),  # one net over all
+        Hypergraph.from_edges([[0], [1], [2], [0, 1], [3], [2, 3]], edge_weight=[5, 1, 2, 1, 3, 2]),
+    ]
+    for h in degenerate:
+        for k in (2, 3):
+            spec = BalanceSpec.for_hypergraph(h, k, 0.1)
+            cases.append((h, feasible_start(rng, h, k, spec, near_cap=False), spec))
+    for n, k in ((3, 3), (3, 5), (4, 6)):  # k >= n
+        h = Hypergraph.from_edges([[0, 1], [1, 2], [0, n - 1]], n=n)
+        spec = BalanceSpec.for_hypergraph(h, k, 0.0)
+        cases.append((h, Partition(h, np.arange(n) % k, k), spec))
+    return cases
+
+
+def test_fm_matches_reference_pass():
+    revived_on = 0
+    for h, p, spec in fm_cases():
+        ref, revived = reference_fm(h, p, spec)
+        out = kway_fm(h, p, spec)
+        revived_on += revived > 0
+        assert np.array_equal(out.assignment, ref.assignment)
+        assert out.cutsize == ref.cutsize == km1_oracle(h, out.assignment)
+        fresh = Partition(h, out.assignment, p.k)
+        for got in (out, ref):
+            assert np.array_equal(got.block_weight, fresh.block_weight)
+            assert np.array_equal(got.pin_count, fresh.pin_count)
+            assert got.cutsize == fresh.cutsize
+        assert np.all(out.block_weight <= spec.upper_bounds)
+    assert revived_on >= 150  # a deferred move became possible and was made
