@@ -11,7 +11,6 @@ from .hypergraph import (
     Hypergraph,
     Partition,
     PartitionFormatError,
-    cutsize,
     default_epsilon,
     epsilon_from_ubfactor,
     is_feasible,

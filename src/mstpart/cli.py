@@ -123,6 +123,14 @@ def _checked_p(p: int, k: int) -> int:
     return p
 
 
+def _unit_grid(values, flag: str) -> tuple:
+    """A weight-grid flag's values, each of which must lie in [0, 1]."""
+    bad = [x for x in values if not 0.0 <= x <= 1.0]  # NaN fails too
+    if bad:
+        raise CliError(f"{flag} values must lie in [0, 1], got {bad[0]}")
+    return tuple(values)
+
+
 def _refine_config(args) -> PipelineConfig:
     """The config that the flags of ``_add_refine_flags`` set."""
     if args.pair_rounds is not None and args.pair_rounds < 0:
@@ -133,9 +141,9 @@ def _refine_config(args) -> PipelineConfig:
         raise CliError("--apg-epsilon must be > 0")
     config = PipelineConfig()
     if args.xi1:
-        config.xi1 = tuple(args.xi1)
+        config.xi1 = _unit_grid(args.xi1, "--xi1")
     if args.xi2:
-        config.xi2 = tuple(args.xi2)
+        config.xi2 = _unit_grid(args.xi2, "--xi2")
     if args.pair_rounds is not None:
         config.pair_rounds = args.pair_rounds
     apg_kw = {}
@@ -154,9 +162,9 @@ def _config_from_args(args) -> PipelineConfig:
     config = _refine_config(args)
     config.num_init = args.num_init
     if args.lambda1:
-        config.lambda1 = tuple(args.lambda1)
+        config.lambda1 = _unit_grid(args.lambda1, "--lambda1")
     if args.lambda2:
-        config.lambda2 = tuple(args.lambda2)
+        config.lambda2 = _unit_grid(args.lambda2, "--lambda2")
     if args.tau is not None:
         if np.isnan(args.tau):
             raise CliError("--tau must not be NaN")

@@ -23,7 +23,6 @@ __all__ = [
     "write_hmetis",
     "read_partition",
     "write_partition",
-    "cutsize",
     "km1_value",
     "is_feasible",
     "epsilon_from_ubfactor",
@@ -117,9 +116,6 @@ class Hypergraph:
     @property
     def total_weight(self) -> int:
         return int(self.vertex_weight.sum())
-
-    def pins_as_lists(self) -> list[list[int]]:
-        return [self.edge_pins(e).tolist() for e in range(self.m)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -224,7 +220,7 @@ def parse_hmetis(text: str) -> Hypergraph:
         for v in vals:
             if v < 1 or v > n:
                 raise HgrFormatError(f"pin {v} out of range 1..{n}", lno)
-        pins.append(sorted(set(v - 1 for v in vals)))
+        pins.append([v - 1 for v in vals])
 
     vertex_weight = np.ones(n, dtype=np.int64)
     if has_vertex_weights:
@@ -411,11 +407,6 @@ def km1_value(h: Hypergraph, assignment: np.ndarray, k: int) -> int:
     keys = edge_ids * k + assignment[h.pin_list]
     spans = np.bincount(np.unique(keys) // k, minlength=h.m)
     return int(np.sum(h.edge_weight * (spans - 1)))
-
-
-def cutsize(h: Hypergraph, p: Partition) -> int:
-    """Recompute the connectivity-1 cutsize from scratch (ignores the cache)."""
-    return km1_value(h, p.assignment, p.k)
 
 
 def is_feasible(p: Partition, spec: BalanceSpec) -> bool:

@@ -45,12 +45,10 @@ class SpanningTree:
     parent: np.ndarray
     bridges: int = 0
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.sort(np.array([w for _, _, w in self.edges])).sum()) if self.edges else 0.0
-
-    def sorted_weights(self) -> np.ndarray:
-        return np.sort(np.array([w for _, _, w in self.edges], dtype=np.float64))
+    def heaviest_first(self) -> list[int]:
+        """Edge ids from the heaviest edge down, ties by lower id: the order
+        in which pruning and re-bisection cut the tree."""
+        return sorted(range(len(self.edges)), key=lambda i: (-self.edges[i][2], i))
 
     def cut(self, edge_ids) -> np.ndarray:
         """Component of every tree position once the listed edges are removed.
@@ -166,15 +164,14 @@ def _bridge(local, in_tree, dist, parent, euclid):
 
 
 def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.ndarray) -> ClusterSet:
-    """Remove the p - 1 heaviest tree edges (ties: larger weight first, then
-    lower edge index) leaving exactly p connected parts.  Weights and feature
-    centroids are computed per part over the original arrays.
+    """Remove the first p - 1 edges of ``tree.heaviest_first()``, leaving
+    exactly p connected parts.  Weights and feature centroids are computed
+    per part over the original arrays.
     """
     nv = tree.vertices.shape[0]
     if not 1 <= p <= nv:
         raise ValueError(f"p={p} out of range 1..{nv}")
-    order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
-    comp = tree.cut(order[: p - 1])
+    comp = tree.cut(tree.heaviest_first()[: p - 1])
     clusters = []
     weights = np.zeros(p, dtype=np.int64)
     centroids = np.zeros((p, X.shape[1]))

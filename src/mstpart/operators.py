@@ -79,7 +79,7 @@ class ObjectiveOperator:
     """Symmetric operator C behind the embedding objective F(X) = -<C, X X^T>.
 
     Composition, with B the vertex weights and S = sum(B):
-      apply(X) = ca * Abar X + cu * Gu X + cw * Gw X + cp * Kp X [+ M X]
+      apply(X) = ca * Abar X + cu * Gu X + cw * Gw X + cp * Kp X
     where Abar = Diag(degree) + A reinforces the clique adjacency,
     Gu = n I - 1 1^T is the unit complete-graph Laplacian,
     Gw = S Diag(B) - B B^T is the weighted complete-graph Laplacian, and
@@ -94,7 +94,7 @@ class ObjectiveOperator:
     """
 
     def __init__(self, n, *, abar=None, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
-                 weights=None, blocks=None, matrix=None, mode="custom"):
+                 weights=None, blocks=None, mode="custom"):
         self.n = int(n)
         self.abar = abar
         self.ca = float(ca)
@@ -102,7 +102,6 @@ class ObjectiveOperator:
         self.cw = float(cw)
         self.cp = float(cp)
         self.mode = mode
-        self.matrix = matrix
         for coef, name, given in (("ca", "abar", abar), ("cw", "weights", weights),
                                   ("cp", "blocks", blocks)):
             if getattr(self, coef) and given is None:
@@ -155,9 +154,9 @@ class ObjectiveOperator:
 
     @classmethod
     def from_matrix(cls, matrix):
-        """Explicit symmetric matrix, used for diagnostics and tests."""
+        """Explicit symmetric matrix as the ``abar`` term, for diagnostics."""
         matrix = sparse.csr_matrix(matrix)
-        return cls(matrix.shape[0], matrix=matrix, mode="explicit")
+        return cls(matrix.shape[0], abar=matrix, ca=1.0, mode="explicit")
 
     @classmethod
     def identity(cls, n: int):
@@ -171,8 +170,6 @@ class ObjectiveOperator:
         if X.ndim != 2 or X.shape[0] != self.n:
             raise ValueError(f"X must be ({self.n}, k)")
         out = np.zeros_like(X)
-        if self.matrix is not None:
-            out += self.matrix @ X
         if self.ca:
             out += self.ca * (self.abar @ X)
         if self.cu:

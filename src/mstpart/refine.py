@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pipeline imports this module
 
 __all__ = [
     "BipartitionResult",
-    "PairPlan",
     "mst_bipartition",
     "block_connectivity",
     "pair_blocks",
@@ -42,38 +41,33 @@ __all__ = [
 
 @dataclass
 class BipartitionResult:
-    """Signed labeling of a vertex set.
-
-    ``objective`` is 1/4 y^T L y, the clique-graph weight cut between the
-    two sides.  ``candidates`` records (objective, feasible) for every cut
-    that was scored, in evaluation order.
-    """
+    """Signed labeling of a vertex set, and whether it fits the two caps."""
 
     labels: np.ndarray
-    objective: float
     feasible: bool
-    candidates: list
 
 
-def mst_bipartition(
-    X: np.ndarray,
-    B: np.ndarray,
-    caps: tuple,
-    L,
-    key_fraction: float = 0.05,
-    cut_fraction: float = 0.2,
-) -> BipartitionResult:
+KEY_FRACTION = 0.05
+CUT_FRACTION = 0.2
+
+
+def mst_bipartition(X: np.ndarray, B: np.ndarray, caps: tuple, L) -> BipartitionResult:
     """Split a vertex set in two along a spanning-tree cut of its heavy nodes.
 
-    The heaviest ceil(key_fraction * n) vertices (ties: lower index; all of
+    The heaviest ceil(KEY_FRACTION * n) vertices (ties: lower index; all of
     them when fewer than 2 qualify) form a Euclidean MST in feature space.
-    Each of the max(1, ceil(cut_fraction * #tree_edges)) heaviest tree edges
-    is cut in turn; the mean features of the two key-node sides become
-    centers c1 (the side holding the tree root) and c2, and every vertex
-    gets label +1 when strictly farther from c1 than from c2, else -1.
-    A labeling is feasible when the +1 side weighs at most caps[0] and the
-    -1 side at most caps[1].  The feasible labeling of least objective wins;
-    if none is feasible the overall best is returned flagged infeasible.
+    The first max(1, ceil(CUT_FRACTION * #tree_edges)) edges of
+    ``tree.heaviest_first()`` are cut one at a time; the mean features of
+    the two key-node sides become centers c1 (the side holding the tree
+    root) and c2, and every vertex gets label +1 when strictly farther from
+    c1 than from c2, else -1.  A labeling is feasible when the +1 side
+    weighs at most caps[0] and the -1 side at most caps[1].  Each labeling
+    is scored by 1/4 y^T L y, the clique-graph weight cut between the two
+    sides; the first feasible one of least score wins, and if none is
+    feasible the first of least score overall is returned flagged
+    infeasible.
+
+    The constants are fixed: ``KEY_FRACTION = 0.05``, ``CUT_FRACTION = 0.2``.
     """
     X = np.asarray(X, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -81,19 +75,17 @@ def mst_bipartition(
     if n < 2:
         raise ValueError("need at least two vertices to bipartition")
 
-    n_key = math.ceil(key_fraction * n)
+    n_key = math.ceil(KEY_FRACTION * n)
     if n_key < 2:
         keys = np.arange(n)
     else:
         keys = np.sort(np.lexsort((np.arange(n), -B))[:n_key])
     tree = prim_mst(X, vertices=keys, metric="euclidean")
-    order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
-    m_cand = max(1, math.ceil(cut_fraction * len(tree.edges)))
+    m_cand = max(1, math.ceil(CUT_FRACTION * len(tree.edges)))
 
     total = float(B.sum())
     best_feasible = best_any = None
-    candidates: list[tuple[float, bool]] = []
-    for ei in order[:m_cand]:
+    for ei in tree.heaviest_first()[:m_cand]:
         side2 = tree.cut([ei]) == 1  # the root is position 0, so label 0
         c1 = X[keys[~side2]].mean(axis=0)
         c2 = X[keys[side2]].mean(axis=0)
@@ -102,33 +94,20 @@ def mst_bipartition(
         y = np.where(d1 - d2 > 0.0, 1.0, -1.0)
 
         yb = float(y @ B)
-        w_plus = 0.5 * (total + yb)
-        w_minus = 0.5 * (total - yb)
-        feasible = w_plus <= caps[0] and w_minus <= caps[1]
+        feasible = 0.5 * (total + yb) <= caps[0] and 0.5 * (total - yb) <= caps[1]
         obj = 0.25 * float(y @ (L @ y))
-        candidates.append((obj, feasible))
-
-        entry = (obj, y)
         if best_any is None or obj < best_any[0]:
-            best_any = entry
+            best_any = (obj, y)
         if feasible and (best_feasible is None or obj < best_feasible[0]):
-            best_feasible = entry
+            best_feasible = (obj, y)
 
     if best_feasible is not None:
-        obj, y = best_feasible
-        return BipartitionResult(y, obj, True, candidates)
-    obj, y = best_any
-    return BipartitionResult(y, obj, False, candidates)
+        return BipartitionResult(best_feasible[1], True)
+    return BipartitionResult(best_any[1], False)
 
 
 # ---------------------------------------------------------------------------
 # pairing and pairwise re-optimization
-
-@dataclass
-class PairPlan:
-    pairs: list
-    leftover: int | None = None
-
 
 def block_connectivity(h: Hypergraph, p: Partition) -> np.ndarray:
     """Symmetric k x k matrix: total weight of hyperedges spanning each pair."""
@@ -138,30 +117,22 @@ def block_connectivity(h: Hypergraph, p: Partition) -> np.ndarray:
     return S.astype(np.float64)
 
 
-def pair_blocks(h: Hypergraph, p: Partition) -> PairPlan:
+def pair_blocks(h: Hypergraph, p: Partition) -> list[tuple[int, int]]:
     """Greedily pair blocks by descending mutual connectivity strength.
 
-    Repeatedly joins the two unpaired blocks whose spanning-edge weight is
-    largest (ties: lexicographically smallest pair); with odd k the block
-    left at the end stays alone.
+    Scans all block pairs by (-S[a, b], a, b), S the spanning-edge weight
+    of ``block_connectivity``, and keeps every pair whose two blocks are
+    both still unpaired; with odd k one block stays alone.
     """
-    if p.k < 2:
-        return PairPlan([], 0 if p.k == 1 else None)
     S = block_connectivity(h, p)
-    unpaired = list(range(p.k))
+    order = sorted((-S[a, b], a, b) for a, b in itertools.combinations(range(p.k), 2))
+    paired: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    while len(unpaired) >= 2:
-        best = None
-        for a, b in itertools.combinations(unpaired, 2):
-            key = (-S[a, b], a, b)
-            if best is None or key < best:
-                best = key
-        _, a, b = best
-        pairs.append((a, b))
-        unpaired.remove(a)
-        unpaired.remove(b)
-    leftover = unpaired[0] if unpaired else None
-    return PairPlan(pairs, leftover)
+    for _, a, b in order:
+        if a not in paired and b not in paired:
+            pairs.append((a, b))
+            paired.update((a, b))
+    return pairs
 
 
 def pairwise_improve(
@@ -188,9 +159,8 @@ def pairwise_improve(
     if clique is None:
         clique = clique_expand(h)
     for rnd in range(config.pair_rounds):
-        plan = pair_blocks(h, out)
         improved = False
-        for pi, (a, b) in enumerate(plan.pairs):
+        for pi, (a, b) in enumerate(pair_blocks(h, out)):
             improved |= _refine_pair(h, out, spec, clique, a, b, rnd, pi, config)
         if not improved:
             break

@@ -345,6 +345,8 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     ("--p", "0"), ("--p", "-5"), ("--p", "1"),
     ("--apg-epsilon", "0"), ("--apg-epsilon", "nan"), ("--apg-max-iters", "0"),
     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--tau", "nan"),
+    ("--lambda1", "2"), ("--lambda1", "nan"), ("--lambda2", "-0.5"),
+    ("--xi1", "1.5"), ("--xi1", "nan"), ("--xi2", "-1"),
 ])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)
@@ -354,6 +356,16 @@ def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     ])
     assert code == 1
     assert flag in capsys.readouterr().err
+    if flag in ("--xi1", "--xi2"):  # the refinement grids are improve flags too
+        part = tmp_path / "opt.part"
+        part.write_text("0\n" * 5 + "1\n" * 5)
+        code = main([
+            "improve", "--input", str(hgr), "--partition", str(part),
+            "--k", "2", flag, value, "--output", str(tmp_path / "o.txt"),
+        ])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
 
 
 def test_sweep_rejects_nan_tau(tmp_path, capsys):

@@ -12,15 +12,19 @@ from mstpart.hypergraph import (
     Hypergraph,
     Partition,
     PartitionFormatError,
-    cutsize,
     default_epsilon,
     epsilon_from_ubfactor,
     is_feasible,
+    km1_value,
     parse_hmetis,
     read_partition,
     write_hmetis,
     write_partition,
 )
+
+
+def edge_lists(h):
+    return [h.edge_pins(e).tolist() for e in range(h.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +33,7 @@ from mstpart.hypergraph import (
 def test_parse_minimal():
     h = parse_hmetis("2 3\n1 2\n2 3\n")
     assert (h.n, h.m) == (3, 2)
-    assert h.pins_as_lists() == [[0, 1], [1, 2]]
+    assert edge_lists(h) == [[0, 1], [1, 2]]
     assert h.vertex_weight.tolist() == [1, 1, 1]
     assert h.edge_weight.tolist() == [1, 1]
 
@@ -37,7 +41,7 @@ def test_parse_minimal():
 def test_parse_edge_weights():
     h = parse_hmetis("1 2 1\n7 1 2\n")
     assert h.edge_weight.tolist() == [7]
-    assert h.pins_as_lists() == [[0, 1]]
+    assert edge_lists(h) == [[0, 1]]
 
 
 def test_parse_full_weights():
@@ -60,12 +64,12 @@ def test_parse_comments_and_blanks():
 
 def test_parse_duplicate_pins_deduplicated():
     h = parse_hmetis("1 3\n2 2 3\n")
-    assert h.pins_as_lists() == [[1, 2]]
+    assert edge_lists(h) == [[1, 2]]
 
 
 def test_parse_single_pin_edge_kept():
     h = parse_hmetis("2 3\n2\n1 3\n")
-    assert h.pins_as_lists() == [[1], [0, 2]]
+    assert edge_lists(h) == [[1], [0, 2]]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -126,13 +130,13 @@ def test_incidence_is_transpose():
 def test_cutsize_single_edge_two_blocks():
     h = Hypergraph.from_edges([[0, 1, 2]], n=3, edge_weight=[2])
     p = Partition(h, [0, 0, 1], 2)
-    assert cutsize(h, p) == 2  # weight * (2 spanned blocks - 1)
+    assert km1_value(h, p.assignment, p.k) == 2  # weight * (2 spanned blocks - 1)
 
 
 def test_cutsize_uncut_is_zero():
     h = Hypergraph.from_edges([[0, 1], [1, 2], [0, 2]], n=3)
     p = Partition(h, [1, 1, 1], 2)
-    assert cutsize(h, p) == 0
+    assert km1_value(h, p.assignment, p.k) == 0
 
 
 def test_cutsize_matches_oracle_on_randoms():
@@ -143,7 +147,7 @@ def test_cutsize_matches_oracle_on_randoms():
         k = int(rng.integers(2, 4))
         h = random_hypergraph(rng, n, m, weighted=True)
         p = random_partition(rng, h, k)
-        assert cutsize(h, p) == km1_oracle(h, p.assignment)
+        assert km1_value(h, p.assignment, p.k) == km1_oracle(h, p.assignment)
         assert p.cutsize == km1_oracle(h, p.assignment)
 
 
@@ -153,7 +157,7 @@ def test_cutsize_relabel_invariant():
     p = random_partition(rng, h, 3)
     perm = np.array([2, 0, 1])
     q = Partition(h, perm[p.assignment], 3)
-    assert cutsize(h, p) == cutsize(h, q)
+    assert km1_value(h, p.assignment, p.k) == km1_value(h, q.assignment, q.k)
 
 
 # ---------------------------------------------------------------------------

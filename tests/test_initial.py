@@ -40,14 +40,14 @@ def test_prim_three_point_path():
     tree = prim_mst(X, tau=0.5)
     pairs = {tuple(sorted((u, v))) for u, v, _ in tree.edges}
     assert pairs == {(0, 1), (1, 2)}
-    assert tree.total_weight == pytest.approx(0.2, abs=1e-12)
+    assert sum(w for _, _, w in tree.edges) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_prim_two_vertices():
     X = angles_to_features([0.0, 0.3])
     tree = prim_mst(X, tau=0.2)
     assert len(tree.edges) == 1
-    assert tree.total_weight == pytest.approx(1.0 - math.cos(0.3), abs=1e-12)
+    assert sum(w for _, _, w in tree.edges) == pytest.approx(1.0 - math.cos(0.3), abs=1e-12)
 
 
 def test_prim_matches_kruskal_totals():
@@ -62,8 +62,9 @@ def test_prim_matches_kruskal_totals():
             continue  # disconnected under the threshold; covered elsewhere
         tree = prim_mst(X, tau=0.2)
         assert tree.bridges == 0
-        assert float(tree.sorted_weights().sum()) == total
-        assert np.array_equal(tree.sorted_weights(), weights)
+        sorted_weights = np.sort([w for _, _, w in tree.edges])
+        assert float(sorted_weights.sum()) == total
+        assert np.array_equal(sorted_weights, weights)
         done += 1
 
 

@@ -200,8 +200,6 @@ def formula_apply(op, X):
     """The documented formula term by term: a zero array, in-place adds,
     np.outer for B colsum^T and np.add.at for the block sums."""
     out = np.zeros_like(X)
-    if op.matrix is not None:
-        out += op.matrix @ X
     if op.ca:
         out += op.ca * (op.abar @ X)
     if op.cu:
@@ -239,7 +237,7 @@ def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
             abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
             op = ObjectiveOperator(
                 h.n, abar=abar, ca=c[0], cu=-c[1], cw=c[2], cp=-c[3],
-                weights=B, blocks=blocks, matrix=g.adjacency,
+                weights=B, blocks=blocks,
             )
         # k = 2 twice: the second call reads the cached block index
         for k in (1, 2, 4, 2):

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_bipartition_separates_two_blobs():
              frozenset(np.where(res.labels < 0)[0].tolist())}
     assert sides == {frozenset(range(6)), frozenset(range(6, 12))}
     cross = sum(A[i, j] for i in range(6) for j in range(6, 12))
-    assert res.objective == pytest.approx(cross, abs=1e-9)
+    assert 0.25 * float(res.labels @ (L @ res.labels)) == pytest.approx(cross, abs=1e-9)
 
 
 def test_bipartition_identical_features_flagged_infeasible():
@@ -81,7 +82,38 @@ def test_bipartition_identical_features_flagged_infeasible():
     res = mst_bipartition(X, np.ones(6), (5.0, 5.0), L)
     assert not res.feasible
     assert np.all(res.labels == -1.0)
-    assert all(not f for _, f in res.candidates)
+    assert not any(f for _, f, _ in scored_cuts(X, np.ones(6), (5.0, 5.0), L))
+
+
+def scored_cuts(X, B, caps, L):
+    """(score, feasible, labels) of every cut ``mst_bipartition`` scores, in
+    order: cut each scored tree edge, put the child's subtree (every key
+    whose parent chain reaches the child) on side 2, and label by the
+    nearer center as the docstring describes."""
+    n = X.shape[0]
+    total = float(B.sum())
+    n_key = math.ceil(refine.KEY_FRACTION * n)
+    keys = np.arange(n) if n_key < 2 else np.sort(np.lexsort((np.arange(n), -B))[:n_key])
+    tree = prim_mst(X, vertices=keys, metric="euclidean")
+    order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
+    cuts = []
+    for ei in order[: max(1, math.ceil(refine.CUT_FRACTION * len(tree.edges)))]:
+        child = tree.edges[ei][1]
+        side2 = np.zeros(keys.shape[0], dtype=bool)
+        for v in range(keys.shape[0]):
+            u = v
+            while u >= 0 and u != child:
+                u = int(tree.parent[u])
+            side2[v] = u == child
+        c1 = X[keys[~side2]].mean(axis=0)
+        c2 = X[keys[side2]].mean(axis=0)
+        d1 = np.sum((X - c1) ** 2, axis=1)
+        d2 = np.sum((X - c2) ** 2, axis=1)
+        y = np.where(d1 - d2 > 0.0, 1.0, -1.0)
+        yb = float(y @ B)
+        feasible = 0.5 * (total + yb) <= caps[0] and 0.5 * (total - yb) <= caps[1]
+        cuts.append((0.25 * float(y @ (L @ y)), feasible, y))
+    return cuts
 
 
 def test_bipartition_candidate_envelope_and_brute_force():
@@ -95,65 +127,46 @@ def test_bipartition_candidate_envelope_and_brute_force():
         B = rng.integers(1, 5, size=n).astype(np.float64)
         cap = 0.75 * float(B.sum())
         res = mst_bipartition(X, B, (cap, cap), L)
+        objective = 0.25 * float(res.labels @ (L @ res.labels))
 
-        # the returned value is the minimum over the scored candidates
-        feas = [obj for obj, f in res.candidates if f]
+        # the returned labeling is the minimum over the scored cuts
+        cuts = scored_cuts(X, B, (cap, cap), L)
+        feas = [obj for obj, f, _ in cuts if f]
         if res.feasible:
-            assert res.objective == min(feas)
+            assert objective == min(feas)
         else:
             assert not feas
-            assert res.objective == min(obj for obj, _ in res.candidates)
+            assert objective == min(obj for obj, _, _ in cuts)
 
         best = brute_force_signed_labels(L.toarray(), B, (cap, cap))
         if res.feasible:
             assert best is not None
-            assert res.objective >= best - 1e-9
+            assert objective >= best - 1e-9
             checked_feasible += 1
     assert checked_feasible >= 15
 
 
 def test_bipartition_candidates_match_subtree_oracle():
-    # oracle: cut each scored tree edge in order, put the child's subtree
-    # (every key whose parent chain reaches the child) on side 2, and score
-    # the nearest-center labeling the docstring describes
     rng = np.random.default_rng(37)
+    several = 0
     for _ in range(25):
-        n = int(rng.integers(4, 40))
+        n = int(rng.integers(40, 401))
         X = rng.normal(size=(n, 2))
-        L = laplacian(CliqueGraph.from_adjacency(random_adjacency(rng, n)))
+        A = np.triu(rng.integers(1, 5, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+        L = laplacian(CliqueGraph.from_adjacency((A + A.T).astype(np.float64)))
         B = rng.integers(1, 5, size=n).astype(np.float64)
         total = float(B.sum())
         caps = (0.75 * total, 0.6 * total)  # unequal, so the sides differ
-        key_fraction = float(rng.choice([0.05, 0.5, 1.0]))
-        res = mst_bipartition(X, B, caps, L, key_fraction, 0.5)
+        res = mst_bipartition(X, B, caps, L)
 
-        n_key = math.ceil(key_fraction * n)
-        keys = np.arange(n) if n_key < 2 else np.sort(np.lexsort((np.arange(n), -B))[:n_key])
-        tree = prim_mst(X, vertices=keys, metric="euclidean")
-        order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
-        want, labelings = [], []
-        for ei in order[: max(1, math.ceil(0.5 * len(tree.edges)))]:
-            child = tree.edges[ei][1]
-            side2 = np.zeros(keys.shape[0], dtype=bool)
-            for v in range(keys.shape[0]):
-                u = v
-                while u >= 0 and u != child:
-                    u = int(tree.parent[u])
-                side2[v] = u == child
-            c1 = X[keys[~side2]].mean(axis=0)
-            c2 = X[keys[side2]].mean(axis=0)
-            d1 = np.sum((X - c1) ** 2, axis=1)
-            d2 = np.sum((X - c2) ** 2, axis=1)
-            y = np.where(d1 - d2 > 0.0, 1.0, -1.0)
-            yb = float(y @ B)
-            feasible = 0.5 * (total + yb) <= caps[0] and 0.5 * (total - yb) <= caps[1]
-            want.append((0.25 * float(y @ (L @ y)), feasible))
-            labelings.append(y)
-        assert res.candidates == want
-        # the first feasible candidate of least objective, else the first overall
-        pool = [i for i, (_, f) in enumerate(want) if f] or range(len(want))
-        best = min(pool, key=lambda i: want[i][0])
-        assert np.array_equal(res.labels, labelings[best])
+        cuts = scored_cuts(X, B, caps, L)
+        several += len(cuts) >= 2
+        # the first feasible cut of least score, else the first overall
+        pool = [i for i, (_, f, _) in enumerate(cuts) if f] or range(len(cuts))
+        best = min(pool, key=lambda i: cuts[i][0])
+        assert res.feasible == cuts[best][1]
+        assert np.array_equal(res.labels, cuts[best][2])
+    assert several >= 10
 
 
 def test_bipartition_rejects_single_vertex():
@@ -193,26 +206,30 @@ def test_block_connectivity_matrix():
         assert np.array_equal(block_connectivity(h, p), expected)
 
 
+def unpaired(pairs, k):
+    """The blocks in no pair."""
+    return sorted(set(range(k)) - {b for pair in pairs for b in pair})
+
+
 def test_pair_blocks_two_blocks():
     h = Hypergraph.from_edges([[0, 1]])
-    plan = pair_blocks(h, Partition(h, [0, 1], 2))
-    assert plan.pairs == [(0, 1)] and plan.leftover is None
+    assert pair_blocks(h, Partition(h, [0, 1], 2)) == [(0, 1)]
 
 
 def test_pair_blocks_strongest_first_with_leftover():
     h, p = three_block_instance()
-    plan = pair_blocks(h, p)
-    assert plan.pairs == [(0, 1)]
-    assert plan.leftover == 2
+    pairs = pair_blocks(h, p)
+    assert pairs == [(0, 1)]
+    assert unpaired(pairs, 3) == [2]
 
 
 def test_pair_blocks_even_k_covers_all():
     rng = np.random.default_rng(3)
     h = random_hypergraph(rng, 12, 20)
     p = Partition(h, rng.integers(0, 4, size=12), 4)
-    plan = pair_blocks(h, p)
-    assert len(plan.pairs) == 2 and plan.leftover is None
-    seen = sorted(b for pair in plan.pairs for b in pair)
+    pairs = pair_blocks(h, p)
+    assert len(pairs) == 2 and unpaired(pairs, 4) == []
+    seen = sorted(b for pair in pairs for b in pair)
     assert seen == [0, 1, 2, 3]
 
 
@@ -220,10 +237,48 @@ def test_pair_blocks_odd_k_leaves_one():
     rng = np.random.default_rng(4)
     h = random_hypergraph(rng, 15, 25)
     p = Partition(h, np.arange(15) % 5, 5)
-    plan = pair_blocks(h, p)
-    assert len(plan.pairs) == 2
-    used = {b for pair in plan.pairs for b in pair}
-    assert plan.leftover not in used and len(used) == 4
+    pairs = pair_blocks(h, p)
+    assert len(pairs) == 2
+    used = {b for pair in pairs for b in pair}
+    assert len(unpaired(pairs, 5)) == 1 and len(used) == 4
+
+
+def repeated_maximum_pairs(S, k):
+    """The former pairing rule: repeatedly join the two unpaired blocks of
+    largest S (ties: lexicographically smallest pair)."""
+    unpaired, pairs = list(range(k)), []
+    while len(unpaired) >= 2:
+        best = None
+        for a, b in itertools.combinations(unpaired, 2):
+            key = (-S[a, b], a, b)
+            if best is None or key < best:
+                best = key
+        _, a, b = best
+        pairs.append((a, b))
+        unpaired.remove(a)
+        unpaired.remove(b)
+    return pairs
+
+
+def test_pair_blocks_matches_repeated_maximum(monkeypatch):
+    rng = np.random.default_rng(151)
+    tied = 0
+    for k in range(1, 9):
+        h = Hypergraph.from_edges([[v] for v in range(k)])
+        p = Partition(h, np.arange(k), k)
+        for _ in range(40):
+            # few distinct strengths, so equal maxima are common
+            upper = np.triu(rng.integers(0, 3, size=(k, k)), 1).astype(np.float64)
+            S = upper + upper.T
+            tied += len(set(S[np.triu_indices(k, 1)].tolist())) < k * (k - 1) // 2
+            monkeypatch.setattr(refine, "block_connectivity", lambda h, p, S=S: S)
+            assert pair_blocks(h, p) == repeated_maximum_pairs(S, k)
+        monkeypatch.undo()
+        for _ in range(10):  # and on real connectivity
+            g = random_hypergraph(rng, 3 * k, 4 * k, weighted=bool(rng.integers(0, 2)))
+            q = Partition(g, rng.integers(0, k, size=3 * k), k)
+            assert pair_blocks(g, q) == repeated_maximum_pairs(block_connectivity(g, q), k)
+    assert tied >= 200
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +326,7 @@ def test_pairwise_leftover_block_untouched():
     )
     p = Partition(h, [0, 0, 0, 1, 1, 1, 2, 2, 2], 3)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.1)
-    plan = pair_blocks(h, p)
-    assert plan.leftover == 2
+    assert unpaired(pair_blocks(h, p), 3) == [2]
     out = pairwise_improve(h, p, spec, PipelineConfig(pair_rounds=1))
     assert np.array_equal(np.where(out.assignment == 2)[0], np.array([6, 7, 8]))
 
@@ -296,14 +350,14 @@ def test_pairwise_monotone_and_feasibility_preserving():
 
 def scripted_pairwise(monkeypatch, h, start, splits):
     """One pairwise round on blocks (0, 1) of ``start`` in which the i-th
-    ``mst_bipartition`` call returns ``splits[i]`` = (blocks, objective,
-    feasible); ``blocks`` lists the block of every vertex of the pair."""
+    ``mst_bipartition`` call returns ``splits[i]`` = (blocks, feasible);
+    ``blocks`` lists the block of every vertex of the pair."""
     results = iter(splits)
 
     def stub(X, B, caps, L):
-        blocks, objective, feasible = next(results)
+        blocks, feasible = next(results)
         labels = np.where(np.asarray(blocks) == 0, 1.0, -1.0)
-        return BipartitionResult(labels, objective, feasible, [])
+        return BipartitionResult(labels, feasible)
 
     monkeypatch.setattr(refine, "mst_bipartition", stub)
     config = PipelineConfig(
@@ -328,9 +382,9 @@ def test_pair_split_is_chosen_by_km1_not_by_proxy(monkeypatch):
     h = two_group_graph()
     assert [km1_oracle(h, np.array(a)) for a in (GOOD, MID, ALTERNATING)] == [1, 31, 41]
     # the all-in-one-block split has km1 0 but is infeasible, so it is skipped;
-    # MID has the lowest proxy objective but GOOD the lowest km1
+    # MID comes first in the grid but GOOD has the lowest km1
     _, out = scripted_pairwise(monkeypatch, h, ALTERNATING, [
-        ([0] * 8, -1.0, False), (MID, 0.0, True), (GOOD, 100.0, True),
+        ([0] * 8, False), (MID, True), (GOOD, True),
     ])
     assert out.assignment.tolist() == GOOD
     assert out.cutsize == 1
@@ -339,7 +393,7 @@ def test_pair_split_is_chosen_by_km1_not_by_proxy(monkeypatch):
 def test_pair_split_not_strictly_better_leaves_input(monkeypatch):
     h = two_group_graph()
     p, out = scripted_pairwise(monkeypatch, h, GOOD, [
-        (MIRROR, 0.0, True), (MID, 0.0, True), (ALTERNATING, 0.0, True),
+        (MIRROR, True), (MID, True), (ALTERNATING, True),
     ])
     assert out.assignment.tolist() == GOOD
     assert out.cutsize == p.cutsize == 1
@@ -350,7 +404,7 @@ def test_pair_split_not_strictly_better_leaves_input(monkeypatch):
 def test_pair_split_km1_tie_keeps_first_grid_point(monkeypatch, first, second):
     h = two_group_graph()
     _, out = scripted_pairwise(monkeypatch, h, ALTERNATING, [
-        (MID, 0.0, True), (first, 5.0, True), (second, 1.0, True),
+        (MID, True), (first, True), (second, True),
     ])
     assert out.assignment.tolist() == first
     assert out.cutsize == 1
