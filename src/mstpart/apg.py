@@ -98,14 +98,11 @@ def project_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray | None = None) -> float:
+def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray) -> float:
     """Secant estimate between X0 and the projected gradient direction:
-    ||X0 - X1|| / ||grad(X0) - grad(X1)|| with X1 = project(grad(X0)).
-    ``g0`` is grad(X0) when the caller already has it.  Degenerate cases
-    fall back to 1.0.
+    ||X0 - X1|| / ||g0 - grad(X1)|| with g0 = grad(X0) and
+    X1 = project(g0).  Degenerate cases fall back to 1.0.
     """
-    if g0 is None:
-        g0 = op.gradient(X0)
     X1 = project_rows(g0)
     g1 = op.gradient(X1)
     num = np.linalg.norm(X0 - X1)

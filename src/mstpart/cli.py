@@ -113,6 +113,8 @@ def _resolve_epsilon(args) -> float:
             raise CliError("--epsilon must be finite and >= 0")
         return args.epsilon
     if args.ubfactor is not None:
+        if not 0 < args.ubfactor < 50:  # NaN fails too
+            raise CliError("--ubfactor must lie in (0, 50)")
         return epsilon_from_ubfactor(args.ubfactor, args.k)
     return default_epsilon(args.k)
 
@@ -198,11 +200,11 @@ def _flag(value: bool) -> str:
 
 
 def _load_instance(args):
+    if args.k < 1:
+        raise CliError("--k must be >= 1")
     t0 = time.perf_counter()
     h = parse_hmetis(_read_text(args.input))
     io_time = time.perf_counter() - t0
-    if args.k < 1:
-        raise CliError("k must be >= 1")
     eps = _resolve_epsilon(args)
     spec = BalanceSpec.for_hypergraph(h, args.k, eps)
     return h, spec, eps, io_time

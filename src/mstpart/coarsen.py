@@ -26,6 +26,8 @@ __all__ = [
     "project_partition",
 ]
 
+MAX_ROUNDS = 20  # match-and-contract rounds at most
+
 
 @dataclass
 class CoarseLevel:
@@ -112,22 +114,17 @@ def contract(h: Hypergraph, matching: list[tuple[int, int]]) -> CoarseLevel:
     return CoarseLevel(coarse, ids)
 
 
-def coarsen(
-    h: Hypergraph,
-    spec: BalanceSpec,
-    coarsest_factor: int = 625,
-    max_rounds: int = 20,
-) -> Hierarchy:
+def coarsen(h: Hypergraph, spec: BalanceSpec, coarsest_factor: int = 625) -> Hierarchy:
     """Repeat match-and-contract until any stop condition holds: the vertex
     count is at most coarsest_factor * k, the matching comes back empty, a
-    round keeps more than 80 % of the vertices, or max_rounds rounds have
-    run.  The cap for pair weights is the first block bound of the original
-    instance.
+    round keeps more than 80 % of the vertices, or ``MAX_ROUNDS`` rounds
+    have run.  The cap for pair weights is the first block bound of the
+    original instance.
     """
     levels: list[CoarseLevel] = []
     cur = h
     cap = spec.cap
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if cur.n <= coarsest_factor * spec.k:
             break
         matching = build_matching(cur, cap)

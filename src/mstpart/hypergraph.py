@@ -399,14 +399,9 @@ class Partition:
 
 
 def km1_value(h: Hypergraph, assignment: np.ndarray, k: int) -> int:
-    """Connectivity-1 cutsize of a raw assignment array."""
-    if h.m == 0:
-        return 0
-    assignment = np.asarray(assignment, dtype=np.int64)
-    edge_ids = np.repeat(np.arange(h.m, dtype=np.int64), np.diff(h.pin_offsets))
-    keys = edge_ids * k + assignment[h.pin_list]
-    spans = np.bincount(np.unique(keys) // k, minlength=h.m)
-    return int(np.sum(h.edge_weight * (spans - 1)))
+    """Connectivity-1 cutsize of a raw assignment array, as ``Partition``
+    computes it; a block id outside 0..k-1 is a ``PartitionFormatError``."""
+    return Partition(h, assignment, k).cutsize
 
 
 def is_feasible(p: Partition, spec: BalanceSpec) -> bool:

@@ -3,8 +3,10 @@
 A similarity graph connects vertices whose embedded features have dot
 product above a threshold tau, with edge weight 1 - similarity.  Its MST is
 pruned at the heaviest edges to form clusters, which are then merged into k
-blocks.  Small instances cluster every vertex; large ones cluster only the
-heaviest fifth of the vertices and place the rest by nearest centroid.
+blocks.  Both scales run one routine, ``_cluster_partition``: small
+instances cluster every vertex under the true block caps; large ones cluster
+only the heaviest fifth of the vertices under a cap adapted to their mass,
+and the routine then places the rest by nearest centroid.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def prim_mst(
     1 - similarity.  metric "euclidean": complete graph under Euclidean
     distance (tau is ignored).  A disconnected similarity graph is always
     bridged: each stranded part joins the tree through the lightest
-    crossing edge, ignoring tau, and ``bridges`` counts those edges.
+    crossing edge, ignoring tau, and ``bridges`` counts those edges.  The
+    Euclidean graph is complete, so Prim never strands a vertex there.
     """
     X = np.asarray(X, dtype=np.float64)
     if vertices is None:
@@ -120,7 +123,7 @@ def prim_mst(
         u = int(np.argmin(masked))
         if masked[u] == INF:
             # stranded: no thresholded edge reaches the rest
-            u = _bridge(local, in_tree, dist, parent, euclid)
+            u = _bridge(local, in_tree, dist, parent)
             bridges += 1
         in_tree[u] = True
         if parent[u] >= 0:
@@ -147,14 +150,14 @@ def prim_mst(
     return SpanningTree(vertices, edges, parent, bridges)
 
 
-def _bridge(local, in_tree, dist, parent, euclid):
-    """Lightest edge from the tree to any stranded vertex, threshold ignored."""
+def _bridge(local, in_tree, dist, parent):
+    """Lightest similarity edge from the tree to any stranded vertex,
+    threshold ignored.  Only the similarity metric strands vertices: the
+    Euclidean graph is complete.
+    """
     inside = np.where(in_tree)[0]
     outside = np.where(~in_tree)[0]
-    if euclid:
-        W = np.linalg.norm(local[inside][:, None, :] - local[outside][None, :, :], axis=2)
-    else:
-        W = 1.0 - local[inside] @ local[outside].T
+    W = 1.0 - local[inside] @ local[outside].T
     flat = int(np.argmin(W))
     i, j = divmod(flat, outside.shape[0])
     u = int(outside[j])
@@ -216,50 +219,43 @@ def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int,
         raise ValueError(f"need at least k={spec.k} clusters, got p={p}")
     if p > h.n:
         raise ValueError(f"p={p} exceeds the vertex count {h.n}")
-    tree = prim_mst(X, tau=tau)
-    clusters = prune_clusters(tree, p, h.vertex_weight, X)
-    members, _, _, _ = _merge_clusters(clusters, spec.k, spec.upper_bounds)
-    assignment = np.empty(h.n, dtype=np.int64)
-    for b, chunks in enumerate(members):
-        for chunk in chunks:
-            assignment[chunk] = b
-    return Partition(h, assignment, spec.k)
+    return _cluster_partition(X, h, spec, np.arange(h.n), p, spec.upper_bounds, tau)
 
 
 def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int, tau: float = 0.2) -> Partition:
-    """Cluster only the heaviest ceil(0.2 n) vertices (ties by lower index),
-    merge their clusters under an adapted cap scaled to representative mass,
-    then place every remaining vertex at its nearest centroid that still fits
-    the true cap, falling back to the lightest block.  Centroids track
-    running means as vertices arrive.
+    """Cluster only the heaviest ceil(0.2 n) vertices (ties by lower index)
+    into min(p, n_rep) clusters, merged under the cap adapted to their mass,
+    (1 + epsilon) * rep_weight / k; every other vertex is then placed by
+    nearest centroid.
     """
-    n = h.n
     B = h.vertex_weight
-    n_rep = math.ceil(0.2 * n)
-    by_weight = np.lexsort((np.arange(n), -B))
-    reps = np.sort(by_weight[:n_rep])
-    if p > n_rep:
-        p = n_rep
+    n_rep = math.ceil(0.2 * h.n)
+    reps = np.sort(np.lexsort((np.arange(h.n), -B))[:n_rep])
+    p = min(p, n_rep)
     if p < spec.k:
         raise ValueError(f"need at least k={spec.k} representative clusters, got p={p}")
+    adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
+    return _cluster_partition(X, h, spec, reps, p, np.full(spec.k, adapted_cap), tau)
 
-    tree = prim_mst(X, vertices=reps, tau=tau)
+
+def _cluster_partition(X, h, spec, vertices, p, merge_caps, tau) -> Partition:
+    """Prim over ``vertices``, prune to p clusters and merge them into k
+    blocks under ``merge_caps``.  Each vertex left out of ``vertices`` is
+    then placed, in index order, at its nearest block centroid among the
+    blocks that still fit it under the true caps, else in the lightest
+    block; centroids track running means as vertices arrive.
+    """
+    B = h.vertex_weight
+    tree = prim_mst(X, vertices=vertices, tau=tau)
     clusters = prune_clusters(tree, p, B, X)
-    rep_total = int(clusters.weights.sum())
-    adapted_cap = (1.0 + spec.epsilon) * rep_total / spec.k
-    members, weights, centroids, counts = _merge_clusters(
-        clusters, spec.k, np.full(spec.k, adapted_cap)
-    )
-
-    assignment = np.full(n, -1, dtype=np.int64)
+    members, weights, centroids, counts = _merge_clusters(clusters, spec.k, merge_caps)
+    assignment = np.full(h.n, -1, dtype=np.int64)
     for b, chunks in enumerate(members):
         for chunk in chunks:
             assignment[chunk] = b
 
     caps = spec.upper_bounds
-    for v in range(n):
-        if assignment[v] >= 0:
-            continue
+    for v in np.flatnonzero(assignment < 0).tolist():
         w = int(B[v])
         d = np.linalg.norm(centroids - X[v], axis=1)
         fits = weights + w <= caps

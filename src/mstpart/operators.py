@@ -152,16 +152,6 @@ class ObjectiveOperator:
             weights=weights, blocks=blocks, mode="pair",
         )
 
-    @classmethod
-    def from_matrix(cls, matrix):
-        """Explicit symmetric matrix as the ``abar`` term, for diagnostics."""
-        matrix = sparse.csr_matrix(matrix)
-        return cls(matrix.shape[0], abar=matrix, ca=1.0, mode="explicit")
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls.from_matrix(sparse.identity(n, format="csr"))
-
     # -- application --------------------------------------------------------
 
     def apply(self, X: np.ndarray) -> np.ndarray:

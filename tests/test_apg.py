@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from helpers import random_hypergraph
 from mstpart.apg import (
@@ -74,15 +75,15 @@ def test_project_rows_zero_rows_exact():
 def test_initial_stepsize_identity():
     # C = I: grad(X) = -2X, X1 = project(-2X) = -X, so the secant ratio is 1/2
     X0 = project_rows(np.random.default_rng(2).normal(size=(6, 2)))
-    op = ObjectiveOperator.identity(6)
-    assert initial_stepsize(op, X0) == pytest.approx(0.5)
+    op = ObjectiveOperator(6, abar=sparse.identity(6, format="csr"), ca=1.0)
+    assert initial_stepsize(op, X0, op.gradient(X0)) == pytest.approx(0.5)
 
 
 def test_initial_stepsize_degenerate_falls_back():
     # C = -I/2: grad(X) = X, already row-normalized, so X1 = X0 exactly
     X0 = project_rows(np.random.default_rng(3).normal(size=(5, 3)))
-    op = ObjectiveOperator.from_matrix(-0.5 * np.eye(5))
-    assert initial_stepsize(op, X0) == 1.0
+    op = ObjectiveOperator(5, abar=-0.5 * np.eye(5), ca=1.0)
+    assert initial_stepsize(op, X0, op.gradient(X0)) == 1.0
 
 
 def test_initial_stepsize_positive_finite():
@@ -90,15 +91,8 @@ def test_initial_stepsize_positive_finite():
     for _ in range(100):
         op, n, k = random_embedding_op(rng, n_max=20)
         X0 = seeded_features(n, k, stream=int(rng.integers(0, 1000)))
-        a = initial_stepsize(op, X0)
+        a = initial_stepsize(op, X0, op.gradient(X0))
         assert np.isfinite(a) and a > 0
-
-
-def test_initial_stepsize_reuses_given_gradient():
-    rng = np.random.default_rng(31)
-    op, n, k = random_embedding_op(rng, n_max=20)
-    X0 = seeded_features(n, k, stream=3)
-    assert initial_stepsize(op, X0, op.gradient(X0)) == initial_stepsize(op, X0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +102,7 @@ def test_minimize_stationary_start_stops_at_zero_iterations():
     # every row-feasible point is a fixed point of the projected gradient map
     # for C = I, so the initial residual is zero
     X0 = project_rows(np.random.default_rng(7).normal(size=(8, 2)))
-    res = minimize(ObjectiveOperator.identity(8), X0)
+    res = minimize(ObjectiveOperator(8, abar=sparse.identity(8, format="csr"), ca=1.0), X0)
     assert res.iterations == 0
     assert res.converged
     assert np.allclose(res.X, X0, atol=1e-15)
@@ -211,16 +205,16 @@ def test_minimize_apply_count():
         assert calls[0] == 3 + sum(2 if rec.accepted else 3 for rec in res.trace)
     assert branches == {True, False}
     # a stationary start stops after the 3 start-up applies
-    op = ObjectiveOperator.identity(8)
+    op = ObjectiveOperator(8, abar=sparse.identity(8, format="csr"), ca=1.0)
     calls = counted(op)
     assert minimize(op, seeded_features(8, 2)).iterations == 0
     assert calls[0] == 3
 
 
 def test_minimize_rejects_nonfinite():
-    bad = np.full((3, 3), np.nan)
+    op = ObjectiveOperator(3, abar=sparse.diags([np.inf, 1.0, 1.0], format="csr"), ca=1.0)
     with pytest.raises(FloatingPointError):
-        minimize(ObjectiveOperator.from_matrix(np.nan_to_num(bad) + np.diag([np.inf, 1, 1])), seeded_features(3, 2))
+        minimize(op, seeded_features(3, 2))
 
 
 def test_params_validation():

@@ -347,6 +347,7 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--tau", "nan"),
     ("--lambda1", "2"), ("--lambda1", "nan"), ("--lambda2", "-0.5"),
     ("--xi1", "1.5"), ("--xi1", "nan"), ("--xi2", "-1"),
+    ("--k", "0"), ("--ubfactor", "60"), ("--ubfactor", "nan"),
 ])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)

@@ -1,5 +1,7 @@
 """Coarsening tests: scores, greedy matching, contraction, multilevel loop."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from mstpart.coarsen import (
 )
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition
 from mstpart.operators import clique_expand
+
+# the package re-exports the function ``coarsen`` under the module's name
+coarsen_module = importlib.import_module("mstpart.coarsen")
 
 
 def score_table_oracle(h):
@@ -226,11 +231,12 @@ def test_coarsen_chain_replay():
     assert final.total_weight == h.total_weight
 
 
-def test_coarsen_respects_round_cap():
+def test_coarsen_respects_round_cap(monkeypatch):
     n = 6000
     h = Hypergraph.from_edges([[i, i + 1] for i in range(n - 1)], n=n)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
-    hier = coarsen(h, spec, max_rounds=2)
+    monkeypatch.setattr(coarsen_module, "MAX_ROUNDS", 2)
+    hier = coarsen(h, spec)
     assert len(hier) <= 2
 
 

@@ -149,6 +149,23 @@ def test_cutsize_matches_oracle_on_randoms():
         p = random_partition(rng, h, k)
         assert km1_value(h, p.assignment, p.k) == km1_oracle(h, p.assignment)
         assert p.cutsize == km1_oracle(h, p.assignment)
+    edge_cases = [
+        (Hypergraph.from_edges([], n=4), 2),  # m = 0
+        (Hypergraph.from_edges([[0], [2], [1, 3]], n=4, edge_weight=[3, 2, 1]), 2),  # single pins
+        (Hypergraph.from_edges([[0, 1], [1]], n=6), 3),  # isolated vertices 2..5
+        (random_hypergraph(rng, 4, 6, weighted=True), 4),  # k = n
+        (random_hypergraph(rng, 3, 5, weighted=True), 7),  # k > n
+    ]
+    for h, k in edge_cases:
+        for _ in range(20):
+            p = random_partition(rng, h, k)
+            assert km1_value(h, p.assignment, k) == km1_oracle(h, p.assignment)
+
+
+def test_km1_value_rejects_block_ids_outside_k():
+    h = Hypergraph.from_edges([[0, 1], [1, 2]], n=3)
+    with pytest.raises(PartitionFormatError):
+        km1_value(h, np.array([2, 0, 0]), 2)
 
 
 def test_cutsize_relabel_invariant():

@@ -15,6 +15,7 @@ from helpers import (
 from mstpart.apg import project_rows, seeded_features
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from mstpart.initial import (
+    _merge_clusters,
     candidate_p_values,
     mst_partition_small,
     prim_mst,
@@ -234,10 +235,13 @@ def test_small_partition_rejects_p_below_k():
     X = project_rows(np.random.default_rng(0).normal(size=(6, 2)))
     h = Hypergraph.from_edges([[0, 1]], n=6)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need at least k=3 clusters, got p=2$"):
         mst_partition_small(X, h, spec, p=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p=7 exceeds the vertex count 6$"):
         mst_partition_small(X, h, spec, p=7)
+    # n_rep = ceil(0.2 * 6) = 2 < k, so any p is lowered below k
+    with pytest.raises(ValueError, match=r"^need at least k=3 representative clusters, got p=2$"):
+        representative_partition_large(X, h, spec, p=5)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +291,75 @@ def test_representative_at_cap_falls_to_lightest():
     spec = BalanceSpec.from_total(50, 2, 0.0)  # cap 25 = five vertices
     part = representative_partition_large(X, h, spec, p=2, tau=-1.1)
     assert part.block_weight.tolist() == [25, 25]
+
+
+def reference_small(X, h, spec, p, tau):
+    """Small-scale partition written out straight: cluster every vertex,
+    merge under the true caps."""
+    tree = prim_mst(X, tau=tau)
+    clusters = prune_clusters(tree, p, h.vertex_weight, X)
+    members, _, _, _ = _merge_clusters(clusters, spec.k, spec.upper_bounds)
+    assignment = np.empty(h.n, dtype=np.int64)
+    for b, chunks in enumerate(members):
+        for chunk in chunks:
+            assignment[chunk] = b
+    return assignment
+
+
+def reference_large(X, h, spec, p, tau):
+    """Large-scale partition written out straight: cluster the heaviest
+    fifth under the adapted cap, then place the rest one by one."""
+    n, B = h.n, h.vertex_weight
+    n_rep = math.ceil(0.2 * n)
+    reps = np.sort(np.lexsort((np.arange(n), -B))[:n_rep])
+    tree = prim_mst(X, vertices=reps, tau=tau)
+    clusters = prune_clusters(tree, min(p, n_rep), B, X)
+    adapted_cap = (1.0 + spec.epsilon) * int(clusters.weights.sum()) / spec.k
+    members, weights, centroids, counts = _merge_clusters(
+        clusters, spec.k, np.full(spec.k, adapted_cap)
+    )
+    assignment = np.full(n, -1, dtype=np.int64)
+    for b, chunks in enumerate(members):
+        for chunk in chunks:
+            assignment[chunk] = b
+    caps = spec.upper_bounds
+    for v in range(n):
+        if assignment[v] >= 0:
+            continue
+        w = int(B[v])
+        d = np.linalg.norm(centroids - X[v], axis=1)
+        fits = weights + w <= caps
+        if np.any(fits):
+            j = int(np.argmin(np.where(fits, d, np.inf)))
+        else:
+            j = int(np.argmin(weights))
+        assignment[v] = j
+        weights[j] += w
+        centroids[j] = (counts[j] * centroids[j] + X[v]) / (counts[j] + 1)
+        counts[j] += 1
+    return assignment
+
+
+def test_both_scales_match_their_written_out_references():
+    rng = np.random.default_rng(331)
+    stranded = 0
+    for trial in range(12):
+        n = int(rng.integers(15, 60))
+        k = int(rng.integers(2, 5))
+        h = random_hypergraph(rng, n, n, weighted=True)
+        spec = BalanceSpec.for_hypergraph(h, k, float(rng.choice([0.0, 0.05, 0.3])))
+        X = project_rows(rng.normal(size=(n, 3)))
+        n_rep = math.ceil(0.2 * n)
+        for tau in (0.2, 0.95):  # 0.95 leaves the similarity graph disconnected
+            stranded += prim_mst(X, tau=tau).bridges > 0
+            for p in range(k, n_rep + 3):
+                assert np.array_equal(mst_partition_small(X, h, spec, p, tau).assignment,
+                                      reference_small(X, h, spec, p, tau))
+                if min(p, n_rep) >= k:
+                    assert np.array_equal(
+                        representative_partition_large(X, h, spec, p, tau).assignment,
+                        reference_large(X, h, spec, p, tau))
+    assert stranded > 0
 
 
 # ---------------------------------------------------------------------------

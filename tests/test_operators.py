@@ -261,7 +261,7 @@ def test_nonzero_term_without_its_input_is_rejected(coef, field):
 # value and gradient
 
 def test_value_zero_matrix():
-    op = ObjectiveOperator.from_matrix(np.zeros((4, 4)))
+    op = ObjectiveOperator(4, abar=np.zeros((4, 4)), ca=1.0)
     X = np.ones((4, 2))
     assert op.value(X) == 0.0
 
@@ -271,7 +271,7 @@ def test_value_identity_diagnostic():
     n = 7
     X = rng.normal(size=(n, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    op = ObjectiveOperator.identity(n)
+    op = ObjectiveOperator(n, abar=sparse.identity(n, format="csr"), ca=1.0)
     assert op.value(X) == pytest.approx(-n)
 
 
@@ -319,7 +319,7 @@ def test_operator_validates_inputs():
         ObjectiveOperator.embedding(
             CliqueGraph.from_adjacency(np.zeros((3, 3))), np.ones(3), 1.5, 0.5
         )
-    op = ObjectiveOperator.identity(3)
+    op = ObjectiveOperator(3, abar=sparse.identity(3, format="csr"), ca=1.0)
     with pytest.raises(ValueError):
         op.apply(np.ones((4, 2)))
 

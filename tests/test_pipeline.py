@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,3 +214,30 @@ def test_unbalanced_coarsest_level_is_repaired_on_the_way_up(k, cut):
     assert res.levels > 0
     assert res.feasible and is_feasible(res.partition, spec)
     assert res.cutsize == cut == km1_oracle(h, res.partition.assignment)
+
+
+LEAVES_CSGRAPH_UNLOADED = """
+import sys
+import mstpart
+from mstpart import BalanceSpec, Hypergraph, Partition, PipelineConfig
+loaded = ["scipy.sparse.csgraph" in sys.modules]
+h = Hypergraph.from_edges([[i, i + 1] for i in range(29)] + [[0, 15, 29]], n=30)
+spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
+mstpart.run_pipeline(h, spec, PipelineConfig(num_init=1))
+loaded.append("scipy.sparse.csgraph" in sys.modules)
+mstpart.improve_partition(h, Partition(h, [0] * 20 + [1] * 10, 2), spec, PipelineConfig())
+loaded.append("scipy.sparse.csgraph" in sys.modules)
+print(loaded)
+"""
+
+
+def test_library_runs_leave_csgraph_unloaded():
+    # scipy.sparse.csgraph loads scipy.linalg, about 10 MB of resident memory
+    # that no partitioner code path needs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", LEAVES_CSGRAPH_UNLOADED],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False]"
