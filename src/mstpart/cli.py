@@ -70,7 +70,6 @@ def _add_pipeline_flags(sp):
     sp.add_argument("--num-init", type=int, default=10, help="initial partition candidates")
     sp.add_argument("--lambda1", type=float, nargs="+", help="embedding grid for lambda1")
     sp.add_argument("--lambda2", type=float, nargs="+", help="embedding grid for lambda2")
-    sp.add_argument("--tau", type=float, help="similarity threshold for MST building")
     sp.add_argument("--p", type=int, dest="p_override", help="fixed cluster count override")
     sp.add_argument("--p-rule", choices=["sqrt", "linear", "both"], default="both",
                     help="cluster-count rule(s) when --p is not given")
@@ -115,8 +114,16 @@ def _resolve_epsilon(args) -> float:
     if args.ubfactor is not None:
         if not 0 < args.ubfactor < 50:  # NaN fails too
             raise CliError("--ubfactor must lie in (0, 50)")
+        if args.k < 2:
+            raise CliError(f"--ubfactor needs --k >= 2, got {args.k}")
         return epsilon_from_ubfactor(args.ubfactor, args.k)
     return default_epsilon(args.k)
+
+
+def _checked_num_init(num_init: int) -> int:
+    if num_init < 1:
+        raise CliError(f"--num-init must be >= 1, got {num_init}")
+    return num_init
 
 
 def _checked_p(p: int, k: int) -> int:
@@ -159,18 +166,12 @@ def _refine_config(args) -> PipelineConfig:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    if args.num_init < 1:
-        raise CliError("--num-init must be >= 1")
     config = _refine_config(args)
-    config.num_init = args.num_init
+    config.num_init = _checked_num_init(args.num_init)
     if args.lambda1:
         config.lambda1 = _unit_grid(args.lambda1, "--lambda1")
     if args.lambda2:
         config.lambda2 = _unit_grid(args.lambda2, "--lambda2")
-    if args.tau is not None:
-        if np.isnan(args.tau):
-            raise CliError("--tau must not be NaN")
-        config.tau = args.tau
     if args.p_override is not None:
         config.p_override = _checked_p(args.p_override, args.k)
     if args.p_rule != "both":
@@ -289,6 +290,19 @@ def cmd_improve(args) -> int:
     return 0 if report["feasible"] else 2
 
 
+def _axis_override(args, raw: str) -> dict:
+    """The config fields one ``--values`` entry sets, checked by the helpers
+    of the matching flag, so a bad entry fails before any run starts."""
+    try:
+        if args.axis == "p":
+            return {"p_override": _checked_p(int(raw), args.k)}
+        if args.axis == "num_init":
+            return {"num_init": _checked_num_init(int(raw))}
+        return {args.axis: _unit_grid([float(raw)], f"--{args.axis}")}
+    except (CliError, ValueError) as exc:
+        raise CliError(f"--values {raw!r}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
     h, spec, _, _ = _load_instance(args)
     base = _config_from_args(args)
@@ -299,14 +313,7 @@ def cmd_sweep(args) -> int:
     elif not args.values:
         raise CliError(f"axis {args.axis!r} needs --values")
     else:
-        entries = []
-        for raw in args.values:
-            if args.axis == "p":
-                entries.append((raw, {"p_override": _checked_p(int(raw), args.k)}))
-            elif args.axis == "num_init":
-                entries.append((raw, {"num_init": int(raw)}))
-            else:
-                entries.append((raw, {args.axis: (float(raw),)}))
+        entries = [(raw, _axis_override(args, raw)) for raw in args.values]
 
     rows = ["value,cutsize,time"]
     all_feasible = True

@@ -1,12 +1,12 @@
 """Initial partitioning from vertex embeddings.
 
-A similarity graph connects vertices whose embedded features have dot
-product above a threshold tau, with edge weight 1 - similarity.  Its MST is
-pruned at the heaviest edges to form clusters, which are then merged into k
-blocks.  Both scales run one routine, ``_cluster_partition``: small
-instances cluster every vertex under the true block caps; large ones cluster
-only the heaviest fifth of the vertices under a cap adapted to their mass,
-and the routine then places the rest by nearest centroid.
+The complete feature graph joins every pair of vertices with an edge of
+weight 1 - <x_i, x_j>.  Its MST is pruned at the heaviest edges to form
+clusters, which are then merged into k blocks.  Both scales run one
+routine, ``_cluster_partition``: small instances cluster every vertex under
+the true block caps; large ones cluster only the heaviest fifth of the
+vertices under a cap adapted to their mass, and the routine then places the
+rest by nearest centroid.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ class SpanningTree:
     ``vertices`` holds original ids; ``edges`` are (u, v, weight) triples and
     ``parent`` is the Prim parent pointer (-1 at the root), both positional
     into ``vertices``.  Position 0 is the root, and every edge joins a
-    vertex to its parent: ``u == parent[v]``.  ``bridges`` counts fallback
-    edges added to join components of a disconnected similarity graph.
+    vertex to its parent: ``u == parent[v]``.
     """
 
     vertices: np.ndarray
     edges: list[tuple[int, int, float]]
     parent: np.ndarray
-    bridges: int = 0
 
     def heaviest_first(self) -> list[int]:
         """Edge ids from the heaviest edge down, ties by lower id: the order
@@ -83,20 +81,9 @@ class ClusterSet:
     centroids: np.ndarray
 
 
-def prim_mst(
-    X: np.ndarray,
-    vertices: np.ndarray | None = None,
-    tau: float = 0.2,
-    metric: str = "similarity",
-) -> SpanningTree:
-    """Prim's algorithm over the implicit feature graph.
-
-    metric "similarity": edges exist where <x_i, x_j> > tau, weighted
-    1 - similarity.  metric "euclidean": complete graph under Euclidean
-    distance (tau is ignored).  A disconnected similarity graph is always
-    bridged: each stranded part joins the tree through the lightest
-    crossing edge, ignoring tau, and ``bridges`` counts those edges.  The
-    Euclidean graph is complete, so Prim never strands a vertex there.
+def prim_mst(X: np.ndarray, vertices: np.ndarray | None = None) -> SpanningTree:
+    """Prim's algorithm over the complete graph of the feature rows of
+    ``vertices``, each edge weighted 1 - <x_i, x_j>.
     """
     X = np.asarray(X, dtype=np.float64)
     if vertices is None:
@@ -106,9 +93,6 @@ def prim_mst(
     if nv == 0:
         raise ValueError("empty vertex set")
     local = X[vertices]
-    euclid = metric == "euclidean"
-    if metric not in ("similarity", "euclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
 
     INF = np.inf
     dist = np.full(nv, INF)
@@ -116,54 +100,22 @@ def prim_mst(
     in_tree = np.zeros(nv, dtype=bool)
     dist[0] = 0.0
     edges: list[tuple[int, int, float]] = []
-    bridges = 0
 
     for _ in range(nv):
-        masked = np.where(in_tree, INF, dist)
-        u = int(np.argmin(masked))
-        if masked[u] == INF:
-            # stranded: no thresholded edge reaches the rest
-            u = _bridge(local, in_tree, dist, parent)
-            bridges += 1
+        u = int(np.argmin(np.where(in_tree, INF, dist)))
         in_tree[u] = True
         if parent[u] >= 0:
             # recompute the weight from a canonical scalar product so equal
             # trees compare exactly against edge-list oracles
             pu = int(parent[u])
             a, b = (pu, u) if pu < u else (u, pu)
-            if euclid:
-                w = float(np.linalg.norm(local[a] - local[b]))
-            else:
-                w = 1.0 - float(np.dot(local[a], local[b]))
-            edges.append((pu, u, w))
+            edges.append((pu, u, 1.0 - float(np.dot(local[a], local[b]))))
         # relax from u
-        if euclid:
-            w = np.linalg.norm(local - local[u], axis=1)
-            eligible = ~in_tree
-        else:
-            s = local @ local[u]
-            w = 1.0 - s
-            eligible = (~in_tree) & (s > tau)
-        better = eligible & (w < dist)
+        w = 1.0 - local @ local[u]
+        better = ~in_tree & (w < dist)
         dist[better] = w[better]
         parent[better] = u
-    return SpanningTree(vertices, edges, parent, bridges)
-
-
-def _bridge(local, in_tree, dist, parent):
-    """Lightest similarity edge from the tree to any stranded vertex,
-    threshold ignored.  Only the similarity metric strands vertices: the
-    Euclidean graph is complete.
-    """
-    inside = np.where(in_tree)[0]
-    outside = np.where(~in_tree)[0]
-    W = 1.0 - local[inside] @ local[outside].T
-    flat = int(np.argmin(W))
-    i, j = divmod(flat, outside.shape[0])
-    u = int(outside[j])
-    dist[u] = float(W[i, j])
-    parent[u] = int(inside[i])
-    return u
+    return SpanningTree(vertices, edges, parent)
 
 
 def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.ndarray) -> ClusterSet:
@@ -213,16 +165,16 @@ def _merge_clusters(clusters: ClusterSet, k: int, caps: np.ndarray) -> tuple[lis
     return members, weights, centroids, counts
 
 
-def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int, tau: float = 0.2) -> Partition:
+def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int) -> Partition:
     """Cluster every vertex through the pruned MST, then merge into k blocks."""
     if p < spec.k:
         raise ValueError(f"need at least k={spec.k} clusters, got p={p}")
     if p > h.n:
         raise ValueError(f"p={p} exceeds the vertex count {h.n}")
-    return _cluster_partition(X, h, spec, np.arange(h.n), p, spec.upper_bounds, tau)
+    return _cluster_partition(X, h, spec, np.arange(h.n), p, spec.upper_bounds)
 
 
-def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int, tau: float = 0.2) -> Partition:
+def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int) -> Partition:
     """Cluster only the heaviest ceil(0.2 n) vertices (ties by lower index)
     into min(p, n_rep) clusters, merged under the cap adapted to their mass,
     (1 + epsilon) * rep_weight / k; every other vertex is then placed by
@@ -235,10 +187,10 @@ def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSp
     if p < spec.k:
         raise ValueError(f"need at least k={spec.k} representative clusters, got p={p}")
     adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
-    return _cluster_partition(X, h, spec, reps, p, np.full(spec.k, adapted_cap), tau)
+    return _cluster_partition(X, h, spec, reps, p, np.full(spec.k, adapted_cap))
 
 
-def _cluster_partition(X, h, spec, vertices, p, merge_caps, tau) -> Partition:
+def _cluster_partition(X, h, spec, vertices, p, merge_caps) -> Partition:
     """Prim over ``vertices``, prune to p clusters and merge them into k
     blocks under ``merge_caps``.  Each vertex left out of ``vertices`` is
     then placed, in index order, at its nearest block centroid among the
@@ -246,7 +198,7 @@ def _cluster_partition(X, h, spec, vertices, p, merge_caps, tau) -> Partition:
     block; centroids track running means as vertices arrive.
     """
     B = h.vertex_weight
-    tree = prim_mst(X, vertices=vertices, tau=tau)
+    tree = prim_mst(X, vertices=vertices)
     clusters = prune_clusters(tree, p, B, X)
     members, weights, centroids, counts = _merge_clusters(clusters, spec.k, merge_caps)
     assignment = np.full(h.n, -1, dtype=np.int64)
@@ -297,7 +249,7 @@ def _p_choices(n: int, k: int, p_rules, p_override) -> list[int]:
     return out
 
 
-def _route_partition(X, h, spec, p, tau):
+def _route_partition(X, h, spec, p):
     if h.n > LARGE_SCALE_THRESHOLD:
-        return representative_partition_large(X, h, spec, p, tau)
-    return mst_partition_small(X, h, spec, p, tau)
+        return representative_partition_large(X, h, spec, p)
+    return mst_partition_small(X, h, spec, p)

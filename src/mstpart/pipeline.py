@@ -40,7 +40,6 @@ class PipelineConfig:
     lambda2: tuple = (1.0, 0.9, 0.8)
     xi1: tuple = (0.5, 0.15)
     xi2: tuple = (1.0, 0.8, 0.2)
-    tau: float = 0.2
     p_rules: tuple = ("sqrt", "linear")
     p_override: int | None = None
     coarsest_factor: int = 625
@@ -71,8 +70,8 @@ class PipelineResult:
 
 
 def _checked(config: PipelineConfig | None, spec: BalanceSpec) -> PipelineConfig:
-    """The config, or the defaults; out-of-range counts, a NaN ``tau`` and an
-    empty weight grid or one with a value outside [0, 1] raise ``ValueError``."""
+    """The config, or the defaults; out-of-range counts and an empty weight
+    grid or one with a value outside [0, 1] raise ``ValueError``."""
     config = config or PipelineConfig()
     for name in ("lambda1", "lambda2", "xi1", "xi2"):
         grid = getattr(config, name)
@@ -85,8 +84,6 @@ def _checked(config: PipelineConfig | None, spec: BalanceSpec) -> PipelineConfig
         raise ValueError(f"num_init must be >= 1, got {config.num_init}")
     if config.pair_rounds < 0:
         raise ValueError(f"pair_rounds must be >= 0, got {config.pair_rounds}")
-    if np.isnan(config.tau):
-        raise ValueError("tau must not be NaN")
     if config.p_override is not None and config.p_override < spec.k:
         raise ValueError(
             f"p_override must be >= k ({spec.k}), got {config.p_override}"
@@ -101,7 +98,7 @@ def _build_candidate(i, h, spec, clique, config):
     X = minimize(op, seeded_features(h.n, spec.k, stream=i), config.apg).X
     best_part, best_p = None, None
     for p in _p_choices(h.n, spec.k, config.p_rules, config.p_override):
-        part = _route_partition(X, h, spec, p, config.tau)
+        part = _route_partition(X, h, spec, p)
         if best_part is None or part.cutsize < best_part.cutsize:
             best_part, best_p = part, p
     part, _ = repair_feasibility(h, best_part, spec)

@@ -55,7 +55,10 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, caps: tuple, L) -> Bipartition
     """Split a vertex set in two along a spanning-tree cut of its heavy nodes.
 
     The heaviest ceil(KEY_FRACTION * n) vertices (ties: lower index; all of
-    them when fewer than 2 qualify) form a Euclidean MST in feature space.
+    them when fewer than 2 qualify) form a spanning tree through
+    ``prim_mst``, weighted 1 - <x_i, x_j>.  ``minimize`` returns unit rows,
+    and for unit rows ||x_i - x_j||^2 = 2 (1 - <x_i, x_j>), so the tree and
+    its heaviest-first order are those of the Euclidean MST.
     The first max(1, ceil(CUT_FRACTION * #tree_edges)) edges of
     ``tree.heaviest_first()`` are cut one at a time; the mean features of
     the two key-node sides become centers c1 (the side holding the tree
@@ -80,7 +83,7 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, caps: tuple, L) -> Bipartition
         keys = np.arange(n)
     else:
         keys = np.sort(np.lexsort((np.arange(n), -B))[:n_key])
-    tree = prim_mst(X, vertices=keys, metric="euclidean")
+    tree = prim_mst(X, vertices=keys)
     m_cand = max(1, math.ceil(CUT_FRACTION * len(tree.edges)))
 
     total = float(B.sum())

@@ -145,8 +145,9 @@ def kruskal_total(n, edges):
     return float(arr.sum()), arr
 
 
-def dense_similarity_edges(X, tau):
+def dense_similarity_edges(X, tau=-np.inf):
     """All-pairs thresholded similarity edges: weight 1 - <x_i, x_j> if s > tau.
+    The default tau keeps every pair: the complete feature graph.
 
     Uses one scalar dot per pair so weights are bitwise comparable with any
     other code path that does the same.

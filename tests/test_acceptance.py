@@ -325,21 +325,21 @@ def _check_prune_reconnect(n, edges, k):
 def test_criterion_06_mst_agreement_and_pruning_properties():
     rng = np.random.default_rng(1006)
 
-    # Prim on thresholded similarity graphs vs the Kruskal oracle
+    # Prim vs the Kruskal oracle, both on connected thresholded similarity
+    # graphs and on the complete graph of the same instance
     agree = 0
     while agree < 100:
         n = int(rng.integers(8, 61))
         X = seeded_features(n, int(rng.integers(2, 5)), stream=int(rng.integers(1 << 30)))
-        edges = dense_similarity_edges(X, 0.2)
         try:
-            total, weights = kruskal_total(n, edges)
+            thresholded = kruskal_total(n, dense_similarity_edges(X, 0.2))
         except ValueError:
             continue
-        tree = prim_mst(X, tau=0.2)
-        assert tree.bridges == 0
+        tree = prim_mst(X)
         sorted_weights = np.sort([w for _, _, w in tree.edges])
-        assert float(sorted_weights.sum()) == total
-        assert np.array_equal(sorted_weights, weights)
+        for total, weights in (thresholded, kruskal_total(n, dense_similarity_edges(X))):
+            assert float(sorted_weights.sum()) == total
+            assert np.array_equal(sorted_weights, weights)
         agree += 1
 
     # property 1: dropping the k heaviest edges of a connected graph while

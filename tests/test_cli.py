@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mstpart import cli
 from mstpart.cli import main
 from mstpart.hypergraph import Hypergraph, parse_hmetis, write_hmetis
 
@@ -223,13 +224,20 @@ def test_improve_rejects_flags_it_does_not_read(tmp_path, capsys, flag, value):
     part = tmp_path / "opt.part"
     part.write_text("0\n" * 5 + "1\n" * 5)
     out = tmp_path / "better.part"
-    code = main([
-        "improve", "--input", str(hgr), "--partition", str(part),
-        "--k", "2", "--epsilon", "0.04", flag, value, "--output", str(out),
-    ])
-    assert code == 1
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
+    runs = [["improve", "--partition", str(part), "--output", str(out)]]
+    if flag == "--tau":  # no subcommand has it: the spanning tree takes no threshold
+        runs += [["partition", "--output", str(out)],
+                 ["sweep", "--axis", "num_init", "--values", "1", "--csv", str(out)]]
+    for run in runs:
+        code = main([
+            run[0], "--input", str(hgr), *run[1:],
+            "--k", "2", "--epsilon", "0.04", flag, value,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_sweep_num_init(tmp_path, capsys):
@@ -344,7 +352,7 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
     ("--p", "0"), ("--p", "-5"), ("--p", "1"),
     ("--apg-epsilon", "0"), ("--apg-epsilon", "nan"), ("--apg-max-iters", "0"),
-    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--tau", "nan"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"),
     ("--lambda1", "2"), ("--lambda1", "nan"), ("--lambda2", "-0.5"),
     ("--xi1", "1.5"), ("--xi1", "nan"), ("--xi2", "-1"),
     ("--k", "0"), ("--ubfactor", "60"), ("--ubfactor", "nan"),
@@ -369,13 +377,34 @@ def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
         assert not (tmp_path / "o.txt").exists()
 
 
-def test_sweep_rejects_nan_tau(tmp_path, capsys):
+@pytest.mark.parametrize("axis, values", [
+    ("num_init", ["0"]), ("num_init", ["abc"]), ("lambda1", ["2"]),
+    ("num_init", ["2", "0"]), ("p", ["x"]),
+], ids=["num_init-0", "num_init-abc", "lambda1-2", "num_init-2-0", "p-x"])
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, capsys, monkeypatch,
+                                                      axis, values):
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: runs.append(args))
     hgr = two_clique_file(tmp_path)
-    code = main(["sweep", "--input", str(hgr), "--k", "2", "--tau", "nan",
-                 "--axis", "num_init", "--values", "1"])
+    code = main(["sweep", "--input", str(hgr), "--k", "2", "--num-init", "1",
+                 "--axis", axis, "--values", *values])
     captured = capsys.readouterr()
     assert code == 1
-    assert "--tau" in captured.err
+    assert runs == []
+    assert "--values" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "partition"])
+def test_ubfactor_with_one_block_names_the_flags(tmp_path, capsys, command):
+    hgr = two_clique_file(tmp_path)
+    part = tmp_path / "one.part"
+    part.write_text("0\n" * 10)
+    extra = ["--partition", str(part)] if command == "evaluate" else ["--output", str(tmp_path / "o.txt")]
+    code = main([command, "--input", str(hgr), "--k", "1", "--ubfactor", "5", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--ubfactor" in captured.err and "--k" in captured.err
     assert captured.out == ""
 
 

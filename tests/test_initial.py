@@ -38,7 +38,7 @@ def test_prim_three_point_path():
     # B sits between A and C; similarities: AB = BC = 0.9, AC ~ 0.62
     step = math.acos(0.9)
     X = angles_to_features([0.0, step, 2 * step])
-    tree = prim_mst(X, tau=0.5)
+    tree = prim_mst(X)
     pairs = {tuple(sorted((u, v))) for u, v, _ in tree.edges}
     assert pairs == {(0, 1), (1, 2)}
     assert sum(w for _, _, w in tree.edges) == pytest.approx(0.2, abs=1e-12)
@@ -46,47 +46,79 @@ def test_prim_three_point_path():
 
 def test_prim_two_vertices():
     X = angles_to_features([0.0, 0.3])
-    tree = prim_mst(X, tau=0.2)
+    tree = prim_mst(X)
     assert len(tree.edges) == 1
     assert sum(w for _, _, w in tree.edges) == pytest.approx(1.0 - math.cos(0.3), abs=1e-12)
 
 
+def assert_same_mst_weights(tree, total, weights):
+    sorted_weights = np.sort([w for _, _, w in tree.edges])
+    assert float(sorted_weights.sum()) == total
+    assert np.array_equal(sorted_weights, weights)
+
+
 def test_prim_matches_kruskal_totals():
+    # on a connected thresholded graph the complete graph's MST uses only
+    # edges above the threshold, so Kruskal over either graph agrees
     rng = np.random.default_rng(223)
     done = 0
     while done < 20:
         X = project_rows(rng.normal(size=(int(rng.integers(5, 40)), 3)))
-        edges = dense_similarity_edges(X, 0.2)
         try:
-            total, weights = kruskal_total(X.shape[0], edges)
+            total, weights = kruskal_total(X.shape[0], dense_similarity_edges(X, 0.2))
         except ValueError:
-            continue  # disconnected under the threshold; covered elsewhere
-        tree = prim_mst(X, tau=0.2)
-        assert tree.bridges == 0
-        sorted_weights = np.sort([w for _, _, w in tree.edges])
-        assert float(sorted_weights.sum()) == total
-        assert np.array_equal(sorted_weights, weights)
+            continue  # disconnected under the threshold
+        tree = prim_mst(X)
+        assert_same_mst_weights(tree, total, weights)
+        assert_same_mst_weights(tree, *kruskal_total(X.shape[0], dense_similarity_edges(X)))
         done += 1
 
 
+def test_prim_is_the_complete_graph_mst():
+    rng = np.random.default_rng(263)
+    for trial in range(40):
+        n = int(rng.integers(1, 40))
+        X = rng.normal(size=(n, 3))
+        if trial % 4 != 1:  # every fourth instance keeps non-unit rows
+            X = project_rows(X)
+        if trial % 4 == 2:  # duplicate rows: many tied weights
+            X = X[rng.integers(0, n, size=n)]
+        vertices = None
+        if trial % 4 == 3 and n > 1:
+            vertices = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        local = X if vertices is None else X[vertices]
+        tree = prim_mst(X, vertices=vertices)
+        assert len(tree.edges) == local.shape[0] - 1
+        assert_same_mst_weights(tree, *kruskal_total(local.shape[0], dense_similarity_edges(local)))
+
+
 def test_prim_disconnected_bridges():
+    # two far-apart groups: the heaviest tree edge is the one joining them
     X = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-    tree = prim_mst(X, tau=0.5)
-    assert tree.bridges == 1
+    tree = prim_mst(X)
     assert len(tree.edges) == 3  # spans all four vertices
     touched = {v for u, v, _ in tree.edges} | {u for u, v, _ in tree.edges}
     assert touched == {0, 1, 2, 3}
+    group = [0, 0, 1, 1]
+    joining = [i for i, (u, v, _) in enumerate(tree.edges) if group[u] != group[v]]
+    assert joining == tree.heaviest_first()[:1]
+    assert tree.edges[joining[0]][2] == 2.0
 
 
 def test_prim_euclidean_metric_same_tree_on_unit_rows():
-    # for unit rows, ||x - y||^2 = 2 (1 - s): both metrics order edges alike
+    # for unit rows, ||x - y||^2 = 2 (1 - s): the tree and its heaviest-first
+    # order are those of Kruskal under Euclidean distance
     rng = np.random.default_rng(227)
     X = project_rows(rng.normal(size=(15, 3)))
-    sim = prim_mst(X, tau=-1.1)  # threshold below -1 keeps the graph complete
-    euc = prim_mst(X, metric="euclidean")
-    pairs_sim = {tuple(sorted((u, v))) for u, v, _ in sim.edges}
-    pairs_euc = {tuple(sorted((u, v))) for u, v, _ in euc.edges}
-    assert pairs_sim == pairs_euc
+    pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
+    uf = UnionFind(15)
+    euclidean = [
+        (i, j) for i, j in sorted(pairs, key=lambda e: np.linalg.norm(X[e[0]] - X[e[1]]))
+        if uf.union(i, j)
+    ]
+    tree = prim_mst(X)
+    heaviest_first = [tuple(sorted(tree.edges[i][:2])) for i in tree.heaviest_first()]
+    assert heaviest_first == euclidean[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +155,11 @@ def test_prune_tie_break_by_edge_index():
 
 def test_prune_extremes_and_oracle():
     rng = np.random.default_rng(229)
-    # a complete graph, then bridged trees: a high tau strands vertices
-    for tau in (-1.1, 0.7, 0.9):
+    for trial in range(3):
         X = project_rows(rng.normal(size=(12, 3)))
-        tree = prim_mst(X, tau=tau)
-        assert (tree.bridges > 0) == (tau > 0)
+        if trial == 2:  # duplicate rows: tied tree weights
+            X[6:] = X[:6]
+        tree = prim_mst(X)
         whole = prune_clusters(tree, 1, np.ones(12, dtype=np.int64), X)
         assert len(whole.clusters) == 1 and whole.clusters[0].shape[0] == 12
 
@@ -162,7 +194,9 @@ def test_spanning_tree_cut_matches_union_find():
     for _ in range(60):
         n = int(rng.integers(1, 30))
         X = project_rows(rng.normal(size=(n, 3)))
-        tree = prim_mst(X, tau=float(rng.choice([-1.1, 0.5, 0.9])))
+        if rng.random() < 0.5:  # duplicate rows: tied tree weights
+            X = X[rng.integers(0, n, size=n)]
+        tree = prim_mst(X)
         assert tree.parent[0] == -1
         assert all(tree.parent[v] == u for u, v, _ in tree.edges)
         n_cut = int(rng.integers(0, len(tree.edges) + 1))
@@ -194,7 +228,7 @@ def test_small_partition_p_equals_k():
     X = three_group_features([4, 4, 4], seed=1)
     h = Hypergraph.from_edges([[i, i + 1] for i in range(11)], n=12)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.2)
-    part = mst_partition_small(X, h, spec, p=3, tau=0.2)
+    part = mst_partition_small(X, h, spec, p=3)
     blocks = [sorted(np.where(part.assignment == b)[0].tolist()) for b in range(3)]
     assert sorted(map(tuple, blocks)) == [
         tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12)),
@@ -211,7 +245,7 @@ def test_small_partition_merges_into_nearest_feasible():
     ])
     h = Hypergraph.from_edges([[0, 9], [5, 6]], n=10)
     spec = BalanceSpec.from_total(10, 2, 0.2)  # cap = 6
-    part = mst_partition_small(X, h, spec, p=3, tau=0.2)
+    part = mst_partition_small(X, h, spec, p=3)
     b0 = part.assignment[0]
     assert part.assignment[9] == b0
     assert part.block_weight.tolist() in ([6, 4], [4, 6])
@@ -226,7 +260,7 @@ def test_small_partition_overflow_goes_to_lightest():
     ])
     h = Hypergraph.from_edges([[0, 9], [5, 6]], n=10)
     spec = BalanceSpec.from_total(10, 2, 0.0)  # cap = 5: 5 + 1 does not fit
-    part = mst_partition_small(X, h, spec, p=3, tau=0.2)
+    part = mst_partition_small(X, h, spec, p=3)
     assert part.assignment[9] == part.assignment[5]
     assert part.block_weight.tolist() == [5, 5]
 
@@ -253,7 +287,7 @@ def test_representatives_are_lowest_index_on_equal_weights():
     X = project_rows(rng.normal(size=(n, 2)))
     h = Hypergraph.from_edges([[i, (i + 1) % n] for i in range(n)], n=n)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.1)
-    part = representative_partition_large(X, h, spec, p=4, tau=-1.1)
+    part = representative_partition_large(X, h, spec, p=4)
     assert part.h.n == n  # smoke: full cover
     assert np.all(part.assignment >= 0)
 
@@ -273,7 +307,7 @@ def test_representative_partition_two_clusters():
     X = project_rows(anchors[group] + rng.normal(scale=0.05, size=(n, 2)))
     h = Hypergraph.from_edges([[0, 1]], n=n)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.1)
-    part = representative_partition_large(X, h, spec, p=6, tau=0.2)
+    part = representative_partition_large(X, h, spec, p=6)
     even = part.assignment[group == 0]
     odd = part.assignment[group == 1]
     majority_even = np.bincount(even, minlength=2).max() / even.size
@@ -289,14 +323,14 @@ def test_representative_at_cap_falls_to_lightest():
     X = np.tile(angles_to_features([0.0]), (n, 1))
     h = Hypergraph.from_edges([[0, 1]], n=n, vertex_weight=[5] * n)
     spec = BalanceSpec.from_total(50, 2, 0.0)  # cap 25 = five vertices
-    part = representative_partition_large(X, h, spec, p=2, tau=-1.1)
+    part = representative_partition_large(X, h, spec, p=2)
     assert part.block_weight.tolist() == [25, 25]
 
 
-def reference_small(X, h, spec, p, tau):
+def reference_small(X, h, spec, p):
     """Small-scale partition written out straight: cluster every vertex,
     merge under the true caps."""
-    tree = prim_mst(X, tau=tau)
+    tree = prim_mst(X)
     clusters = prune_clusters(tree, p, h.vertex_weight, X)
     members, _, _, _ = _merge_clusters(clusters, spec.k, spec.upper_bounds)
     assignment = np.empty(h.n, dtype=np.int64)
@@ -306,13 +340,13 @@ def reference_small(X, h, spec, p, tau):
     return assignment
 
 
-def reference_large(X, h, spec, p, tau):
+def reference_large(X, h, spec, p):
     """Large-scale partition written out straight: cluster the heaviest
     fifth under the adapted cap, then place the rest one by one."""
     n, B = h.n, h.vertex_weight
     n_rep = math.ceil(0.2 * n)
     reps = np.sort(np.lexsort((np.arange(n), -B))[:n_rep])
-    tree = prim_mst(X, vertices=reps, tau=tau)
+    tree = prim_mst(X, vertices=reps)
     clusters = prune_clusters(tree, min(p, n_rep), B, X)
     adapted_cap = (1.0 + spec.epsilon) * int(clusters.weights.sum()) / spec.k
     members, weights, centroids, counts = _merge_clusters(
@@ -342,24 +376,22 @@ def reference_large(X, h, spec, p, tau):
 
 def test_both_scales_match_their_written_out_references():
     rng = np.random.default_rng(331)
-    stranded = 0
     for trial in range(12):
         n = int(rng.integers(15, 60))
         k = int(rng.integers(2, 5))
         h = random_hypergraph(rng, n, n, weighted=True)
         spec = BalanceSpec.for_hypergraph(h, k, float(rng.choice([0.0, 0.05, 0.3])))
-        X = project_rows(rng.normal(size=(n, 3)))
         n_rep = math.ceil(0.2 * n)
-        for tau in (0.2, 0.95):  # 0.95 leaves the similarity graph disconnected
-            stranded += prim_mst(X, tau=tau).bridges > 0
+        X = project_rows(rng.normal(size=(n, 3)))
+        # distinct rows, then rows drawn with repeats: tied tree weights
+        for X in (X, X[rng.integers(0, n, size=n)]):
             for p in range(k, n_rep + 3):
-                assert np.array_equal(mst_partition_small(X, h, spec, p, tau).assignment,
-                                      reference_small(X, h, spec, p, tau))
+                assert np.array_equal(mst_partition_small(X, h, spec, p).assignment,
+                                      reference_small(X, h, spec, p))
                 if min(p, n_rep) >= k:
                     assert np.array_equal(
-                        representative_partition_large(X, h, spec, p, tau).assignment,
-                        reference_large(X, h, spec, p, tau))
-    assert stranded > 0
+                        representative_partition_large(X, h, spec, p).assignment,
+                        reference_large(X, h, spec, p))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_num_init_below_one_is_rejected():
 @pytest.mark.parametrize("field, value", [
     ("pair_rounds", -1), ("p_override", 0), ("p_override", -5),
     ("p_override", 1),  # below k = 2
-    ("tau", float("nan")),
+    ("num_init", 0),
     ("lambda1", ()), ("lambda2", ()), ("xi1", ()), ("xi2", ()),
     ("lambda1", (0.5, 1.5)), ("lambda2", (-0.1,)), ("lambda1", (float("nan"),)),
     ("xi1", (2.0,)), ("xi2", (0.8, float("nan"))),

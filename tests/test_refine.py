@@ -94,7 +94,7 @@ def scored_cuts(X, B, caps, L):
     total = float(B.sum())
     n_key = math.ceil(refine.KEY_FRACTION * n)
     keys = np.arange(n) if n_key < 2 else np.sort(np.lexsort((np.arange(n), -B))[:n_key])
-    tree = prim_mst(X, vertices=keys, metric="euclidean")
+    tree = prim_mst(X, vertices=keys)
     order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
     cuts = []
     for ei in order[: max(1, math.ceil(refine.CUT_FRACTION * len(tree.edges)))]:
