@@ -24,6 +24,10 @@ The solver constants are fixed:
 
 ``ApgParams`` holds what a caller sets: the residual tolerance and the
 iteration cap.
+
+``minimize`` runs one solve, or a stack of independent solves in lockstep,
+one operator application per step for all live solves; a single solve is a
+stack of one.  Every solve of a stack ends bit-identical to its own run.
 """
 
 from __future__ import annotations
@@ -75,38 +79,81 @@ class ApgParams:
 
 @dataclass
 class ApgResult:
+    """What ``minimize`` returns.
+
+    ``X`` has the shape of the start: (n, c) for one solve, (S, n, c) for a
+    stack.  Per solve, ``steps`` holds its iteration count and ``residuals``
+    its final residual; ``log`` holds its step records as numeric rows
+    (value, alpha, accepted, residual, bound) over a step axis.
+    """
+
     X: np.ndarray
-    trace: list
-    iterations: int
-    converged: bool
-    error: float
+    steps: np.ndarray
+    residuals: np.ndarray
+    epsilon: float
+    log: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        """Iterations summed over the solves."""
+        return int(self.steps.sum())
+
+    @property
+    def converged(self) -> bool:
+        """Whether every solve stopped at a residual of at most epsilon."""
+        return bool((self.residuals <= self.epsilon).all())
+
+    @property
+    def error(self) -> float:
+        """The largest final residual."""
+        return float(self.residuals.max())
+
+    @property
+    def trace(self) -> list:
+        """Every solve's records, solve after solve: one ``IterRecord``
+        (iteration, F, alpha, accepted flag, residual, objective bound) per
+        step, built from ``log`` on each read."""
+        records = []
+        for s, steps in enumerate(self.steps.tolist()):
+            value, alpha, accepted, error, bound = self.log[:, s, :steps].tolist()
+            records += map(IterRecord, range(1, steps + 1), value, alpha,
+                           map(bool, accepted), error, bound)
+        return records
 
 
 def project_rows(X: np.ndarray) -> np.ndarray:
-    """Scale each row to unit norm; an all-zero row becomes (1, 0, ..., 0)."""
+    """Scale each row (the last axis) to unit norm; an all-zero row becomes
+    (1, 0, ..., 0)."""
     X = np.asarray(X, dtype=np.float64)
-    # the sum and root np.linalg.norm(X, axis=1) computes, without its checks
-    norms = np.sqrt(np.add.reduce(X * X, axis=1))
+    # the sum and root np.linalg.norm(X, axis=-1) computes, without its checks
+    norms = np.sqrt(np.add.reduce(X * X, axis=-1))
     if norms.all():
-        return X / norms[:, None]
+        return X / norms[..., None]
     zero = norms == 0.0
     norms[zero] = 1.0
     with np.errstate(invalid="ignore"):
-        out = X / norms[:, None]
+        out = X / norms[..., None]
     out[zero] = 0.0
     out[zero, 0] = 1.0
     return out
 
 
-def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray) -> float:
+def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray):
     """Secant estimate between X0 and the projected gradient direction:
     ||X0 - X1|| / ||g0 - grad(X1)|| with g0 = grad(X0) and
-    X1 = project(g0).  Degenerate cases fall back to 1.0.
+    X1 = project(g0).  Degenerate cases fall back to 1.0.  A stack gets one
+    estimate per solve from a single operator application.
     """
     X1 = project_rows(g0)
     g1 = op.gradient(X1)
-    num = np.linalg.norm(X0 - X1)
-    den = np.linalg.norm(g0 - g1)
+    if X0.ndim == 2:
+        return _secant(X0 - X1, g0 - g1)
+    return np.array([_secant(dx, dg) for dx, dg in zip(X0 - X1, g0 - g1)])
+
+
+def _secant(dx: np.ndarray, dg: np.ndarray) -> float:
+    num = np.linalg.norm(dx)
+    den = np.linalg.norm(dg)
     if den == 0.0 or not math.isfinite(den) or not math.isfinite(num) or num == 0.0:
         return 1.0
     return float(num / den)
@@ -117,85 +164,113 @@ def _grow_term(k: int) -> float:
     return 1.0 / max(k, 1) ** (1.0 + P_TILDE)
 
 
-def _check_finite(value: float, where: str, iteration: int):
-    if not math.isfinite(value):
+def _check_finite(values: np.ndarray, ids: np.ndarray, where: str, iteration: int):
+    bad = ~np.isfinite(values)
+    if bad.any():
         raise FloatingPointError(
-            f"non-finite objective at iteration {iteration} ({where})"
+            f"non-finite objective in solve {ids[bad.argmax()]} at iteration "
+            f"{iteration} ({where})"
         )
 
 
 def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
-    """Run the solver from a row-feasible X0.  ``op`` provides
-    ``value_and_gradient(X)`` and ``gradient(X)``.  Every iterate stays on
-    the row sphere; the trace records (iteration, F, alpha, accepted flag,
-    residual, objective bound) per step.
+    """Run the solver from a row-feasible X0: one solve of shape (n, c), or a
+    stack of S independent solves of shape (S, n, c) run in lockstep.
+
+    ``op`` provides ``value_and_gradient(X)`` and ``gradient(X)`` on
+    (S, n, c) stacks, with one value per solve, and for S > 1
+    ``take(solves)``, the operator of some of its solves.  Each solve keeps
+    its own stepsize, δ1/δ2, bound, objective, residual and stop; the step
+    counter and what depends on it alone (q, β, the growth term, the
+    inflation factor) are shared.  A solve that stops leaves the stack, so a
+    step applies the operator only to the live solves, and the fallback
+    step only to the rejected ones.  Every solve's iterates equal those of
+    its own run bit for bit, and every iterate stays on the row sphere.
     """
     params = params or ApgParams()
     X0 = np.asarray(X0, dtype=np.float64)
-    X_cur = project_rows(X0)
+    X_cur = project_rows(X0[None] if X0.ndim == 2 else X0)
+    S = X_cur.shape[0]
     eps = params.epsilon
+    ids = np.arange(S)  # the live solves
 
     F_cur, g_cur = op.value_and_gradient(X_cur)
-    _check_finite(F_cur, "start", 0)
+    _check_finite(F_cur, ids, "start", 0)
     alpha = initial_stepsize(op, X_cur, g_cur)
 
     # stationarity probe: a fixed point of the projected gradient map stops here
-    probe = project_rows(X_cur - alpha * g_cur)
-    error = float(
-        np.abs((probe - X_cur) / alpha + op.gradient(probe) - g_cur).max()
-    )
-    trace: list[IterRecord] = []
-    if error <= eps:
-        return ApgResult(X_cur, trace, 0, True, error)
+    a = alpha[:, None, None]
+    probe = project_rows(X_cur - a * g_cur)
+    error = np.abs((probe - X_cur) / a + op.gradient(probe) - g_cur).max(axis=(1, 2))
+
+    X_out = np.empty_like(X_cur)
+    steps = np.zeros(S, dtype=np.int64)
+    residuals = np.empty(S)
+    log = np.empty((5, S, min(params.max_iters, 4096)))  # pages fill as steps are logged
 
     # resolve delta2 from the first grown stepsize, then freeze it
-    alpha1 = alpha + min(1.0, alpha) * _grow_term(0)
-    delta2 = min(2.0 * DELTA1, 0.49 * (1.0 - MU0) / alpha1)
-    delta1 = DELTA1 if delta2 > DELTA1 else delta2 / 2.0
+    alpha1 = alpha + np.minimum(1.0, alpha) * _grow_term(0)
+    delta2 = np.minimum(2.0 * DELTA1, 0.49 * (1.0 - MU0) / alpha1)
+    delta1 = np.where(delta2 > DELTA1, DELTA1, delta2 / 2.0)
 
-    X_prev = X_cur.copy()
-    F_prev = F_cur
-    g_prev = g_cur.copy()
+    op_live = op
+    X_prev, F_prev, g_prev = X_cur, F_cur, g_cur
     bound = F_cur  # nonmonotone averaged objective c_k
     q = 1.0
     k = 0
+    live = error > eps
 
-    while error > eps and k < params.max_iters:
+    while True:
+        if not live.all():  # stopped solves leave the stack
+            done = ids[~live]
+            X_out[done], steps[done], residuals[done] = X_cur[~live], k, error[~live]
+            ids = ids[live]
+            if not ids.size:
+                break
+            X_prev, X_cur = X_prev[live], X_cur[live]
+            F_prev, F_cur = F_prev[live], F_cur[live]
+            g_prev, g_cur = g_prev[live], g_cur[live]
+            alpha, delta1, delta2, bound = alpha[live], delta1[live], delta2[live], bound[live]
+            op_live = op.take(ids)
+
         dX = X_cur - X_prev
-        dn2 = float((dX * dX).sum())
-        lhs = 2.0 * (F_cur - F_prev - float((g_prev * dX).sum()))
-        if dn2 > 0.0 and lhs > (MU0 / alpha) * dn2:
-            alpha_next = MU1 * dn2 / lhs
-        else:
-            alpha_next = alpha + min(1.0, alpha) * _grow_term(k)
+        dn2 = (dX * dX).sum(axis=(1, 2))
+        lhs = 2.0 * (F_cur - F_prev - (g_prev * dX).sum(axis=(1, 2)))
+        alpha_next = alpha + np.minimum(1.0, alpha) * _grow_term(k)
+        shrink = (dn2 > 0.0) & (lhs > (MU0 / alpha) * dn2)
+        alpha_next[shrink] = MU1 * dn2[shrink] / lhs[shrink]
 
         beta = k / (k + 3.0)
         y = X_cur + beta * dX
-        gy = op.gradient(y)
-        z = project_rows(y - alpha_next * gy)
+        gy = op_live.gradient(y)
+        a = alpha_next[:, None, None]
+        z = project_rows(y - a * gy)
 
-        zy2 = float(((z - y) ** 2).sum())
-        zx2 = float(((z - X_cur) ** 2).sum())
-        yx2 = float(((y - X_cur) ** 2).sum())
+        zy2 = ((z - y) ** 2).sum(axis=(1, 2))
+        zx2 = ((z - X_cur) ** 2).sum(axis=(1, 2))
+        yx2 = ((y - X_cur) ** 2).sum(axis=(1, 2))
         inflate = 1.0 + SIGMA / k ** R if k >= 1 else 1.0
         phi1 = zy2 + zx2 - inflate * yx2
         phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
 
-        F_z, g_z = op.value_and_gradient(z)
-        _check_finite(F_z, "trial", k)
-        if phi1 >= 0.0 and F_z <= min(F_cur + phi2, bound):
-            X_next, F_next, g_next, accepted = z, F_z, g_z, True
-        else:
-            X_next = project_rows(X_cur - alpha_next * g_cur)
-            F_next, g_next = op.value_and_gradient(X_next)
-            _check_finite(F_next, "fallback", k)
-            accepted = False
+        F_next, g_next = op_live.value_and_gradient(z)
+        _check_finite(F_next, ids, "trial", k)
+        accepted = (phi1 >= 0.0) & (F_next <= np.minimum(F_cur + phi2, bound))
+        X_next = z
+        if not accepted.all():
+            rej = np.flatnonzero(~accepted)
+            X_f = project_rows(X_cur[rej] - a[rej] * g_cur[rej])
+            op_rej = op_live if rej.size == ids.size else op.take(ids[rej])
+            F_f, g_f = op_rej.value_and_gradient(X_f)
+            _check_finite(F_f, ids[rej], "fallback", k)
+            X_next[rej], F_next[rej], g_next[rej] = X_f, F_f, g_f
 
-        error = float(
-            np.abs((X_next - X_cur) / alpha_next + g_next - g_cur).max()
-        )
+        error = np.abs((X_next - X_cur) / a + g_next - g_cur).max(axis=(1, 2))
+        k += 1
+        if k > log.shape[2]:
+            log = np.concatenate((log, np.empty_like(log)), axis=2)
+        log[:, ids, k - 1] = (F_next, alpha_next, accepted, error, bound)
 
-        bound_used = bound
         q_next = 1.0 + ETA * q
         bound = (ETA * q * bound + F_next) / q_next
         q = q_next
@@ -204,10 +279,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         F_prev, F_cur = F_cur, F_next
         g_prev, g_cur = g_cur, g_next
         alpha = alpha_next
-        k += 1
-        trace.append(IterRecord(k, F_next, alpha_next, accepted, error, bound_used))
+        live = error > eps if k < params.max_iters else np.zeros(ids.size, dtype=bool)
 
-    return ApgResult(X_cur, trace, k, error <= eps, error)
+    return ApgResult(X_out[0] if X0.ndim == 2 else X_out, steps, residuals, eps, log)
 
 
 # ---------------------------------------------------------------------------

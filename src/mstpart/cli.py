@@ -32,7 +32,15 @@ from .pipeline import PipelineConfig, improve_partition, run_pipeline
 
 __all__ = ["main", "build_parser"]
 
-SWEEP_AXES = ("p", "num_init", "lambda1", "lambda2", "xi1", "xi2")
+# the pipeline flags that each sweep axis overrides on every run
+SWEEP_AXIS_FLAGS = {
+    "p": {"--p": "p_override", "--p-rule": "p_rule"},
+    "num_init": {"--num-init": "num_init"},
+    "lambda1": {"--lambda1": "lambda1"},
+    "lambda2": {"--lambda2": "lambda2"},
+    "xi1": {"--xi1": "xi1"},
+    "xi2": {"--xi2": "xi2"},
+}
 
 
 class CliError(Exception):
@@ -67,12 +75,12 @@ def _add_refine_flags(sp):
 
 def _add_pipeline_flags(sp):
     _add_refine_flags(sp)
-    sp.add_argument("--num-init", type=int, default=10, help="initial partition candidates")
+    sp.add_argument("--num-init", type=int, help="initial partition candidates (default 10)")
     sp.add_argument("--lambda1", type=float, nargs="+", help="embedding grid for lambda1")
     sp.add_argument("--lambda2", type=float, nargs="+", help="embedding grid for lambda2")
     sp.add_argument("--p", type=int, dest="p_override", help="fixed cluster count override")
-    sp.add_argument("--p-rule", choices=["sqrt", "linear", "both"], default="both",
-                    help="cluster-count rule(s) when --p is not given")
+    sp.add_argument("--p-rule", choices=["sqrt", "linear", "both"],
+                    help="cluster-count rule(s) when --p is not given (default both)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="rerun the pipeline along one parameter axis")
     _add_instance_flags(sw)
     _add_pipeline_flags(sw)
-    sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    sw.add_argument("--axis", required=True, choices=tuple(SWEEP_AXIS_FLAGS))
     sw.add_argument("--values", nargs="+", help="axis values (p axis defaults to its two rules)")
     sw.add_argument("--csv", help="also write the CSV rows to this file")
     sw.set_defaults(func=cmd_sweep)
@@ -167,14 +175,15 @@ def _refine_config(args) -> PipelineConfig:
 
 def _config_from_args(args) -> PipelineConfig:
     config = _refine_config(args)
-    config.num_init = _checked_num_init(args.num_init)
+    if args.num_init is not None:
+        config.num_init = _checked_num_init(args.num_init)
     if args.lambda1:
         config.lambda1 = _unit_grid(args.lambda1, "--lambda1")
     if args.lambda2:
         config.lambda2 = _unit_grid(args.lambda2, "--lambda2")
     if args.p_override is not None:
         config.p_override = _checked_p(args.p_override, args.k)
-    if args.p_rule != "both":
+    if args.p_rule not in (None, "both"):
         config.p_rules = (args.p_rule,)
     return config
 
@@ -314,6 +323,10 @@ def cmd_sweep(args) -> int:
         raise CliError(f"axis {args.axis!r} needs --values")
     else:
         entries = [(raw, _axis_override(args, raw)) for raw in args.values]
+    for flag, dest in SWEEP_AXIS_FLAGS[args.axis].items():
+        if getattr(args, dest) is not None:
+            raise CliError(f"{flag} cannot be combined with --axis {args.axis}, "
+                           "which sets it on every run")
 
     rows = ["value,cutsize,time"]
     all_feasible = True

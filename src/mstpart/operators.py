@@ -6,10 +6,14 @@ objectives are quadratic forms F(X) = -<C, X X^T> whose matrix C mixes the
 reinforced adjacency with Laplacians of complete graphs (unit weights,
 vertex weights, or a complete multipartite structure).  Those complete-graph
 pieces are never materialized; they are applied in O(n k) via column sums.
+One operator holds a stack of such objectives that share every matrix and
+differ only in their mixing coefficients, so the solves of a weight grid
+apply their operators in one call.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,35 +80,45 @@ def laplacian(g: CliqueGraph) -> sparse.csr_matrix:
 
 
 class ObjectiveOperator:
-    """Symmetric operator C behind the embedding objective F(X) = -<C, X X^T>.
+    """Symmetric operators C behind the embedding objective F(X) = -<C, X X^T>,
+    one per solve of a stack.
 
-    Composition, with B the vertex weights and S = sum(B):
-      apply(X) = ca * Abar X + cu * Gu X + cw * Gw X + cp * Kp X
+    Composition of solve s, with B the vertex weights and W = sum(B):
+      apply(X)[s] = ca[s] * Abar X[s] + cu[s] * Gu X[s] + cw[s] * Gw X[s] + cp[s] * Kp X[s]
     where Abar = Diag(degree) + A reinforces the clique adjacency,
     Gu = n I - 1 1^T is the unit complete-graph Laplacian,
-    Gw = S Diag(B) - B B^T is the weighted complete-graph Laplacian, and
+    Gw = W Diag(B) - B B^T is the weighted complete-graph Laplacian, and
     Kp is the Laplacian of the complete multipartite graph over given blocks.
+    Each coefficient is a scalar or one value per solve; the solves share
+    every input and constant.
 
-    The constants of the formula (S, B as a column, n minus each vertex's
-    block size, the flat block index of every entry) are computed once in
-    ``__init__``, and ``apply`` stays bit-equal to the formula evaluated term
-    by term into a zero array: the block sums add rows in index order, like
-    ``np.add.at``.  A nonzero coefficient without its input (``abar``,
-    ``weights`` or ``blocks``) is a ``ValueError``.
+    ``apply`` takes one solve's (n, c) block when the stack holds one solve,
+    or the whole (S, n, c) stack.  It lays the stack out as one (n, S*c)
+    block with a coefficient per column, so the sparse product, the column
+    sums and the block sums run once for all solves, and every slice stays
+    bit-equal to the formula evaluated for that solve alone, term by term
+    into a zero array: the block sums add rows in index order, like
+    ``np.add.at``.  A zero coefficient adds an exact zero.  The constants of
+    the formula (W, B as a column, n minus each vertex's block size, the flat
+    block index of every entry) are computed once in ``__init__``.  A nonzero
+    coefficient without its input (``abar``, ``weights`` or ``blocks``) is a
+    ``ValueError``.
     """
 
     def __init__(self, n, *, abar=None, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
                  weights=None, blocks=None, mode="custom"):
         self.n = int(n)
         self.abar = abar
-        self.ca = float(ca)
-        self.cu = float(cu)
-        self.cw = float(cw)
-        self.cp = float(cp)
+        self.ca, self.cu, self.cw, self.cp = (
+            np.array(c, dtype=np.float64)
+            for c in np.broadcast_arrays(*(np.atleast_1d(c) for c in (ca, cu, cw, cp)))
+        )
+        if self.ca.ndim != 1:
+            raise ValueError("coefficients must be scalars or one value per solve")
         self.mode = mode
         for coef, name, given in (("ca", "abar", abar), ("cw", "weights", weights),
                                   ("cp", "blocks", blocks)):
-            if getattr(self, coef) and given is None:
+            if getattr(self, coef).any() and given is None:
                 raise ValueError(f"{coef} != 0 needs {name}")
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
@@ -119,8 +133,22 @@ class ObjectiveOperator:
                 raise ValueError("blocks length mismatch")
             sizes = np.bincount(blocks)
             self._outside_counts = (self.n - sizes[blocks]).astype(np.float64)[:, None]
-            self._flat_blocks = {}  # column count k -> blocks * k + column
+            self._flat_blocks = {}  # column count T -> blocks * T + column
         self.blocks = blocks
+        self._columns = {}  # row width c -> per-column coefficients
+
+    @property
+    def solves(self) -> int:
+        """The number of solves in the stack."""
+        return self.ca.shape[0]
+
+    def take(self, solves) -> "ObjectiveOperator":
+        """The stack of the solves ``solves`` only, sharing every input and
+        constant with this one."""
+        sub = copy.copy(self)
+        sub.ca, sub.cu, sub.cw, sub.cp = (c[solves] for c in (self.ca, self.cu, self.cw, self.cp))
+        sub._columns = {}
+        return sub
 
     # -- constructors -------------------------------------------------------
 
@@ -139,12 +167,19 @@ class ObjectiveOperator:
         )
 
     @classmethod
-    def pair_refinement(cls, clique: CliqueGraph, weights, blocks, xi1: float, xi2: float):
-        """Pair-refinement objective: clique affinity, weight balance, and a
-        separation pull from the complete multipartite graph over ``blocks``.
+    def pair_refinement(cls, clique: CliqueGraph, weights, blocks, xis):
+        """Pair-refinement objectives, one solve per (xi1, xi2) pair of
+        ``xis``: clique affinity, weight balance, and a separation pull from
+        the complete multipartite graph over ``blocks``.
         """
-        _check_unit(xi1, "xi1")
-        _check_unit(xi2, "xi2")
+        xis = np.array(xis, dtype=np.float64).reshape(-1, 2)
+        if xis.shape[0] == 0:
+            raise ValueError("need at least one (xi1, xi2) pair")
+        xi1, xi2 = xis.T
+        for x in xi1.tolist():
+            _check_unit(x, "xi1")
+        for x in xi2.tolist():
+            _check_unit(x, "xi2")
         abar = (sparse.diags(clique.degree) + clique.adjacency).tocsr()
         return cls(
             clique.n, abar=abar, ca=xi1,
@@ -154,44 +189,111 @@ class ObjectiveOperator:
 
     # -- application --------------------------------------------------------
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """C @ X without materializing the complete-graph parts."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.n:
-            raise ValueError(f"X must be ({self.n}, k)")
-        out = np.zeros_like(X)
-        if self.ca:
-            out += self.ca * (self.abar @ X)
-        if self.cu:
-            out += self.cu * (self.n * X - X.sum(axis=0, keepdims=True))
-        if self.cw:
-            B = self._weight_col
-            colsum = self.weights @ X  # (k,)
-            out += self.cw * (self._weight_sum * (B * X) - B * colsum)
-        if self.cp:
-            k = X.shape[1]
-            flat = self._flat_blocks.get(k)
-            if flat is None:
-                flat = self._flat_blocks[k] = (self.blocks[:, None] * k + np.arange(k)).ravel()
-            block_sums = np.bincount(flat, weights=X.ravel()).reshape(-1, k)
-            others = X.sum(axis=0, keepdims=True) - block_sums[self.blocks]
-            out += self.cp * (self._outside_counts * X - others)
-        return out
+    def _coefficient_columns(self, c: int):
+        """Each coefficient repeated over the c columns of every solve, or
+        None for a term that every solve leaves out."""
+        cols = self._columns.get(c)
+        if cols is None:
+            cols = self._columns[c] = tuple(
+                np.repeat(coef, c) if coef.any() else None
+                for coef in (self.ca, self.cu, self.cw, self.cp)
+            )
+        return cols
 
-    def value(self, X: np.ndarray) -> float:
-        """F(X) = -<C, X X^T>."""
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """C @ X for every solve, without materializing the complete-graph
+        parts; the result has the shape of X."""
         X = np.asarray(X, dtype=np.float64)
-        return -float((self.apply(X) * X).sum())
+        stack = X[None] if X.ndim == 2 else X
+        if stack.ndim != 3 or stack.shape[:2] != (self.solves, self.n):
+            raise ValueError(f"X must be ({self.solves}, {self.n}, c), "
+                             f"or ({self.n}, c) for a single solve")
+        stack = np.ascontiguousarray(stack)
+        S, n, c = stack.shape
+        cols = _to_columns(stack)
+        ca, cu, cw, cp = self._coefficient_columns(c)
+        # each term is built in place in one temporary: the products commute
+        out = np.zeros_like(cols)
+        if ca is not None:
+            t = self.abar @ cols
+            t *= ca
+            out += t
+        if cu is not None or cp is not None:
+            sums = cols.sum(axis=0, keepdims=True)
+        if cu is not None:
+            t = self.n * cols
+            t -= sums
+            t *= cu
+            out += t
+        if cw is not None:
+            B = self._weight_col
+            colsum = (self.weights @ stack).reshape(1, S * c)
+            t = B * cols
+            t *= self._weight_sum
+            t -= B * colsum
+            t *= cw
+            out += t
+        if cp is not None:
+            T = S * c
+            flat = self._flat_blocks.get(T)
+            if flat is None:
+                flat = self._flat_blocks[T] = (self.blocks[:, None] * T + np.arange(T)).ravel()
+            block_sums = np.bincount(flat, weights=cols.ravel()).reshape(-1, T)
+            others = block_sums[self.blocks]
+            np.subtract(sums, others, out=others)
+            t = self._outside_counts * cols
+            t -= others
+            t *= cp
+            out += t
+        out = _to_stack(out, S, c)
+        return out[0] if X.ndim == 2 else out
+
+    def value(self, X: np.ndarray):
+        """F(X) = -<C, X X^T>: a float for one (n, c) block, one per solve
+        for a stack."""
+        X = np.asarray(X, dtype=np.float64)
+        return -_solve_sums(self.apply(X) * X)
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
         """grad F(X) = -2 C X."""
         return -2.0 * self.apply(X)
 
-    def value_and_gradient(self, X: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_gradient(self, X: np.ndarray):
         """Both quantities from a single operator application."""
         X = np.asarray(X, dtype=np.float64)
         cx = self.apply(X)
-        return -float((cx * X).sum()), -2.0 * cx
+        return -_solve_sums(cx * X), -2.0 * cx
+
+
+def _solve_sums(A: np.ndarray):
+    # a C-contiguous (n, c) slice sums like the whole (n, c) array
+    return float(A.sum()) if A.ndim == 2 else A.sum(axis=(1, 2))
+
+
+def _to_columns(stack: np.ndarray) -> np.ndarray:
+    """(S, n, c) -> (n, S*c), column s*c + j holding column j of solve s.
+
+    Column sums must add each solve's column as its own (n, c) block does:
+    row by row when c > 1, which the C-ordered copy keeps, and pairwise for
+    a contiguous single column, which the c = 1 result keeps by being a view
+    whose columns are the solves' contiguous columns.
+    """
+    S, n, c = stack.shape
+    if S == 1:
+        return stack.reshape(n, c)
+    if c == 2:  # one complex entry per row moves both columns at once
+        return stack.view(np.complex128).reshape(S, n).T.copy().view(np.float64)
+    return stack.transpose(1, 0, 2).reshape(n, S * c)
+
+
+def _to_stack(cols: np.ndarray, S: int, c: int) -> np.ndarray:
+    """The inverse of ``_to_columns``."""
+    n = cols.shape[0]
+    if S == 1:
+        return cols.reshape(1, n, c)
+    if c == 2:
+        return cols.view(np.complex128).T.copy().view(np.float64).reshape(S, n, 2)
+    return cols.reshape(n, S, c).transpose(1, 0, 2).copy()
 
 
 def _check_unit(x, name):

@@ -149,7 +149,8 @@ def pairwise_improve(
 
     Each round pairs the blocks, then for every pair solves the embedding
     objective over the induced sub-clique-graph on the ``config.xi1`` x
-    ``config.xi2`` grid with ``config.apg`` and re-bipartitions.  Every
+    ``config.xi2`` grid with ``config.apg``, the whole grid as one stack of
+    lockstep solves, and re-bipartitions.  Every
     split that is feasible for the pair is scored by the hypergraph km1 of
     the whole partition it gives; the lowest (ties: the earlier grid point)
     is applied only when it is strictly below the current cutsize, so no
@@ -181,11 +182,12 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> bool:
     labels01 = (part.assignment[idx] == b).astype(np.int64)
     caps = (float(spec.upper_bounds[a]), float(spec.upper_bounds[b]))
 
+    grid = list(itertools.product(config.xi1, config.xi2))
+    op = ObjectiveOperator.pair_refinement(sub, B_sub, labels01, grid)
+    X0 = np.stack([seeded_features(nbar, 2, stream=(rnd * 1024 + pair_idx) * 16 + gi)
+                   for gi in range(len(grid))])
     best_cut, best = part.cutsize, None
-    for gi, (xi1, xi2) in enumerate(itertools.product(config.xi1, config.xi2)):
-        op = ObjectiveOperator.pair_refinement(sub, B_sub, labels01, xi1, xi2)
-        stream = (rnd * 1024 + pair_idx) * 16 + gi
-        X = minimize(op, seeded_features(nbar, 2, stream=stream), config.apg).X
+    for X in minimize(op, X0, config.apg).X:
         res = mst_bipartition(X, B_sub, caps, L_sub)
         if not res.feasible:
             continue

@@ -175,7 +175,7 @@ class _RowCheckOp:
         self.worst = 0.0
 
     def _record(self, X):
-        dev = float(np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)))
+        dev = float(np.max(np.abs(np.linalg.norm(X, axis=-1) - 1.0)))
         if dev > self.worst:
             self.worst = dev
 
@@ -256,7 +256,7 @@ def test_criterion_05_matrix_free_equals_dense():
         rel1 = np.max(np.abs(op1.apply(X) - want1)) / max(1.0, np.max(np.abs(want1)))
         blocks = rng.integers(0, 2, size=n)
         xi1, xi2 = rng.uniform(size=2)
-        op2 = ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, xi1, xi2)
+        op2 = ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, [(xi1, xi2)])
         want2 = dense_pair_matrix(
             g.adjacency.toarray(), h.vertex_weight, blocks, xi1, xi2
         ) @ X

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from helpers import random_hypergraph
+from mstpart import apg
 from mstpart.apg import (
     ETA,
     ApgParams,
@@ -194,7 +195,7 @@ def test_minimize_apply_count():
     h = random_hypergraph(rng, 30, 40, weighted=True)
     g = clique_expand(h)
     blocks = rng.integers(0, 2, size=h.n)
-    ops = [ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, xi1, 0.5)
+    ops = [ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, [(xi1, 0.5)])
            for xi1 in (0.5, 0.15)]
     ops += [random_embedding_op(rng, n_max=30)[0] for _ in range(4)]
     branches = set()
@@ -215,6 +216,182 @@ def test_minimize_rejects_nonfinite():
     op = ObjectiveOperator(3, abar=sparse.diags([np.inf, 1.0, 1.0], format="csr"), ca=1.0)
     with pytest.raises(FloatingPointError):
         minimize(op, seeded_features(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# stacks of solves
+
+GRID = [(xi1, xi2) for xi1 in (0.5, 0.15) for xi2 in (1.0, 0.8, 0.2)]
+
+
+def random_pair_stack(rng, n_max=60):
+    """A pair operator over GRID and a start stack where some solves begin
+    at constant rows, a fixed point of every pair objective."""
+    n = int(rng.integers(6, n_max + 1))
+    h = random_hypergraph(rng, n, 2 * n, weighted=True)
+    g = clique_expand(h)
+    blocks = rng.integers(0, 2, size=n)
+    X0 = np.stack([seeded_features(n, 2, stream=int(s)) for s in rng.integers(0, 999, size=6)])
+    for s in np.flatnonzero(rng.uniform(size=6) < 0.25):
+        X0[s] = project_rows(rng.normal(size=2))
+    return (g, h.vertex_weight, blocks), X0
+
+
+def one_solve_reference(op, X0, params):
+    """The solver loop for one (n, c) solve in scalar arithmetic, kept as the
+    oracle of the stacked solver: X, iterations, converged, error, trace."""
+    X_cur = project_rows(X0)
+    eps = params.epsilon
+    F_cur, g_cur = op.value_and_gradient(X_cur)
+    alpha = initial_stepsize(op, X_cur, g_cur)
+    probe = project_rows(X_cur - alpha * g_cur)
+    error = float(np.abs((probe - X_cur) / alpha + op.gradient(probe) - g_cur).max())
+    trace = []
+    alpha1 = alpha + min(1.0, alpha) * apg._grow_term(0)
+    delta2 = min(2.0 * apg.DELTA1, 0.49 * (1.0 - apg.MU0) / alpha1)
+    delta1 = apg.DELTA1 if delta2 > apg.DELTA1 else delta2 / 2.0
+    X_prev, F_prev, g_prev, bound, q, k = X_cur, F_cur, g_cur, F_cur, 1.0, 0
+    while error > eps and k < params.max_iters:
+        dX = X_cur - X_prev
+        dn2 = float((dX * dX).sum())
+        lhs = 2.0 * (F_cur - F_prev - float((g_prev * dX).sum()))
+        if dn2 > 0.0 and lhs > (apg.MU0 / alpha) * dn2:
+            alpha_next = apg.MU1 * dn2 / lhs
+        else:
+            alpha_next = alpha + min(1.0, alpha) * apg._grow_term(k)
+        y = X_cur + k / (k + 3.0) * dX
+        z = project_rows(y - alpha_next * op.gradient(y))
+        zy2 = float(((z - y) ** 2).sum())
+        zx2 = float(((z - X_cur) ** 2).sum())
+        yx2 = float(((y - X_cur) ** 2).sum())
+        inflate = 1.0 + apg.SIGMA / k ** apg.R if k >= 1 else 1.0
+        phi1 = zy2 + zx2 - inflate * yx2
+        phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
+        F_z, g_z = op.value_and_gradient(z)
+        accepted = phi1 >= 0.0 and F_z <= min(F_cur + phi2, bound)
+        if accepted:
+            X_next, F_next, g_next = z, F_z, g_z
+        else:
+            X_next = project_rows(X_cur - alpha_next * g_cur)
+            F_next, g_next = op.value_and_gradient(X_next)
+        error = float(np.abs((X_next - X_cur) / alpha_next + g_next - g_cur).max())
+        k += 1
+        trace.append((k, F_next, alpha_next, accepted, error, bound))
+        q_next = 1.0 + ETA * q
+        bound = (ETA * q * bound + F_next) / q_next
+        q = q_next
+        X_prev, X_cur, F_prev, F_cur, g_prev, g_cur = X_cur, X_next, F_cur, F_next, g_cur, g_next
+        alpha = alpha_next
+    return X_cur, k, error <= eps, error, trace
+
+
+def each_solve(res):
+    """Per solve of a stacked result: X, iterations, converged, error and
+    trace, the fields a single-solve result has."""
+    trace, start = res.trace, 0
+    for X, steps, residual in zip(res.X, res.steps.tolist(), res.residuals.tolist()):
+        yield X, steps, residual <= res.epsilon, residual, trace[start:start + steps]
+        start += steps
+
+
+def fields(res):
+    return res.X, res.iterations, res.converged, res.error, res.trace
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+def test_minimize_stack_equals_each_solve_alone():
+    rng = np.random.default_rng(41)
+    stops = set()
+    for _ in range(12):
+        args, X0 = random_pair_stack(rng)
+        params = ApgParams(max_iters=int(rng.integers(40, 400)))
+        res = minimize(ObjectiveOperator.pair_refinement(*args, GRID), X0, params)
+        singles = [ObjectiveOperator.pair_refinement(*args, [xi]) for xi in GRID]
+        alone = [minimize(op, x0, params) for op, x0 in zip(singles, X0)]
+        for got, one, op, x0 in zip(each_solve(res), alone, singles, X0):
+            want = one_solve_reference(op, x0, params)
+            assert_same_result(got, want)
+            assert_same_result(fields(one), want)
+            stops.add("start" if one.iterations == 0 else
+                      "cap" if one.iterations == params.max_iters else "converged")
+        assert res.X.shape == X0.shape
+        assert res.iterations == sum(one.iterations for one in alone)
+        assert res.converged == all(one.converged for one in alone)
+        assert res.error == max(one.error for one in alone)
+        assert res.trace == [rec for one in alone for rec in one.trace]
+        assert len({one.iterations for one in alone}) > 1
+    assert stops == {"start", "cap", "converged"}
+
+
+def test_minimize_signed_stack_equals_each_solve_alone():
+    # negative weights make F convex, so the curvature estimate shrinks the
+    # stepsize in some solves and not in others
+    rng = np.random.default_rng(53)
+    shrank = set()
+    for _ in range(4):
+        n = int(rng.integers(10, 50))
+        g = clique_expand(random_hypergraph(rng, n, 2 * n, weighted=True))
+        abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
+        ca, cu = rng.uniform(-1.0, 1.0, size=(2, 4))
+        X0 = np.stack([seeded_features(n, 2, stream=s) for s in range(4)])
+        params = ApgParams(max_iters=300)
+        res = minimize(ObjectiveOperator(n, abar=abar, ca=ca, cu=cu), X0, params)
+        for s, got in enumerate(each_solve(res)):
+            op = ObjectiveOperator(n, abar=abar, ca=ca[s], cu=cu[s])
+            want = one_solve_reference(op, X0[s], params)
+            assert_same_result(got, want)
+            alphas = [rec[2] for rec in want[4]]  # growth alone never lowers alpha
+            shrank.add(any(b < a for a, b in zip(alphas, alphas[1:])))
+    assert shrank == {True, False}
+
+
+def test_minimize_stack_of_one_equals_a_single_solve():
+    rng = np.random.default_rng(43)
+    op, n, k = random_embedding_op(rng, n_max=30)
+    X0 = seeded_features(n, k, stream=3)
+    single, stacked = minimize(op, X0), minimize(op, X0[None])
+    assert stacked.X.shape == (1, n, k)
+    assert_same_result(fields(single), one_solve_reference(op, X0, ApgParams()))
+    assert_same_result(next(each_solve(stacked)), fields(single))
+
+
+def test_minimize_stack_applies_to_live_solves_only():
+    # per solve, the single-solve count: 3 start-up applies, 2 per accepted
+    # step and 3 per rejected one; stopped solves cost nothing
+    rng = np.random.default_rng(47)
+    sizes = []
+    apply = ObjectiveOperator.apply
+
+    def wrapper(self, X):
+        sizes.append(X.shape[0])
+        return apply(self, X)
+
+    for _ in range(4):
+        args, X0 = random_pair_stack(rng)
+        sizes.clear()
+        ObjectiveOperator.apply = wrapper
+        try:
+            res = minimize(ObjectiveOperator.pair_refinement(*args, GRID), X0,
+                           ApgParams(max_iters=150))
+        finally:
+            ObjectiveOperator.apply = apply
+        want = sum(3 + sum(2 if rec.accepted else 3 for rec in trace)
+                   for *_, trace in each_solve(res))
+        assert sum(sizes) == want
+        assert sizes[:3] == [6, 6, 6]
+
+
+def test_minimize_stack_rejects_nonfinite_solve():
+    # solve 1 has an infinite objective; solve 0 alone runs fine
+    op = ObjectiveOperator(5, abar=sparse.identity(5, format="csr"), ca=[1.0, np.inf])
+    X0 = np.stack([seeded_features(5, 2, stream=s) for s in range(2)])
+    assert np.isfinite(minimize(op.take([0]), X0[:1]).error)
+    with pytest.raises(FloatingPointError, match="solve 1"):
+        minimize(op, X0)
 
 
 def test_params_validation():

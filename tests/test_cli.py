@@ -378,9 +378,12 @@ def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("axis, values", [
-    ("num_init", ["0"]), ("num_init", ["abc"]), ("lambda1", ["2"]),
-    ("num_init", ["2", "0"]), ("p", ["x"]),
-], ids=["num_init-0", "num_init-abc", "lambda1-2", "num_init-2-0", "p-x"])
+    pytest.param("num_init", ["0"], id="num_init-0"),
+    pytest.param("num_init", ["abc"], id="num_init-abc"),
+    pytest.param("lambda1", ["2"], id="lambda1-2"),
+    pytest.param("num_init", ["2", "0"], id="num_init-2-0"),
+    pytest.param("p", ["x"], id="p-x"),
+])
 def test_sweep_checks_every_value_before_the_first_run(tmp_path, capsys, monkeypatch,
                                                       axis, values):
     runs = []
@@ -409,8 +412,8 @@ def test_ubfactor_with_one_block_names_the_flags(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--p", "1", "--axis", "num_init", "--values", "1"],
-    ["--axis", "p", "--values", "2", "1"],
+    pytest.param(["--p", "1", "--axis", "num_init", "--values", "1"], id="extra0"),
+    pytest.param(["--axis", "p", "--values", "2", "1"], id="extra1"),
 ])
 def test_sweep_p_below_k_is_an_error(tmp_path, capsys, extra):
     hgr = two_clique_file(tmp_path)
@@ -418,4 +421,29 @@ def test_sweep_p_below_k_is_an_error(tmp_path, capsys, extra):
     captured = capsys.readouterr()
     assert code == 1
     assert "--p" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, axis, values", [
+    pytest.param("--p", "3", "p", [], id="p-default-rules"),
+    pytest.param("--p", "3", "p", ["4"], id="p-values"),
+    pytest.param("--p-rule", "sqrt", "p", [], id="p-rule"),
+    pytest.param("--num-init", "2", "num_init", ["1"], id="num-init"),
+    pytest.param("--lambda1", "0.3", "lambda1", ["0.5"], id="lambda1"),
+    pytest.param("--lambda2", "0.3", "lambda2", ["0.5"], id="lambda2"),
+    pytest.param("--xi1", "0.3", "xi1", ["0.5"], id="xi1"),
+    pytest.param("--xi2", "0.3", "xi2", ["0.5"], id="xi2"),
+])
+def test_sweep_rejects_the_flag_of_its_own_axis(tmp_path, capsys, monkeypatch,
+                                                flag, value, axis, values):
+    # the axis sets that flag on every run, so the flag would be dropped
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: runs.append(args))
+    hgr = two_clique_file(tmp_path)
+    args = ["sweep", "--input", str(hgr), "--k", "2", flag, value, "--axis", axis]
+    code = main(args + (["--values", *values] if values else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert runs == []
+    assert flag + " " in captured.err and "--axis " + axis in captured.err
     assert captured.out == ""

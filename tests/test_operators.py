@@ -179,7 +179,7 @@ def test_apply_pair_matches_dense():
         g = clique_expand(h)
         blocks = rng.integers(0, 2, size=h.n)
         xi1, xi2 = rng.uniform(size=2)
-        op = ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, xi1, xi2)
+        op = ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, [(xi1, xi2)])
         C = dense_pair_matrix(g.adjacency.toarray(), h.vertex_weight, blocks, xi1, xi2)
         X = rng.normal(size=(h.n, 2))
         got, want = op.apply(X), C @ X
@@ -232,7 +232,7 @@ def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
         if mode == "embedding":
             op = ObjectiveOperator.embedding(g, B, c[0], c[1])
         elif mode == "pair":
-            op = ObjectiveOperator.pair_refinement(g, B, blocks, c[0], c[1])
+            op = ObjectiveOperator.pair_refinement(g, B, blocks, [(c[0], c[1])])
         else:
             abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
             op = ObjectiveOperator(
@@ -248,6 +248,62 @@ def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
             assert value == -float(np.sum(want * X)) == op.value(X)
             assert np.array_equal(grad, -2.0 * want)
             assert np.array_equal(op.gradient(X), grad)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["pair", "custom"])
+@pytest.mark.parametrize("solves", [1, 2, 6])
+def test_stacked_apply_bit_equals_each_slice(solves, kind, c):
+    rng = np.random.default_rng([113, solves, c, kind == "pair"])
+    for _ in range(4):
+        h = random_hypergraph(rng, 30, 40, weighted=True)
+        g = clique_expand(h)
+        blocks = rng.integers(0, 3, size=h.n)
+        B = rng.uniform(0.5, 3.0, size=h.n)
+        if kind == "pair":
+            # xi2 = 1 zeroes the multipartite term, xi1 = 1 all but the clique
+            xis = [(1.0, 0.3), (0.5, 1.0), (0.15, 0.2), (0.5, 0.8), (0.0, 0.5), (0.15, 1.0)]
+            xis = [xis[i] for i in rng.permutation(6)[:solves]]
+            op = ObjectiveOperator.pair_refinement(g, B, blocks, xis)
+            alone = [ObjectiveOperator.pair_refinement(g, B, blocks, [xi]) for xi in xis]
+        else:
+            coefs = rng.normal(size=(4, solves)) * (rng.uniform(size=(4, solves)) < 0.7)
+            abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
+            make = lambda ca, cu, cw, cp: ObjectiveOperator(
+                h.n, abar=abar, ca=ca, cu=cu, cw=cw, cp=cp, weights=B, blocks=blocks)
+            op = make(*coefs)
+            alone = [make(*coefs[:, s]) for s in range(solves)]
+        assert op.solves == solves
+        X = rng.normal(size=(solves, h.n, c))
+        got = op.apply(X)
+        value, grad = op.value_and_gradient(X)
+        assert got.shape == X.shape and value.shape == (solves,)
+        for s, one in enumerate(alone):
+            want = one.apply(X[s])
+            assert np.array_equal(bits(got[s]), bits(want))
+            assert np.array_equal(bits(want), bits(formula_apply(one, X[s])))
+            assert value[s] == one.value(X[s]) == op.value(X)[s]
+            assert np.array_equal(bits(grad[s]), bits(one.gradient(X[s])))
+        pick = rng.permutation(solves)[: max(1, solves // 2)]
+        assert np.array_equal(bits(op.take(pick).apply(X[pick])), bits(got[pick]))
+
+
+def test_stack_shapes_are_checked():
+    rng = np.random.default_rng(127)
+    h = random_hypergraph(rng, 10, 12, weighted=True)
+    op = ObjectiveOperator.pair_refinement(
+        clique_expand(h), h.vertex_weight, rng.integers(0, 2, size=h.n), [(0.5, 0.8), (0.15, 0.2)])
+    with pytest.raises(ValueError):
+        op.apply(np.ones((h.n, 2)))  # an (n, c) block is one solve
+    with pytest.raises(ValueError):
+        op.apply(np.ones((3, h.n, 2)))
+    with pytest.raises(ValueError, match="xi2"):
+        ObjectiveOperator.pair_refinement(clique_expand(h), h.vertex_weight,
+                                          np.zeros(h.n), [(0.5, 0.8), (0.5, 1.2)])
 
 
 @pytest.mark.parametrize("coef, field", [("ca", "abar"), ("cw", "weights"), ("cp", "blocks")])

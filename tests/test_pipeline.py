@@ -57,13 +57,22 @@ def test_num_init_below_one_is_rejected():
         run_pipeline(h, spec, quick_config(num_init=0))
 
 
+# explicit ids, so that deleting a case renames no other
 @pytest.mark.parametrize("field, value", [
-    ("pair_rounds", -1), ("p_override", 0), ("p_override", -5),
-    ("p_override", 1),  # below k = 2
-    ("num_init", 0),
-    ("lambda1", ()), ("lambda2", ()), ("xi1", ()), ("xi2", ()),
-    ("lambda1", (0.5, 1.5)), ("lambda2", (-0.1,)), ("lambda1", (float("nan"),)),
-    ("xi1", (2.0,)), ("xi2", (0.8, float("nan"))),
+    pytest.param("pair_rounds", -1, id="pair_rounds--1"),
+    pytest.param("p_override", 0, id="p_override-0"),
+    pytest.param("p_override", -5, id="p_override--5"),
+    pytest.param("p_override", 1, id="p_override-1"),  # below k = 2
+    pytest.param("num_init", 0, id="num_init-0"),
+    pytest.param("lambda1", (), id="lambda1-value5"),
+    pytest.param("lambda2", (), id="lambda2-value6"),
+    pytest.param("xi1", (), id="xi1-value7"),
+    pytest.param("xi2", (), id="xi2-value8"),
+    pytest.param("lambda1", (0.5, 1.5), id="lambda1-value9"),
+    pytest.param("lambda2", (-0.1,), id="lambda2-value10"),
+    pytest.param("lambda1", (float("nan"),), id="lambda1-value11"),
+    pytest.param("xi1", (2.0,), id="xi1-value12"),
+    pytest.param("xi2", (0.8, float("nan")), id="xi2-value13"),
 ])
 def test_out_of_range_config_is_rejected(field, value):
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
