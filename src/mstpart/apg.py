@@ -1,22 +1,27 @@
 """Accelerated proximal gradient descent over the row-sphere set.
 
 Minimizes F(X) = -<C, X X^T> subject to every row of X having unit norm.
-The stepsize adapts from local curvature, extrapolated trial points pass a
+The stepsize grows by a summable sequence, extrapolated trial points pass a
 nonmonotone acceptance test against an averaged objective bound, and a plain
 projected gradient step is the fallback.  Termination uses the infinity norm
 of a first-order residual built from consecutive iterates.
 
+Every operator the program builds is positive semidefinite (nonnegative
+coefficients on PSD matrices), so F is concave and the stepsize only grows,
+with no curvature shrink.  F is quadratic,
+so the gradient at the extrapolated point y = X_k + beta (X_k - X_{k-1}) is
+g_k + beta (g_k - g_{k-1}), as in FISTA (Beck and Teboulle, 2009).  Both
+gradients are fresh applications, so rounding cannot build up, and a step
+applies the operator once, at the trial point, plus once for a fallback.
+
 The solver constants are fixed:
 
-- ``MU0 = 0.99``, ``MU1 = 0.95``: when the curvature estimate between the
-  last two iterates exceeds ``MU0 / alpha``, the next stepsize is
-  ``MU1 * ||dX||^2 / curvature``.
-- ``P_TILDE = 0.1``: otherwise the stepsize grows by
-  ``min(1, alpha) / k^(1 + P_TILDE)``, a summable sequence.
-- ``DELTA1 = 1e-4`` and δ2: the sufficient-decrease weights of the trial
-  point.  δ2 is ``min(2 * DELTA1, 0.49 * (1 - MU0) / alpha_1)``, with
-  alpha_1 the first grown stepsize, and stays frozen for the run; when that
-  is not above ``DELTA1``, δ1 drops to δ2 / 2.
+- ``P_TILDE = 0.1``: the stepsize grows by ``min(1, alpha) / k^(1 + P_TILDE)``
+  a step, a summable sequence.
+- ``DELTA1 = 1e-4``, ``MU0 = 0.99`` and δ2: the sufficient-decrease weights
+  of the trial point.  δ2 is ``min(2 * DELTA1, 0.49 * (1 - MU0) / alpha_1)``,
+  with alpha_1 the first grown stepsize, and stays frozen for the run; when
+  that is not above ``DELTA1``, δ1 drops to δ2 / 2.
 - ``SIGMA = 1.0``, ``R = 2.0``: the trial test inflates ||y - X||^2 by
   ``1 + SIGMA / k^R``.
 - ``ETA = 0.8``: the weight of the averaged objective bound
@@ -52,7 +57,6 @@ IterRecord = namedtuple("IterRecord", "iteration value alpha accepted error boun
 
 
 MU0 = 0.99
-MU1 = 0.95
 DELTA1 = 1e-4
 ETA = 0.8
 P_TILDE = 0.1
@@ -125,8 +129,16 @@ def project_rows(X: np.ndarray) -> np.ndarray:
     """Scale each row (the last axis) to unit norm; an all-zero row becomes
     (1, 0, ..., 0)."""
     X = np.asarray(X, dtype=np.float64)
-    # the sum and root np.linalg.norm(X, axis=-1) computes, without its checks
-    norms = np.sqrt(np.add.reduce(X * X, axis=-1))
+    # the sum and root np.linalg.norm(X, axis=-1) computes, without its checks;
+    # numpy adds fewer than 8 terms in order, so narrow rows add their columns
+    sq = X * X
+    if 2 <= X.shape[-1] <= 7:
+        norms = sq[..., 0] + sq[..., 1]
+        for j in range(2, X.shape[-1]):
+            norms += sq[..., j]
+    else:
+        norms = np.add.reduce(sq, axis=-1)
+    norms = np.sqrt(norms)
     if norms.all():
         return X / norms[..., None]
     zero = norms == 0.0
@@ -184,8 +196,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     counter and what depends on it alone (q, β, the growth term, the
     inflation factor) are shared.  A solve that stops leaves the stack, so a
     step applies the operator only to the live solves, and the fallback
-    step only to the rejected ones.  Every solve's iterates equal those of
-    its own run bit for bit, and every iterate stays on the row sphere.
+    step only to the rejected ones; the gradient at the extrapolated point
+    comes from the last two.  Every solve's iterates equal those of its own
+    run bit for bit, and every iterate stays on the row sphere.
     """
     params = params or ApgParams()
     X0 = np.asarray(X0, dtype=np.float64)
@@ -214,7 +227,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     delta1 = np.where(delta2 > DELTA1, DELTA1, delta2 / 2.0)
 
     op_live = op
-    X_prev, F_prev, g_prev = X_cur, F_cur, g_cur
+    X_prev, g_prev = X_cur, g_cur
     bound = F_cur  # nonmonotone averaged objective c_k
     q = 1.0
     k = 0
@@ -227,22 +240,15 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
             ids = ids[live]
             if not ids.size:
                 break
-            X_prev, X_cur = X_prev[live], X_cur[live]
-            F_prev, F_cur = F_prev[live], F_cur[live]
+            X_prev, X_cur, F_cur = X_prev[live], X_cur[live], F_cur[live]
             g_prev, g_cur = g_prev[live], g_cur[live]
             alpha, delta1, delta2, bound = alpha[live], delta1[live], delta2[live], bound[live]
             op_live = op.take(ids)
 
-        dX = X_cur - X_prev
-        dn2 = (dX * dX).sum(axis=(1, 2))
-        lhs = 2.0 * (F_cur - F_prev - (g_prev * dX).sum(axis=(1, 2)))
         alpha_next = alpha + np.minimum(1.0, alpha) * _grow_term(k)
-        shrink = (dn2 > 0.0) & (lhs > (MU0 / alpha) * dn2)
-        alpha_next[shrink] = MU1 * dn2[shrink] / lhs[shrink]
-
         beta = k / (k + 3.0)
-        y = X_cur + beta * dX
-        gy = op_live.gradient(y)
+        y = X_cur + beta * (X_cur - X_prev)
+        gy = g_cur + beta * (g_cur - g_prev)  # grad F(y): the gradient is linear
         a = alpha_next[:, None, None]
         z = project_rows(y - a * gy)
 
@@ -275,8 +281,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         bound = (ETA * q * bound + F_next) / q_next
         q = q_next
 
-        X_prev, X_cur = X_cur, X_next
-        F_prev, F_cur = F_cur, F_next
+        X_prev, X_cur, F_cur = X_cur, X_next, F_next
         g_prev, g_cur = g_cur, g_next
         alpha = alpha_next
         live = error > eps if k < params.max_iters else np.zeros(ids.size, dtype=bool)

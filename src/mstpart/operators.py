@@ -89,8 +89,10 @@ class ObjectiveOperator:
     Gu = n I - 1 1^T is the unit complete-graph Laplacian,
     Gw = W Diag(B) - B B^T is the weighted complete-graph Laplacian, and
     Kp is the Laplacian of the complete multipartite graph over given blocks.
-    Each coefficient is a scalar or one value per solve; the solves share
-    every input and constant.
+    Each coefficient is a nonnegative scalar or one value per solve; the
+    solves share every input and constant.  With ``abar`` positive
+    semidefinite, as the constructors build it, C is positive semidefinite
+    and F concave, which the solver's stepsize rule relies on.
 
     ``apply`` takes one solve's (n, c) block when the stack holds one solve,
     or the whole (S, n, c) stack.  It lays the stack out as one (n, S*c)
@@ -101,8 +103,8 @@ class ObjectiveOperator:
     ``np.add.at``.  A zero coefficient adds an exact zero.  The constants of
     the formula (W, B as a column, n minus each vertex's block size, the flat
     block index of every entry) are computed once in ``__init__``.  A nonzero
-    coefficient without its input (``abar``, ``weights`` or ``blocks``) is a
-    ``ValueError``.
+    coefficient without its input (``abar``, ``weights`` or ``blocks``) and a
+    negative one are ``ValueError``.
     """
 
     def __init__(self, n, *, abar=None, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
@@ -115,6 +117,8 @@ class ObjectiveOperator:
         )
         if self.ca.ndim != 1:
             raise ValueError("coefficients must be scalars or one value per solve")
+        if not all((c >= 0.0).all() for c in (self.ca, self.cu, self.cw, self.cp)):
+            raise ValueError("coefficients must be nonnegative")  # NaN too
         self.mode = mode
         for coef, name, given in (("ca", "abar", abar), ("cw", "weights", weights),
                                   ("cp", "blocks", blocks)):

@@ -236,7 +236,7 @@ def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
         else:
             abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
             op = ObjectiveOperator(
-                h.n, abar=abar, ca=c[0], cu=-c[1], cw=c[2], cp=-c[3],
+                h.n, abar=abar, ca=c[0], cu=c[1], cw=c[2], cp=c[3],
                 weights=B, blocks=blocks,
             )
         # k = 2 twice: the second call reads the cached block index
@@ -271,7 +271,7 @@ def test_stacked_apply_bit_equals_each_slice(solves, kind, c):
             op = ObjectiveOperator.pair_refinement(g, B, blocks, xis)
             alone = [ObjectiveOperator.pair_refinement(g, B, blocks, [xi]) for xi in xis]
         else:
-            coefs = rng.normal(size=(4, solves)) * (rng.uniform(size=(4, solves)) < 0.7)
+            coefs = rng.uniform(size=(4, solves)) * (rng.uniform(size=(4, solves)) < 0.7)
             abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
             make = lambda ca, cu, cw, cp: ObjectiveOperator(
                 h.n, abar=abar, ca=ca, cu=cu, cw=cw, cp=cp, weights=B, blocks=blocks)
@@ -311,6 +311,18 @@ def test_nonzero_term_without_its_input_is_rejected(coef, field):
     with pytest.raises(ValueError, match=field):
         ObjectiveOperator(4, **{coef: 0.5})
     ObjectiveOperator(4, **{coef: 0.0})  # a zero term needs no input
+
+
+@pytest.mark.parametrize("coef", ["ca", "cu", "cw", "cp"])
+@pytest.mark.parametrize("bad", [-0.5, -1e-300, float("nan")])
+def test_negative_coefficient_is_rejected(coef, bad):
+    inputs = dict(abar=sparse.identity(4, format="csr"), weights=np.ones(4),
+                  blocks=np.array([0, 0, 1, 1]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ObjectiveOperator(4, **{coef: bad}, **inputs)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ObjectiveOperator(4, **{coef: [0.5, bad, 0.0]}, **inputs)
+    ObjectiveOperator(4, **{coef: [0.5, -0.0, 0.0]}, **inputs)  # -0.0 is zero
 
 
 # ---------------------------------------------------------------------------
