@@ -339,7 +339,12 @@ class Partition:
         self.cutsize = int(h.edge_weight @ (spans - 1))
 
     def move(self, v: int, block: int) -> int:
-        """Move vertex v to `block`, updating caches.  Returns the cutsize delta."""
+        """Move vertex v to `block`, updating caches.  Returns the cutsize delta.
+
+        A block id outside 0..k-1 is a ``PartitionFormatError``, raised
+        before any cache changes."""
+        if not 0 <= block < self.k:
+            raise PartitionFormatError(f"block id {block} out of range 0..{self.k - 1}")
         old = int(self.assignment[v])
         if block == old:
             return 0

@@ -6,8 +6,10 @@ everything else by proximity to the two side centers, a pairwise pass that
 re-embeds two blocks at a time and re-splits them, a greedy move-and-swap
 repair for overweight blocks, and a pass-based k-way FM.  An FM pass runs on
 local copies of the gain table and pin counts, updates a gain only when a
-move takes one of its net's pin counts across 0/1/2, and applies only its
-best prefix of moves to the partition.
+move takes one of its net's pin counts across 0/1/2, stops once the moves
+after its best prefix drift downhill (the random-walk rule of Osipov &
+Sanders, ``STOP_ALPHA`` and ``STOP_BETA``), and applies only its best prefix
+of moves to the partition.
 """
 
 from __future__ import annotations
@@ -270,6 +272,10 @@ def repair_feasibility(
 # ---------------------------------------------------------------------------
 # k-way FM
 
+STOP_ALPHA = 16
+STOP_BETA = 4
+
+
 def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     """Pass-based k-way FM refinement.
 
@@ -280,6 +286,15 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     the partition.  Passes repeat while they improve, at most 50 times.  The
     result is feasible and never worse than the input, which must itself be
     feasible.
+
+    A pass also stops early, as in Osipov & Sanders (ESA 2010): over the s
+    moves made since it last set a new best prefix, with gain mean mu and
+    variance sigma^2 (population form, from the running sum and sum of
+    squares), it ends after a move once mu < 0, s > beta and
+    s mu^2 > alpha sigma^2 + beta, where ``STOP_ALPHA`` alpha = 16 and
+    beta = ``STOP_BETA`` ln n = 4 ln n.  The s > beta condition and the
+    + beta term keep short or noisy downhill runs going, so a pass that
+    would still reach a better prefix is seldom cut.
 
     A pass reads the gain table once and then keeps it exact itself: a move
     v: s -> t changes a gain only on a net e of v whose pin count
@@ -300,8 +315,9 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
 
 
 def _fm_pass(h: Hypergraph, part: Partition, caps: list) -> int:
-    """One FM pass on local copies of the partition's tables; applies the
-    best prefix of its moves to ``part`` and returns that prefix's gain."""
+    """One FM pass on local copies of the partition's tables, ended by the
+    stop rule of ``kway_fm`` or an empty heap; applies the best prefix of
+    its moves to ``part`` and returns that prefix's gain."""
     n, k = h.n, part.k
     inc, inc_off = h.inc_list.tolist(), h.inc_offsets.tolist()
     nets = [inc[inc_off[v]:inc_off[v + 1]] for v in range(n)]
@@ -320,8 +336,10 @@ def _fm_pass(h: Hypergraph, part: Partition, caps: list) -> int:
     deferred: list[list] = [[] for _ in range(k)]  # entries by target block
     pop, push = heapq.heappop, heapq.heappush
 
+    beta = STOP_BETA * math.log(n)
     moves: list[tuple[int, int]] = []
     cum = best_cum = best_len = 0
+    steps = gain_sum = gain_sq = 0  # of the moves since the best prefix
     while heap:
         item = pop(heap)
         d, v, t, ver = item
@@ -370,6 +388,16 @@ def _fm_pass(h: Hypergraph, part: Partition, caps: list) -> int:
         cum -= d
         if cum > best_cum:
             best_cum, best_len = cum, len(moves)
+            steps = gain_sum = gain_sq = 0
+        else:
+            steps += 1
+            gain_sum -= d
+            gain_sq += d * d
+            if gain_sum < 0 and steps > beta:
+                mean = gain_sum / steps
+                var = gain_sq / steps - mean * mean
+                if steps * mean * mean > STOP_ALPHA * var + beta:
+                    break
         for key in changed:
             version[key] += 1
             u, b = divmod(key, k)

@@ -237,6 +237,19 @@ def test_partition_validates_ids():
         Partition(h, [0], 2)
 
 
+@pytest.mark.parametrize("block", [-1, 2])
+def test_move_rejects_block_ids_outside_k(block):
+    h = Hypergraph.from_edges([[0, 1], [1, 2]], n=3)
+    p = Partition(h, [0, 0, 1], 2)
+    with pytest.raises(PartitionFormatError, match=f"block id {block} "):
+        p.move(0, block)
+    fresh = Partition(h, [0, 0, 1], 2)
+    assert p.assignment.tolist() == [0, 0, 1]
+    assert p.block_weight.tolist() == fresh.block_weight.tolist()
+    assert np.array_equal(p.pin_count, fresh.pin_count)
+    assert p.cutsize == fresh.cutsize == 1
+
+
 def pin_count_oracle(h, assignment, k):
     table = np.zeros((h.m, k), dtype=np.int64)
     for e in range(h.m):

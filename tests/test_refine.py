@@ -663,13 +663,16 @@ def test_fm_move_calls_are_kept_moves(monkeypatch):
 def reference_fm(h, p, spec):
     """k-way FM as one plain pass loop: per-vertex entry versions, every gain
     of a touched pin re-read with ``move_deltas`` after each move, every
-    deferred entry re-pushed after each move, and the tail rolled back.
-    Also returns how many moves were applied after being deferred once."""
+    deferred entry re-pushed after each move, the pass stopped by the
+    random-walk rule on the gains since its best prefix, and the tail rolled
+    back.  Also returns how many moves were applied after being deferred
+    once, and how many passes the stop rule ended."""
     part = p.copy()
     if h.n == 0 or part.k < 2:
-        return part, 0
+        return part, 0, 0
     n, k, caps = h.n, part.k, spec.upper_bounds
-    revived = 0
+    alpha, beta = 16.0, 4.0 * math.log(n)
+    revived = stopped = 0
     for _ in range(50):
         version = np.zeros(n, dtype=np.int64)
         locked = np.zeros(n, dtype=bool)
@@ -685,6 +688,7 @@ def reference_fm(h, p, spec):
         push_moves(list(range(n)))
         applied, deferred, waited = [], [], set()
         cum = best_cum = best_len = 0
+        tail_n = tail_sum = tail_sq = 0  # gains of the moves after the best
         while heap:
             item = heapq.heappop(heap)
             delta, v, t, ver = item
@@ -702,6 +706,14 @@ def reference_fm(h, p, spec):
             cum -= delta
             if cum > best_cum:
                 best_cum, best_len = cum, len(applied)
+                tail_n = tail_sum = tail_sq = 0
+            else:
+                tail_n, tail_sum, tail_sq = tail_n + 1, tail_sum - delta, tail_sq + delta**2
+                mu = tail_sum / tail_n
+                sigma2 = tail_sq / tail_n - mu**2
+                if mu < 0 and tail_n > beta and tail_n * mu**2 > alpha * sigma2 + beta:
+                    stopped += 1
+                    break
             touched = {int(u) for e in h.vertex_edges(v) for u in h.edge_pins(e)}
             fresh = sorted(u for u in touched if not locked[u])
             version[fresh] += 1
@@ -713,7 +725,7 @@ def reference_fm(h, p, spec):
             part.move(v, frm)
         if best_cum <= 0:
             break
-    return part, revived
+    return part, revived, stopped
 
 
 def feasible_start(rng, h, k, spec, near_cap):
@@ -768,11 +780,12 @@ def fm_cases():
 
 
 def test_fm_matches_reference_pass():
-    revived_on = 0
+    revived_on = stops = 0
     for h, p, spec in fm_cases():
-        ref, revived = reference_fm(h, p, spec)
+        ref, revived, stopped = reference_fm(h, p, spec)
         out = kway_fm(h, p, spec)
         revived_on += revived > 0
+        stops += stopped
         assert np.array_equal(out.assignment, ref.assignment)
         assert out.cutsize == ref.cutsize == km1_oracle(h, out.assignment)
         fresh = Partition(h, out.assignment, p.k)
@@ -782,3 +795,45 @@ def test_fm_matches_reference_pass():
             assert got.cutsize == fresh.cutsize
         assert np.all(out.block_weight <= spec.upper_bounds)
     assert revived_on >= 150  # a deferred move became possible and was made
+    assert stops >= 5  # the stop rule ended passes before their heaps ran dry
+
+
+def planted_instance(n, groups, seed):
+    """n nets of 2-5 pins, each drawn from one of ``groups`` equal groups of
+    consecutive vertices, one in ten with an extra pin from anywhere."""
+    rng = np.random.default_rng(seed)
+    group = np.arange(n) * groups // n
+    nets = []
+    for _ in range(n):
+        members = np.nonzero(group == rng.integers(groups))[0]
+        pins = set(rng.choice(members, size=int(rng.integers(2, 6)), replace=False).tolist())
+        if rng.random() < 0.1:
+            pins.add(int(rng.integers(n)))
+        nets.append(sorted(pins))
+    return Hypergraph.from_edges(nets, n=n), group
+
+
+def test_fm_pass_stops_before_its_heap_runs_dry(monkeypatch):
+    n, k = 2000, 4
+    h, group = planted_instance(n, 2 * k, seed=5)
+    spec = BalanceSpec.for_hypergraph(h, k, 0.03)
+    p = Partition(h, group * k // (2 * k), k)
+    seeded, pops = [], []
+    heapify, heappop = heapq.heapify, heapq.heappop
+
+    def counting_heapify(heap):  # each pass seeds its heap once
+        seeded.append(len(heap))
+        pops.append(0)
+        heapify(heap)
+
+    def counting_heappop(heap):
+        pops[-1] += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(heapq, "heapify", counting_heapify)
+    monkeypatch.setattr(heapq, "heappop", counting_heappop)
+    out = kway_fm(h, p, spec)
+    assert seeded[0] == n * (k - 1)
+    assert pops[0] < seeded[0]  # without the stop a pass pops every entry
+    assert out.cutsize < p.cutsize
+    assert np.all(out.block_weight <= spec.upper_bounds)
