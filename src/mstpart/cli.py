@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 
-from .apg import ApgParams
 from .hypergraph import (
     BalanceSpec,
     HgrFormatError,
@@ -31,16 +30,6 @@ from .hypergraph import (
 from .pipeline import PipelineConfig, improve_partition, run_pipeline
 
 __all__ = ["main", "build_parser"]
-
-# the pipeline flags that each sweep axis overrides on every run
-SWEEP_AXIS_FLAGS = {
-    "p": {"--p": "p_override", "--p-rule": "p_rule"},
-    "num_init": {"--num-init": "num_init"},
-    "lambda1": {"--lambda1": "lambda1"},
-    "lambda2": {"--lambda2": "lambda2"},
-    "xi1": {"--xi1": "xi1"},
-    "xi2": {"--xi2": "xi2"},
-}
 
 
 class CliError(Exception):
@@ -64,23 +53,42 @@ def _add_instance_flags(sp, partition_file=False):
     group.add_argument("--ubfactor", type=float, help="hMetis-style UBfactor, converted to epsilon")
 
 
-def _add_refine_flags(sp):
+def _grid(help):
+    return {"type": float, "nargs": "+", "help": help}
+
+
+# Every flag that sets a config value: the PipelineConfig field it sets
+# ("apg." for a solver parameter), how its parsed value becomes the field's
+# value, and its argparse settings.  ``_set`` runs the library's checks.
+REFINE_FLAGS = {
+    "--xi1": ("xi1", tuple, _grid("pair-refinement grid for xi1")),
+    "--xi2": ("xi2", tuple, _grid("pair-refinement grid for xi2")),
+    "--pair-rounds": ("pair_rounds", int, {"type": int, "help": "pairwise improvement rounds"}),
+    "--apg-max-iters": ("apg.max_iters", int, {"type": int, "help": "solver iteration cap"}),
+    "--apg-epsilon": ("apg.epsilon", float, {"type": float, "help": "solver residual tolerance"}),
+}
+PIPELINE_FLAGS = {
+    **REFINE_FLAGS,
+    "--num-init": ("num_init", int, {"type": int, "help": "initial partition candidates (default 10)"}),
+    "--lambda1": ("lambda1", tuple, _grid("embedding grid for lambda1")),
+    "--lambda2": ("lambda2", tuple, _grid("embedding grid for lambda2")),
+    "--p": ("p", lambda p: (p,), {"type": int, "help": "fixed cluster count"}),
+    "--p-rule": ("p", lambda rule: ("sqrt", "linear") if rule == "both" else (rule,),
+                 {"choices": ["sqrt", "linear", "both"],
+                  "help": "cluster-count rule(s) when --p is not given (default both)"}),
+}
+SWEEP_AXES = ("p", "num_init", "lambda1", "lambda2", "xi1", "xi2")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_config_flags(sp, flags):
     sp.add_argument("--metrics", help="also write the metric lines to this file")
-    sp.add_argument("--xi1", type=float, nargs="+", help="pair-refinement grid for xi1")
-    sp.add_argument("--xi2", type=float, nargs="+", help="pair-refinement grid for xi2")
-    sp.add_argument("--pair-rounds", type=int, help="pairwise improvement rounds")
-    sp.add_argument("--apg-max-iters", type=int, help="solver iteration cap")
-    sp.add_argument("--apg-epsilon", type=float, help="solver residual tolerance")
-
-
-def _add_pipeline_flags(sp):
-    _add_refine_flags(sp)
-    sp.add_argument("--num-init", type=int, help="initial partition candidates (default 10)")
-    sp.add_argument("--lambda1", type=float, nargs="+", help="embedding grid for lambda1")
-    sp.add_argument("--lambda2", type=float, nargs="+", help="embedding grid for lambda2")
-    sp.add_argument("--p", type=int, dest="p_override", help="fixed cluster count override")
-    sp.add_argument("--p-rule", choices=["sqrt", "linear", "both"],
-                    help="cluster-count rule(s) when --p is not given (default both)")
+    group = sp.add_mutually_exclusive_group()  # --p and --p-rule both set p
+    for flag, (field, _, settings) in flags.items():
+        (group if field == "p" else sp).add_argument(flag, **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("partition", help="partition a hypergraph")
     _add_instance_flags(sp)
-    _add_pipeline_flags(sp)
+    _add_config_flags(sp, PIPELINE_FLAGS)
     sp.add_argument("--output", required=True, help="partition file to write")
     sp.set_defaults(func=cmd_partition)
 
@@ -100,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     si = sub.add_parser("improve", help="refine an existing partition")
     _add_instance_flags(si, partition_file=True)
-    _add_refine_flags(si)
+    _add_config_flags(si, REFINE_FLAGS)
     si.add_argument("--output", required=True, help="improved partition file to write")
     si.set_defaults(func=cmd_improve)
 
     sw = sub.add_parser("sweep", help="rerun the pipeline along one parameter axis")
     _add_instance_flags(sw)
-    _add_pipeline_flags(sw)
-    sw.add_argument("--axis", required=True, choices=tuple(SWEEP_AXIS_FLAGS))
+    _add_config_flags(sw, PIPELINE_FLAGS)
+    sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sw.add_argument("--values", nargs="+", help="axis values (p axis defaults to its two rules)")
     sw.add_argument("--csv", help="also write the CSV rows to this file")
     sw.set_defaults(func=cmd_sweep)
@@ -115,76 +123,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_epsilon(args) -> float:
-    if args.epsilon is not None:
-        if not 0 <= args.epsilon < float("inf"):  # NaN fails too
-            raise CliError("--epsilon must be finite and >= 0")
-        return args.epsilon
-    if args.ubfactor is not None:
-        if not 0 < args.ubfactor < 50:  # NaN fails too
-            raise CliError("--ubfactor must lie in (0, 50)")
-        if args.k < 2:
-            raise CliError(f"--ubfactor needs --k >= 2, got {args.k}")
-        return epsilon_from_ubfactor(args.ubfactor, args.k)
-    return default_epsilon(args.k)
+    if args.ubfactor is None:
+        return default_epsilon(args.k) if args.epsilon is None else args.epsilon
+    if args.k < 2:
+        raise CliError(f"--ubfactor needs --k >= 2, got {args.k}")
+    return _flagged("--ubfactor", epsilon_from_ubfactor, args.ubfactor, args.k)
 
 
-def _checked_num_init(num_init: int) -> int:
-    if num_init < 1:
-        raise CliError(f"--num-init must be >= 1, got {num_init}")
-    return num_init
+def _flagged(flag: str, check, *args):
+    """``check(*args)``, with a ``ValueError`` reported as an error naming ``flag``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
-def _checked_p(p: int, k: int) -> int:
-    if p < k:
-        raise CliError(f"--p must be >= k ({k}), got {p}")
-    return p
+def _set(config: PipelineConfig, flag: str, value, k: int) -> PipelineConfig:
+    """A copy of ``config`` with the field of ``flag`` set from its parsed
+    ``value``, checked for k blocks by the library's own checks."""
+    field, to_field, _ = PIPELINE_FLAGS[flag]
+    try:
+        value = to_field(value)
+        if field.startswith("apg."):
+            field, value = "apg", dataclasses.replace(config.apg, **{field[4:]: value})
+        return dataclasses.replace(config, **{field: value}).check(k)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
-def _unit_grid(values, flag: str) -> tuple:
-    """A weight-grid flag's values, each of which must lie in [0, 1]."""
-    bad = [x for x in values if not 0.0 <= x <= 1.0]  # NaN fails too
-    if bad:
-        raise CliError(f"{flag} values must lie in [0, 1], got {bad[0]}")
-    return tuple(values)
-
-
-def _refine_config(args) -> PipelineConfig:
-    """The config that the flags of ``_add_refine_flags`` set."""
-    if args.pair_rounds is not None and args.pair_rounds < 0:
-        raise CliError("--pair-rounds must be >= 0")
-    if args.apg_max_iters is not None and args.apg_max_iters < 1:
-        raise CliError("--apg-max-iters must be >= 1")
-    if args.apg_epsilon is not None and not args.apg_epsilon > 0:  # NaN too
-        raise CliError("--apg-epsilon must be > 0")
+def _config(args, flags) -> PipelineConfig:
+    """The config that the given flags set."""
     config = PipelineConfig()
-    if args.xi1:
-        config.xi1 = _unit_grid(args.xi1, "--xi1")
-    if args.xi2:
-        config.xi2 = _unit_grid(args.xi2, "--xi2")
-    if args.pair_rounds is not None:
-        config.pair_rounds = args.pair_rounds
-    apg_kw = {}
-    if args.apg_max_iters is not None:
-        apg_kw["max_iters"] = args.apg_max_iters
-    if args.apg_epsilon is not None:
-        apg_kw["epsilon"] = args.apg_epsilon
-    if apg_kw:
-        config.apg = ApgParams(**apg_kw)
-    return config
-
-
-def _config_from_args(args) -> PipelineConfig:
-    config = _refine_config(args)
-    if args.num_init is not None:
-        config.num_init = _checked_num_init(args.num_init)
-    if args.lambda1:
-        config.lambda1 = _unit_grid(args.lambda1, "--lambda1")
-    if args.lambda2:
-        config.lambda2 = _unit_grid(args.lambda2, "--lambda2")
-    if args.p_override is not None:
-        config.p_override = _checked_p(args.p_override, args.k)
-    if args.p_rule not in (None, "both"):
-        config.p_rules = (args.p_rule,)
+    for flag in flags:
+        value = getattr(args, _dest(flag))
+        if value is not None:
+            config = _set(config, flag, value, args.k)
     return config
 
 
@@ -215,14 +188,14 @@ def _load_instance(args):
     t0 = time.perf_counter()
     h = parse_hmetis(_read_text(args.input))
     io_time = time.perf_counter() - t0
-    eps = _resolve_epsilon(args)
-    spec = BalanceSpec.for_hypergraph(h, args.k, eps)
+    eps = _resolve_epsilon(args)  # one from --ubfactor always fits a spec
+    spec = _flagged("--epsilon", BalanceSpec.for_hypergraph, h, args.k, eps)
     return h, spec, eps, io_time
 
 
 def cmd_partition(args) -> int:
     h, spec, eps, io_time = _load_instance(args)
-    config = _config_from_args(args)
+    config = _config(args, PIPELINE_FLAGS)
     res = run_pipeline(h, spec, config)
 
     t0 = time.perf_counter()
@@ -277,7 +250,7 @@ def cmd_evaluate(args) -> int:
 def cmd_improve(args) -> int:
     h, spec, eps, io_time = _load_instance(args)
     p = read_partition(_read_text(args.partition), h, spec.k)
-    config = _refine_config(args)
+    config = _config(args, REFINE_FLAGS)
     out, report = improve_partition(h, p, spec, config)
 
     t0 = time.perf_counter()
@@ -299,41 +272,40 @@ def cmd_improve(args) -> int:
     return 0 if report["feasible"] else 2
 
 
-def _axis_override(args, raw: str) -> dict:
-    """The config fields one ``--values`` entry sets, checked by the helpers
-    of the matching flag, so a bad entry fails before any run starts."""
+def _sweep_entry(args, flag: str, base: PipelineConfig, raw: str) -> PipelineConfig:
+    """``base`` with one ``--values`` entry set as the axis flag ``flag``
+    would set it, so that a bad entry fails before any run starts."""
+    settings = PIPELINE_FLAGS[flag][2]
     try:
-        if args.axis == "p":
-            return {"p_override": _checked_p(int(raw), args.k)}
-        if args.axis == "num_init":
-            return {"num_init": _checked_num_init(int(raw))}
-        return {args.axis: _unit_grid([float(raw)], f"--{args.axis}")}
+        value = settings["type"](raw)
+        return _set(base, flag, [value] if "nargs" in settings else value, args.k)
     except (CliError, ValueError) as exc:
         raise CliError(f"--values {raw!r}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:
     h, spec, _, _ = _load_instance(args)
-    base = _config_from_args(args)
+    axis_flag = "--" + args.axis.replace("_", "-")
+    base = _config(args, PIPELINE_FLAGS)
 
     if args.axis == "p" and not args.values:
-        entries = [("sqrt(n/2)", {"p_rules": ("sqrt",), "p_override": None}),
-                   ("n/(5k)", {"p_rules": ("linear",), "p_override": None})]
+        entries = [("sqrt(n/2)", dataclasses.replace(base, p=("sqrt",))),
+                   ("n/(5k)", dataclasses.replace(base, p=("linear",)))]
     elif not args.values:
         raise CliError(f"axis {args.axis!r} needs --values")
     else:
-        entries = [(raw, _axis_override(args, raw)) for raw in args.values]
-    for flag, dest in SWEEP_AXIS_FLAGS[args.axis].items():
-        if getattr(args, dest) is not None:
+        entries = [(raw, _sweep_entry(args, axis_flag, base, raw)) for raw in args.values]
+    field = PIPELINE_FLAGS[axis_flag][0]
+    for flag, (other, _, _) in PIPELINE_FLAGS.items():
+        if other == field and getattr(args, _dest(flag)) is not None:
             raise CliError(f"{flag} cannot be combined with --axis {args.axis}, "
                            "which sets it on every run")
 
     rows = ["value,cutsize,time"]
     all_feasible = True
-    for label, override in entries:
-        config = dataclasses.replace(base, **override)
+    for label, config in entries:
         res = run_pipeline(h, spec, config)
-        if override.get("p_override") and res.candidates:
+        if args.axis == "p" and args.values and res.candidates:
             label = res.candidates[0].p  # the p that ran: clamped to the coarsest n
         rows.append(f"{label},{res.cutsize},{res.timings['total']:.6f}")
         all_feasible = all_feasible and res.feasible

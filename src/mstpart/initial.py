@@ -228,24 +228,21 @@ def candidate_p_values(n: int, k: int) -> tuple[int, int]:
     return math.ceil(math.sqrt(n / 2.0)), math.ceil(n / (5.0 * k))
 
 
-def _p_choices(n: int, k: int, p_rules, p_override) -> list[int]:
+def _p_choices(n: int, k: int, p) -> list[int]:
     """Distinct cluster counts to try on an n-vertex level, each in k..n.
 
-    ``run_pipeline`` rejects a ``p_override`` below k, so only the rules can
-    fall under k here; any value above n, the override included, is lowered
-    to n, because the caller cannot know the coarsest level's size.
+    ``p`` is ``PipelineConfig.p``: each entry is the rule "sqrt" or
+    "linear" of ``candidate_p_values``, or a fixed count.  The config check
+    rejects a fixed count below k, so only the rules can fall under k here;
+    any count above n is lowered to n, because the caller cannot know the
+    coarsest level's size.
     """
-    if p_override is not None:
-        raw = [p_override]
-    else:
-        sqrt_p, lin_p = candidate_p_values(n, k)
-        chosen = {"sqrt": sqrt_p, "linear": lin_p}
-        raw = [chosen[r] for r in p_rules]
+    rules = dict(zip(("sqrt", "linear"), candidate_p_values(n, k)))
     out = []
-    for p in raw:
-        p = min(max(p, k), n)
-        if p not in out:
-            out.append(p)
+    for entry in p:
+        count = min(max(rules.get(entry, entry), k), n)
+        if count not in out:
+            out.append(count)
     return out
 
 

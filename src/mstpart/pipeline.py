@@ -33,18 +33,47 @@ __all__ = [
 
 @dataclass
 class PipelineConfig:
-    """Everything the pipeline and its refiners can vary, with working defaults."""
+    """Everything the pipeline and its refiners can vary, with working defaults.
+
+    Each entry of ``p`` is a cluster-count rule, "sqrt" for
+    ceil(sqrt(n / 2)) or "linear" for ceil(n / (5 k)), or a fixed count.
+    """
 
     num_init: int = 10
     lambda1: tuple = (0.9, 0.5, 0.15, 0.015)
     lambda2: tuple = (1.0, 0.9, 0.8)
     xi1: tuple = (0.5, 0.15)
     xi2: tuple = (1.0, 0.8, 0.2)
-    p_rules: tuple = ("sqrt", "linear")
-    p_override: int | None = None
+    p: tuple = ("sqrt", "linear")
     coarsest_factor: int = 625
     pair_rounds: int = 5
     apg: ApgParams = field(default_factory=ApgParams)
+
+    def check(self, k: int) -> "PipelineConfig":
+        """This config, once it is valid for k blocks.  An out-of-range
+        count, an empty weight grid or one with a value outside [0, 1], and
+        an empty ``p``, an unknown rule or a fixed count below k raise
+        ``ValueError``."""
+        for name in ("lambda1", "lambda2", "xi1", "xi2"):
+            grid = getattr(self, name)
+            if len(grid) == 0:
+                raise ValueError(f"{name} must not be empty")
+            bad = [x for x in grid if not 0.0 <= x <= 1.0]  # NaN fails too
+            if bad:
+                raise ValueError(f"{name} values must lie in [0, 1], got {bad[0]}")
+        if self.num_init < 1:
+            raise ValueError(f"num_init must be >= 1, got {self.num_init}")
+        if self.pair_rounds < 0:
+            raise ValueError(f"pair_rounds must be >= 0, got {self.pair_rounds}")
+        if len(self.p) == 0:
+            raise ValueError("p must not be empty")
+        for entry in self.p:
+            if isinstance(entry, str):
+                if entry not in ("sqrt", "linear"):
+                    raise ValueError(f"p rules are 'sqrt' and 'linear', got {entry!r}")
+            elif not (isinstance(entry, (int, np.integer)) and entry >= k):
+                raise ValueError(f"p counts must be integers >= k ({k}), got {entry!r}")
+        return self
 
 
 @dataclass
@@ -69,35 +98,13 @@ class PipelineResult:
     candidates: list
 
 
-def _checked(config: PipelineConfig | None, spec: BalanceSpec) -> PipelineConfig:
-    """The config, or the defaults; out-of-range counts and an empty weight
-    grid or one with a value outside [0, 1] raise ``ValueError``."""
-    config = config or PipelineConfig()
-    for name in ("lambda1", "lambda2", "xi1", "xi2"):
-        grid = getattr(config, name)
-        if len(grid) == 0:
-            raise ValueError(f"{name} must not be empty")
-        bad = [x for x in grid if not 0.0 <= x <= 1.0]  # NaN fails too
-        if bad:
-            raise ValueError(f"{name} values must lie in [0, 1], got {bad[0]}")
-    if config.num_init < 1:
-        raise ValueError(f"num_init must be >= 1, got {config.num_init}")
-    if config.pair_rounds < 0:
-        raise ValueError(f"pair_rounds must be >= 0, got {config.pair_rounds}")
-    if config.p_override is not None and config.p_override < spec.k:
-        raise ValueError(
-            f"p_override must be >= k ({spec.k}), got {config.p_override}"
-        )
-    return config
-
-
 def _build_candidate(i, h, spec, clique, config):
     combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
     lam1, lam2 = combos[i % len(combos)]
     op = ObjectiveOperator.embedding(clique, h.vertex_weight, lam1, lam2)
     X = minimize(op, seeded_features(h.n, spec.k, stream=i), config.apg).X
     best_part, best_p = None, None
-    for p in _p_choices(h.n, spec.k, config.p_rules, config.p_override):
+    for p in _p_choices(h.n, spec.k, config.p):
         part = _route_partition(X, h, spec, p)
         if best_part is None or part.cutsize < best_part.cutsize:
             best_part, best_p = part, p
@@ -115,7 +122,7 @@ def run_pipeline(
     The returned partition always covers every vertex; ``feasible`` reports
     whether all block weights ended within their caps.
     """
-    config = _checked(config, spec)
+    config = (config or PipelineConfig()).check(spec.k)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -186,7 +193,7 @@ def improve_partition(
     whether a repair was needed, and final feasibility.  Cutsize never
     increases when the input is already feasible.
     """
-    config = _checked(config, spec)
+    config = (config or PipelineConfig()).check(spec.k)
     before = p.cutsize
     needed_repair = not is_feasible(p, spec)
     part, repair_ok = repair_feasibility(h, p, spec)

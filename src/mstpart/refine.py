@@ -308,22 +308,29 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     part = p.copy()
     if h.n == 0 or part.k < 2:
         return part
+    # what every pass reads of h, as Python lists built once
+    inc, inc_off = h.inc_list.tolist(), h.inc_offsets.tolist()
+    pin_list, pin_off = h.pin_list.tolist(), h.pin_offsets.tolist()
+    graph = (
+        [inc[inc_off[v]:inc_off[v + 1]] for v in range(h.n)],
+        [pin_list[pin_off[e]:pin_off[e + 1]] for e in range(h.m)],
+        h.edge_weight.tolist(),
+        h.vertex_weight.tolist(),
+    )
+    caps = spec.upper_bounds.tolist()
     for _ in range(50):
-        if _fm_pass(h, part, spec.upper_bounds.tolist()) <= 0:
+        if _fm_pass(part, caps, *graph) <= 0:
             break
     return part
 
 
-def _fm_pass(h: Hypergraph, part: Partition, caps: list) -> int:
+def _fm_pass(part: Partition, caps: list, nets: list, pins: list,
+             edge_weight: list, vertex_weight: list) -> int:
     """One FM pass on local copies of the partition's tables, ended by the
     stop rule of ``kway_fm`` or an empty heap; applies the best prefix of
-    its moves to ``part`` and returns that prefix's gain."""
-    n, k = h.n, part.k
-    inc, inc_off = h.inc_list.tolist(), h.inc_offsets.tolist()
-    nets = [inc[inc_off[v]:inc_off[v + 1]] for v in range(n)]
-    pin_list, pin_off = h.pin_list.tolist(), h.pin_offsets.tolist()
-    pins = [pin_list[pin_off[e]:pin_off[e + 1]] for e in range(h.m)]
-    edge_weight, vertex_weight = h.edge_weight.tolist(), h.vertex_weight.tolist()
+    its moves to ``part`` and returns that prefix's gain.  ``nets`` holds
+    each vertex's nets and ``pins`` each net's pins."""
+    n, k = len(nets), part.k
     delta = part.move_deltas(np.arange(n)).tolist()  # cutsize change of (v, t)
     pin_count = part.pin_count.tolist()
     block = part.assignment.tolist()

@@ -447,3 +447,22 @@ def test_sweep_rejects_the_flag_of_its_own_axis(tmp_path, capsys, monkeypatch,
     assert runs == []
     assert flag + " " in captured.err and "--axis " + axis in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["partition", "sweep"])
+def test_p_and_p_rule_exclude_each_other(tmp_path, capsys, monkeypatch, command):
+    # both set the one cluster-count field, so neither may drop the other
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: runs.append(args))
+    hgr = two_clique_file(tmp_path)
+    out = tmp_path / "o.txt"
+    extra = (["--output", str(out)] if command == "partition"
+             else ["--axis", "num_init", "--values", "1"])
+    code = main([command, "--input", str(hgr), "--k", "2",
+                 "--p", "3", "--p-rule", "sqrt", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert runs == []
+    assert "--p-rule" in captured.err and "--p" in captured.err.replace("--p-rule", "")
+    assert captured.out == ""
+    assert not out.exists()

@@ -60,9 +60,11 @@ def test_num_init_below_one_is_rejected():
 # explicit ids, so that deleting a case renames no other
 @pytest.mark.parametrize("field, value", [
     pytest.param("pair_rounds", -1, id="pair_rounds--1"),
-    pytest.param("p_override", 0, id="p_override-0"),
-    pytest.param("p_override", -5, id="p_override--5"),
-    pytest.param("p_override", 1, id="p_override-1"),  # below k = 2
+    pytest.param("p", (), id="p-empty"),
+    pytest.param("p", ("cube",), id="p-cube"),
+    pytest.param("p", (0,), id="p-0"),
+    pytest.param("p", (-5,), id="p--5"),
+    pytest.param("p", (1,), id="p-1"),  # below k = 2
     pytest.param("num_init", 0, id="num_init-0"),
     pytest.param("lambda1", (), id="lambda1-value5"),
     pytest.param("lambda2", (), id="lambda2-value6"),

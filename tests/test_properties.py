@@ -2,7 +2,7 @@
 
 The generated instances include no nets, isolated vertices, a net over all
 vertices, single-pin nets and k >= n; the ``example`` cases pin each of these
-down so that every run covers them.
+down so that every run covers them, and a vertex heavier than the cap too.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mstpart.apg import ApgParams
 from mstpart.hypergraph import (
     BalanceSpec,
     Hypergraph,
@@ -17,6 +18,7 @@ from mstpart.hypergraph import (
     PartitionFormatError,
     is_feasible,
 )
+from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
 from mstpart.refine import kway_fm
 
 from helpers import km1_oracle
@@ -99,3 +101,34 @@ def test_moves_keep_every_cache_fresh(case, moves):
             with pytest.raises(PartitionFormatError):
                 p.move(v, b)
         assert_caches_fresh(h, p)
+
+
+QUICK = PipelineConfig(num_init=2, pair_rounds=1, apg=ApgParams(max_iters=50))
+
+
+def assert_reported_accurately(h, spec, part, feasible, cutsize):
+    assert part.assignment.shape == (h.n,)
+    assert np.all((part.assignment >= 0) & (part.assignment < spec.k))
+    assert feasible == is_feasible(part, spec)
+    assert cutsize == part.cutsize == km1_oracle(h, part.assignment)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=instances())
+@example(case=([], 6, [1, 2, 1, 3, 1, 2], [], 2, 0.1, [0, 1, 0, 1, 0, 1]))  # m = 0
+@example(case=([[0, 1], [1, 2], [0, 2]], 3, [1, 1, 1], [1, 1, 1], 5, 0.0, [0, 1, 2]))  # k >= n
+@example(case=([[0, 1], [1, 2, 3], [3, 4]], 5, [9, 1, 1, 1, 1], [2, 1, 3], 2, 0.0,
+               [0, 1, 1, 0, 1]))  # vertex 0 outweighs the cap of 7
+def test_pipeline_and_improve_report_their_partitions_accurately(case):
+    nets, n, vw, ew, k, epsilon, wants = case
+    h = Hypergraph.from_edges(nets, n=n, vertex_weight=vw, edge_weight=ew)
+    spec = BalanceSpec.for_hypergraph(h, k, epsilon)
+    res = run_pipeline(h, spec, QUICK)
+    assert_reported_accurately(h, spec, res.partition, res.feasible, res.cutsize)
+
+    start = Partition(h, wants, k)
+    out, report = improve_partition(h, start, spec, QUICK)
+    assert_reported_accurately(h, spec, out, report["feasible"], report["cutsize_after"])
+    assert report["cutsize_before"] == km1_oracle(h, start.assignment)
+    if is_feasible(start, spec):
+        assert report["cutsize_after"] <= report["cutsize_before"]
