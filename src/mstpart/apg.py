@@ -30,9 +30,9 @@ The solver constants are fixed:
 ``ApgParams`` holds what a caller sets: the residual tolerance and the
 iteration cap.
 
-``minimize`` runs one solve, or a stack of independent solves in lockstep,
-one operator application per step for all live solves; a single solve is a
-stack of one.  Every solve of a stack ends bit-identical to its own run.
+``minimize`` runs a stack of independent solves in lockstep, one operator
+application per step for all live solves; a single solve is a stack of one.
+Every solve of a stack ends bit-identical to its own run.
 """
 
 from __future__ import annotations
@@ -77,18 +77,18 @@ class ApgParams:
     def __post_init__(self):
         if not self.epsilon > 0:  # NaN too
             raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass
 class ApgResult:
     """What ``minimize`` returns.
 
-    ``X`` has the shape of the start: (n, c) for one solve, (S, n, c) for a
-    stack.  Per solve, ``steps`` holds its iteration count and ``residuals``
-    its final residual; ``log`` holds its step records as numeric rows
-    (value, alpha, accepted, residual, bound) over a step axis.
+    ``X`` is the (S, n, c) stack of final iterates.  Per solve, ``steps``
+    holds its iteration count and ``residuals`` its final residual; ``log``
+    holds its step records as numeric rows (value, alpha, accepted,
+    residual, bound) over a step axis.
     """
 
     X: np.ndarray
@@ -153,13 +153,11 @@ def project_rows(X: np.ndarray) -> np.ndarray:
 def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray):
     """Secant estimate between X0 and the projected gradient direction:
     ||X0 - X1|| / ||g0 - grad(X1)|| with g0 = grad(X0) and
-    X1 = project(g0).  Degenerate cases fall back to 1.0.  A stack gets one
-    estimate per solve from a single operator application.
+    X1 = project(g0), one estimate per solve of the (S, n, c) stack from a
+    single operator application.  Degenerate cases fall back to 1.0.
     """
     X1 = project_rows(g0)
     g1 = op.gradient(X1)
-    if X0.ndim == 2:
-        return _secant(X0 - X1, g0 - g1)
     return np.array([_secant(dx, dg) for dx, dg in zip(X0 - X1, g0 - g1)])
 
 
@@ -186,8 +184,8 @@ def _check_finite(values: np.ndarray, ids: np.ndarray, where: str, iteration: in
 
 
 def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
-    """Run the solver from a row-feasible X0: one solve of shape (n, c), or a
-    stack of S independent solves of shape (S, n, c) run in lockstep.
+    """Run the solver from a row-feasible X0, a stack of S independent
+    solves of shape (S, n, c) run in lockstep.
 
     ``op`` provides ``value_and_gradient(X)`` and ``gradient(X)`` on
     (S, n, c) stacks, with one value per solve, and for S > 1
@@ -201,8 +199,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     run bit for bit, and every iterate stays on the row sphere.
     """
     params = params or ApgParams()
-    X0 = np.asarray(X0, dtype=np.float64)
-    X_cur = project_rows(X0[None] if X0.ndim == 2 else X0)
+    X_cur = project_rows(X0)
     S = X_cur.shape[0]
     eps = params.epsilon
     ids = np.arange(S)  # the live solves
@@ -286,7 +283,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         alpha = alpha_next
         live = error > eps if k < params.max_iters else np.zeros(ids.size, dtype=bool)
 
-    return ApgResult(X_out[0] if X0.ndim == 2 else X_out, steps, residuals, eps, log)
+    return ApgResult(X_out, steps, residuals, eps, log)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ vertex weights, or a complete multipartite structure).  Those complete-graph
 pieces are never materialized; they are applied in O(n k) via column sums.
 One operator holds a stack of such objectives that share every matrix and
 differ only in their mixing coefficients, so the solves of a weight grid
-apply their operators in one call.
+apply their operators in one call; both constructors take such a grid as
+a list of weight pairs.
 """
 
 from __future__ import annotations
@@ -94,17 +95,18 @@ class ObjectiveOperator:
     semidefinite, as the constructors build it, C is positive semidefinite
     and F concave, which the solver's stepsize rule relies on.
 
-    ``apply`` takes one solve's (n, c) block when the stack holds one solve,
-    or the whole (S, n, c) stack.  It lays the stack out as one (n, S*c)
-    block with a coefficient per column, so the sparse product, the column
-    sums and the block sums run once for all solves, and every slice stays
-    bit-equal to the formula evaluated for that solve alone, term by term
-    into a zero array: the block sums add rows in index order, like
-    ``np.add.at``.  A zero coefficient adds an exact zero.  The constants of
-    the formula (W, B as a column, n minus each vertex's block size, the flat
-    block index of every entry) are computed once in ``__init__``.  A nonzero
-    coefficient without its input (``abar``, ``weights`` or ``blocks``) and a
-    negative one are ``ValueError``.
+    ``apply``, ``value`` and ``gradient`` take the whole (S, n, c) stack, a
+    single solve being a stack of one, and return one result per solve.
+    ``apply`` lays the stack out as one (n, S*c) block with a coefficient
+    per column, so the sparse product, the column sums and the block sums
+    run once for all solves, and every slice stays bit-equal to the formula
+    evaluated for that solve alone, term by term into a zero array: the
+    block sums add rows in index order, like ``np.add.at``.  A zero
+    coefficient adds an exact zero.  The constants of the formula (W, B as a
+    column, n minus each vertex's block size, the flat block index of every
+    entry) are computed once in ``__init__``.  A nonzero coefficient without
+    its input (``abar``, ``weights`` or ``blocks``) and a negative one are
+    ``ValueError``.
     """
 
     def __init__(self, n, *, abar=None, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
@@ -157,15 +159,12 @@ class ObjectiveOperator:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def embedding(cls, clique: CliqueGraph, weights, lam1: float, lam2: float):
-        """Coarse-embedding objective: clique affinity plus two balance pulls
-        (unit and weighted complete graphs), mixed by lam1 and lam2 in [0, 1].
-        """
-        _check_unit(lam1, "lam1")
-        _check_unit(lam2, "lam2")
-        abar = (sparse.diags(clique.degree) + clique.adjacency).tocsr()
+    def embedding(cls, clique: CliqueGraph, weights, lams):
+        """Coarse-embedding objectives, one solve per (lam1, lam2) pair of
+        ``lams``: clique affinity plus unit and weighted balance pulls."""
+        lam1, lam2 = _unit_pairs(lams, "lam")
         return cls(
-            clique.n, abar=abar, ca=lam1,
+            clique.n, abar=_reinforced(clique), ca=lam1,
             cu=(1.0 - lam1) * lam2, cw=(1.0 - lam1) * (1.0 - lam2),
             weights=weights, mode="embedding",
         )
@@ -176,17 +175,9 @@ class ObjectiveOperator:
         ``xis``: clique affinity, weight balance, and a separation pull from
         the complete multipartite graph over ``blocks``.
         """
-        xis = np.array(xis, dtype=np.float64).reshape(-1, 2)
-        if xis.shape[0] == 0:
-            raise ValueError("need at least one (xi1, xi2) pair")
-        xi1, xi2 = xis.T
-        for x in xi1.tolist():
-            _check_unit(x, "xi1")
-        for x in xi2.tolist():
-            _check_unit(x, "xi2")
-        abar = (sparse.diags(clique.degree) + clique.adjacency).tocsr()
+        xi1, xi2 = _unit_pairs(xis, "xi")
         return cls(
-            clique.n, abar=abar, ca=xi1,
+            clique.n, abar=_reinforced(clique), ca=xi1,
             cw=(1.0 - xi1) * xi2, cp=(1.0 - xi1) * (1.0 - xi2),
             weights=weights, blocks=blocks, mode="pair",
         )
@@ -207,12 +198,9 @@ class ObjectiveOperator:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """C @ X for every solve, without materializing the complete-graph
         parts; the result has the shape of X."""
-        X = np.asarray(X, dtype=np.float64)
-        stack = X[None] if X.ndim == 2 else X
+        stack = np.ascontiguousarray(X, dtype=np.float64)
         if stack.ndim != 3 or stack.shape[:2] != (self.solves, self.n):
-            raise ValueError(f"X must be ({self.solves}, {self.n}, c), "
-                             f"or ({self.n}, c) for a single solve")
-        stack = np.ascontiguousarray(stack)
+            raise ValueError(f"X must be ({self.solves}, {self.n}, c)")
         S, n, c = stack.shape
         cols = _to_columns(stack)
         ca, cu, cw, cp = self._coefficient_columns(c)
@@ -249,14 +237,11 @@ class ObjectiveOperator:
             t -= others
             t *= cp
             out += t
-        out = _to_stack(out, S, c)
-        return out[0] if X.ndim == 2 else out
+        return _to_stack(out, S, c)
 
-    def value(self, X: np.ndarray):
-        """F(X) = -<C, X X^T>: a float for one (n, c) block, one per solve
-        for a stack."""
-        X = np.asarray(X, dtype=np.float64)
-        return -_solve_sums(self.apply(X) * X)
+    def value(self, X: np.ndarray) -> np.ndarray:
+        """F(X) = -<C, X X^T>, one value per solve."""
+        return -(self.apply(X) * X).sum(axis=(1, 2))
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
         """grad F(X) = -2 C X."""
@@ -264,14 +249,24 @@ class ObjectiveOperator:
 
     def value_and_gradient(self, X: np.ndarray):
         """Both quantities from a single operator application."""
-        X = np.asarray(X, dtype=np.float64)
         cx = self.apply(X)
-        return -_solve_sums(cx * X), -2.0 * cx
+        return -(cx * X).sum(axis=(1, 2)), -2.0 * cx
 
 
-def _solve_sums(A: np.ndarray):
-    # a C-contiguous (n, c) slice sums like the whole (n, c) array
-    return float(A.sum()) if A.ndim == 2 else A.sum(axis=(1, 2))
+def _reinforced(g: CliqueGraph) -> sparse.csr_matrix:
+    """Abar = Diag(degree) + A, the reinforced clique adjacency."""
+    return (sparse.diags(g.degree) + g.adjacency).tocsr()
+
+
+def _unit_pairs(pairs, name):
+    """The columns name1, name2 of a nonempty list of pairs in [0, 1]."""
+    pairs = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    if pairs.shape[0] == 0:
+        raise ValueError(f"need at least one ({name}1, {name}2) pair")
+    for j, col in enumerate(pairs.T, 1):
+        if not ((col >= 0.0) & (col <= 1.0)).all():  # NaN fails too
+            raise ValueError(f"{name}{j} must lie in [0, 1]")
+    return pairs.T
 
 
 def _to_columns(stack: np.ndarray) -> np.ndarray:
@@ -298,11 +293,6 @@ def _to_stack(cols: np.ndarray, S: int, c: int) -> np.ndarray:
     if c == 2:
         return cols.view(np.complex128).T.copy().view(np.float64).reshape(S, n, 2)
     return cols.reshape(n, S, c).transpose(1, 0, 2).copy()
-
-
-def _check_unit(x, name):
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """End-to-end k-way partitioning.
 
 Coarsens the hypergraph, generates embedding-driven initial partitions on
-the coarsest level and repairs each, keeps the best, pairwise-improves that
-one once, and projects it back up with FM refinement at every level.  A
-partition that is still infeasible is repaired after each projection, and
-FM runs once it is feasible.
+the coarsest level (their embeddings solved as one stack) and repairs each,
+keeps the best, pairwise-improves that one once, and projects it back up
+with FM refinement at every level.  A partition that is still infeasible is
+repaired after each projection, and FM runs once it is feasible.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ class PipelineConfig:
     apg: ApgParams = field(default_factory=ApgParams)
 
     def check(self, k: int) -> "PipelineConfig":
-        """This config, once it is valid for k blocks.  An out-of-range
-        count, an empty weight grid or one with a value outside [0, 1], and
-        an empty ``p``, an unknown rule or a fixed count below k raise
-        ``ValueError``."""
+        """This config, once it is valid for k blocks.  A count or factor
+        that is not an integer in range, an empty weight grid or one with a
+        value outside [0, 1], and an empty ``p``, an unknown rule or a fixed
+        count below k raise ``ValueError``."""
         for name in ("lambda1", "lambda2", "xi1", "xi2"):
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -61,10 +61,10 @@ class PipelineConfig:
             bad = [x for x in grid if not 0.0 <= x <= 1.0]  # NaN fails too
             if bad:
                 raise ValueError(f"{name} values must lie in [0, 1], got {bad[0]}")
-        if self.num_init < 1:
-            raise ValueError(f"num_init must be >= 1, got {self.num_init}")
-        if self.pair_rounds < 0:
-            raise ValueError(f"pair_rounds must be >= 0, got {self.pair_rounds}")
+        for name, low in (("num_init", 1), ("pair_rounds", 0), ("coarsest_factor", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if len(self.p) == 0:
             raise ValueError("p must not be empty")
         for entry in self.p:
@@ -98,20 +98,23 @@ class PipelineResult:
     candidates: list
 
 
-def _build_candidate(i, h, spec, clique, config):
+def _build_candidates(h, spec, clique, config):
+    """The ``config.num_init`` repaired initial partitions and their reports.
+    Candidate i embeds seeded start i with grid pair i (wrapping around), all
+    in one stack, and keeps the first p of lowest cutsize."""
     combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
-    lam1, lam2 = combos[i % len(combos)]
-    op = ObjectiveOperator.embedding(clique, h.vertex_weight, lam1, lam2)
-    X = minimize(op, seeded_features(h.n, spec.k, stream=i), config.apg).X
-    best_part, best_p = None, None
-    for p in _p_choices(h.n, spec.k, config.p):
-        part = _route_partition(X, h, spec, p)
-        if best_part is None or part.cutsize < best_part.cutsize:
-            best_part, best_p = part, p
-    part, _ = repair_feasibility(h, best_part, spec)
-    return part, CandidateReport(
-        lam1, lam2, best_p, part.cutsize, is_feasible(part, spec)
-    )
+    lams = [combos[i % len(combos)] for i in range(config.num_init)]
+    op = ObjectiveOperator.embedding(clique, h.vertex_weight, lams)
+    X0 = np.stack([seeded_features(h.n, spec.k, stream=i) for i in range(config.num_init)])
+    ps = _p_choices(h.n, spec.k, config.p)
+    parts, reports = [], []
+    for (lam1, lam2), X in zip(lams, minimize(op, X0, config.apg).X):
+        routed = [(_route_partition(X, h, spec, p), p) for p in ps]
+        part, p = min(routed, key=lambda r: r[0].cutsize)
+        part, _ = repair_feasibility(h, part, spec)
+        parts.append(part)
+        reports.append(CandidateReport(lam1, lam2, p, part.cutsize, is_feasible(part, spec)))
+    return parts, reports
 
 
 def run_pipeline(
@@ -148,12 +151,7 @@ def run_pipeline(
             CandidateReport(0.0, 0.0, coarse.n, part.cutsize, is_feasible(part, spec))
         ]
     else:
-        results = [
-            _build_candidate(i, coarse, spec, clique, config)
-            for i in range(config.num_init)
-        ]
-        parts = [r[0] for r in results]
-        reports = [r[1] for r in results]
+        parts, reports = _build_candidates(coarse, spec, clique, config)
     chosen = min(
         range(len(parts)),
         key=lambda i: (not reports[i].feasible, parts[i].cutsize, i),

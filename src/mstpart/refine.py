@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .apg import minimize, seeded_features
-from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible, km1_value
+from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from .initial import prim_mst
 from .operators import CliqueGraph, ObjectiveOperator, clique_expand, laplacian
 
@@ -167,17 +167,21 @@ def pairwise_improve(
     for rnd in range(config.pair_rounds):
         improved = False
         for pi, (a, b) in enumerate(pair_blocks(h, out)):
-            improved |= _refine_pair(h, out, spec, clique, a, b, rnd, pi, config)
+            better = _refine_pair(h, out, spec, clique, a, b, rnd, pi, config)
+            if better is not None:
+                out, improved = better, True
         if not improved:
             break
     return out
 
 
-def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> bool:
+def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> Partition | None:
+    """The best re-split of blocks a and b, or None when no feasible split
+    cuts less than ``part``."""
     idx = np.where((part.assignment == a) | (part.assignment == b))[0]
     nbar = idx.shape[0]
     if nbar < 2:
-        return False
+        return None
     sub = clique.submatrix(idx)
     L_sub = laplacian(sub)
     B_sub = h.vertex_weight[idx]
@@ -188,21 +192,17 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> bool:
     op = ObjectiveOperator.pair_refinement(sub, B_sub, labels01, grid)
     X0 = np.stack([seeded_features(nbar, 2, stream=(rnd * 1024 + pair_idx) * 16 + gi)
                    for gi in range(len(grid))])
-    best_cut, best = part.cutsize, None
+    best = None
     for X in minimize(op, X0, config.apg).X:
         res = mst_bipartition(X, B_sub, caps, L_sub)
         if not res.feasible:
             continue
         trial = part.assignment.copy()
         trial[idx] = np.where(res.labels > 0, a, b)
-        cut = km1_value(h, trial, part.k)
-        if cut < best_cut:
-            best_cut, best = cut, trial
-    if best is None:
-        return False
-    for v in idx[best[idx] != part.assignment[idx]].tolist():
-        part.move(v, int(best[v]))
-    return True
+        trial = Partition(h, trial, part.k)
+        if trial.cutsize < (part if best is None else best).cutsize:
+            best = trial
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,10 @@ def test_criterion_04_solver_convergence_and_invariants():
         h = random_hypergraph(rng, n, 2 * n, weighted=bool(i % 2))
         op = ObjectiveOperator.embedding(
             clique_expand(h), h.vertex_weight,
-            lam1_grid[i % 4], lam2_grid[i % 3],
+            [(lam1_grid[i % 4], lam2_grid[i % 3])],
         )
         checked = _RowCheckOp(op)
-        res = minimize(checked, seeded_features(n, k, stream=i), params)
+        res = minimize(checked, seeded_features(n, k, stream=i)[None], params)
         checked._record(res.X)
         worst_row = max(worst_row, checked.worst)
         if res.converged and res.error < 1e-3 and res.iterations < params.max_iters:
@@ -218,16 +218,16 @@ def test_criterion_04_solver_convergence_and_invariants():
             if rec.accepted and rec.value > rec.bound:
                 bound_breaks += 1
         if i < 20:
-            X = seeded_features(n, k, stream=10_000 + i)
+            X = seeded_features(n, k, stream=10_000 + i)[None]
             g = op.gradient(X)
             fd = np.zeros_like(X)
             hstep = 1e-6
             for a in range(n):
                 for b in range(k):
                     Xp, Xm = X.copy(), X.copy()
-                    Xp[a, b] += hstep
-                    Xm[a, b] -= hstep
-                    fd[a, b] = (op.value(Xp) - op.value(Xm)) / (2 * hstep)
+                    Xp[0, a, b] += hstep
+                    Xm[0, a, b] -= hstep
+                    fd[0, a, b] = (op.value(Xp)[0] - op.value(Xm)[0]) / (2 * hstep)
             if np.max(np.abs(g - fd)) > 1e-5 * max(1.0, float(np.max(np.abs(g)))):
                 fd_fail += 1
     _report(
@@ -249,9 +249,9 @@ def test_criterion_05_matrix_free_equals_dense():
         n = int(rng.integers(5, 51))
         h = random_hypergraph(rng, n, int(1.5 * n) + 1, weighted=bool(i % 2))
         g = clique_expand(h)
-        X = rng.normal(size=(n, int(rng.integers(2, 5))))
+        X = rng.normal(size=(1, n, int(rng.integers(2, 5))))
         lam1, lam2 = rng.uniform(size=2)
-        op1 = ObjectiveOperator.embedding(g, h.vertex_weight, lam1, lam2)
+        op1 = ObjectiveOperator.embedding(g, h.vertex_weight, [(lam1, lam2)])
         want1 = dense_embedding_matrix(h, h.vertex_weight, lam1, lam2) @ X
         rel1 = np.max(np.abs(op1.apply(X) - want1)) / max(1.0, np.max(np.abs(want1)))
         blocks = rng.integers(0, 2, size=n)

@@ -24,7 +24,7 @@ def random_embedding_op(rng, n_max=50):
     h = random_hypergraph(rng, n, m, weighted=True)
     lam1 = float(rng.choice([0.9, 0.5, 0.15, 0.015]))
     lam2 = float(rng.choice([1.0, 0.9, 0.8]))
-    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, lam1, lam2)
+    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [(lam1, lam2)])
     k = int(rng.integers(2, 5))
     return op, n, k
 
@@ -80,24 +80,24 @@ def test_project_rows_zero_rows_exact():
 
 def test_initial_stepsize_identity():
     # C = I: grad(X) = -2X, X1 = project(-2X) = -X, so the secant ratio is 1/2
-    X0 = project_rows(np.random.default_rng(2).normal(size=(6, 2)))
+    X0 = project_rows(np.random.default_rng(2).normal(size=(1, 6, 2)))
     op = ObjectiveOperator(6, abar=sparse.identity(6, format="csr"), ca=1.0)
-    assert initial_stepsize(op, X0, op.gradient(X0)) == pytest.approx(0.5)
+    assert initial_stepsize(op, X0, op.gradient(X0)).tolist() == [pytest.approx(0.5)]
 
 
 def test_initial_stepsize_degenerate_falls_back():
     # C = -I/2: grad(X) = X, already row-normalized, so X1 = X0 exactly
-    X0 = project_rows(np.random.default_rng(3).normal(size=(5, 3)))
+    X0 = project_rows(np.random.default_rng(3).normal(size=(1, 5, 3)))
     op = ObjectiveOperator(5, abar=-0.5 * np.eye(5), ca=1.0)
-    assert initial_stepsize(op, X0, op.gradient(X0)) == 1.0
+    assert initial_stepsize(op, X0, op.gradient(X0)).tolist() == [1.0]
 
 
 def test_initial_stepsize_positive_finite():
     rng = np.random.default_rng(5)
     for _ in range(100):
         op, n, k = random_embedding_op(rng, n_max=20)
-        X0 = seeded_features(n, k, stream=int(rng.integers(0, 1000)))
-        a = initial_stepsize(op, X0, op.gradient(X0))
+        X0 = seeded_features(n, k, stream=int(rng.integers(0, 1000)))[None]
+        (a,) = initial_stepsize(op, X0, op.gradient(X0))
         assert np.isfinite(a) and a > 0
 
 
@@ -107,7 +107,7 @@ def test_initial_stepsize_positive_finite():
 def test_minimize_stationary_start_stops_at_zero_iterations():
     # every row-feasible point is a fixed point of the projected gradient map
     # for C = I, so the initial residual is zero
-    X0 = project_rows(np.random.default_rng(7).normal(size=(8, 2)))
+    X0 = project_rows(np.random.default_rng(7).normal(size=(1, 8, 2)))
     res = minimize(ObjectiveOperator(8, abar=sparse.identity(8, format="csr"), ca=1.0), X0)
     assert res.iterations == 0
     assert res.converged
@@ -118,8 +118,8 @@ def test_minimize_two_vertex_grid_oracle():
     # one 2-pin hyperedge, pure clique objective: F depends only on the angle
     # between the two embedded rows; the optimum aligns them
     h = Hypergraph.from_edges([[0, 1]], n=2)
-    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, 1.0, 1.0)
-    res = minimize(op, seeded_features(2, 2, stream=0))
+    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [(1.0, 1.0)])
+    res = minimize(op, seeded_features(2, 2, stream=0)[None])
     assert res.converged
 
     # dense grid over both row angles at 0.001 rad
@@ -133,19 +133,19 @@ def test_minimize_two_vertex_grid_oracle():
         C = (np.diag(clique_expand(h).degree) + clique_expand(h).adjacency.toarray())
         vals = -(C[0, 0] + C[1, 1] + 2 * C[0, 1] * np.cos(t1 - t2))
         best = min(best, float(vals.min()))
-    assert op.value(res.X) == pytest.approx(best, abs=1e-4)
+    assert op.value(res.X).tolist() == [pytest.approx(best, abs=1e-4)]
     # rows align
-    assert float(res.X[0] @ res.X[1]) == pytest.approx(1.0, abs=1e-4)
+    assert float(res.X[0, 0] @ res.X[0, 1]) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_minimize_trace_invariants():
     rng = np.random.default_rng(11)
     op, n, _ = random_embedding_op(rng, n_max=15)
-    X0 = seeded_features(n, 3, stream=4)
+    X0 = seeded_features(n, 3, stream=4)[None]
     res = minimize(op, X0)
-    assert np.allclose(np.linalg.norm(res.X, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(res.X, axis=-1), 1.0, atol=1e-12)
     # replay the averaged-bound recurrence and the acceptance rule
-    c = op.value(project_rows(X0))
+    (c,) = op.value(project_rows(X0))
     q = 1.0
     for rec in res.trace:
         assert rec.alpha > 0
@@ -164,7 +164,7 @@ def test_minimize_convergence_rate_on_randoms():
     converged = 0
     for i in range(10):
         op, n, k = random_embedding_op(rng, n_max=40)
-        res = minimize(op, seeded_features(n, k, stream=i))
+        res = minimize(op, seeded_features(n, k, stream=i)[None])
         converged += res.converged
     assert converged >= 8
 
@@ -172,7 +172,7 @@ def test_minimize_convergence_rate_on_randoms():
 def test_minimize_deterministic():
     rng = np.random.default_rng(17)
     op, n, k = random_embedding_op(rng, n_max=25)
-    X0 = seeded_features(n, k, stream=9)
+    X0 = seeded_features(n, k, stream=9)[None]
     r1 = minimize(op, X0)
     r2 = minimize(op, X0)
     assert np.array_equal(r1.X, r2.X)
@@ -207,27 +207,23 @@ def test_minimize_apply_count():
     branches = set()
     for i, op in enumerate(ops):
         calls = counted(op)
-        res = minimize(op, seeded_features(op.n, 2, stream=i), ApgParams(max_iters=200))
+        res = minimize(op, seeded_features(op.n, 2, stream=i)[None], ApgParams(max_iters=200))
         branches.update(rec.accepted for rec in res.trace)
         assert calls[0] == 3 + sum(1 if rec.accepted else 2 for rec in res.trace)
     assert branches == {True, False}
     # a stationary start stops after the 3 start-up applies
     op = ObjectiveOperator(8, abar=sparse.identity(8, format="csr"), ca=1.0)
     calls = counted(op)
-    assert minimize(op, seeded_features(8, 2)).iterations == 0
+    assert minimize(op, seeded_features(8, 2)[None]).iterations == 0
     assert calls[0] == 3
 
 
 def embedding_stack(rng, n_max=60):
-    """An embedding operator of four (lam1, lam2) solves, built as
-    ``ObjectiveOperator.embedding`` mixes them, and a start stack."""
+    """An embedding operator of four (lam1, lam2) solves and a start stack."""
     n = int(rng.integers(6, n_max + 1))
     h = random_hypergraph(rng, n, 2 * n, weighted=True)
-    g = clique_expand(h)
-    lam1, lam2 = np.array([(0.9, 1.0), (0.5, 0.9), (0.15, 0.8), (0.015, 1.0)]).T
-    op = ObjectiveOperator(n, abar=(sparse.diags(g.degree) + g.adjacency).tocsr(), ca=lam1,
-                           cu=(1.0 - lam1) * lam2, cw=(1.0 - lam1) * (1.0 - lam2),
-                           weights=h.vertex_weight, mode="embedding")
+    lams = [(0.9, 1.0), (0.5, 0.9), (0.15, 0.8), (0.015, 1.0)]
+    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, lams)
     return op, np.stack([seeded_features(n, 3, stream=s) for s in range(4)])
 
 
@@ -258,7 +254,7 @@ def test_extrapolated_gradient_equals_gradient_at_extrapolated_point(kind):
 def test_minimize_rejects_nonfinite():
     op = ObjectiveOperator(3, abar=sparse.diags([np.inf, 1.0, 1.0], format="csr"), ca=1.0)
     with pytest.raises(FloatingPointError):
-        minimize(op, seeded_features(3, 2))
+        minimize(op, seeded_features(3, 2)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +278,19 @@ def random_pair_stack(rng, n_max=60):
 
 def one_solve_reference(op, X0, params):
     """The solver loop for one (n, c) solve in scalar arithmetic, kept as the
-    oracle of the stacked solver: X, iterations, converged, error, trace."""
+    oracle of the stacked solver: X, iterations, converged, error, trace.
+    ``op`` holds one solve and sees each iterate as a stack of one."""
+
+    def value_and_gradient(X):
+        F, g = op.value_and_gradient(X[None])
+        return float(F[0]), g[0]
+
     X_cur = project_rows(X0)
     eps = params.epsilon
-    F_cur, g_cur = op.value_and_gradient(X_cur)
-    alpha = initial_stepsize(op, X_cur, g_cur)
+    F_cur, g_cur = value_and_gradient(X_cur)
+    alpha = float(initial_stepsize(op, X_cur[None], g_cur[None])[0])
     probe = project_rows(X_cur - alpha * g_cur)
-    error = float(np.abs((probe - X_cur) / alpha + op.gradient(probe) - g_cur).max())
+    error = float(np.abs((probe - X_cur) / alpha + op.gradient(probe[None])[0] - g_cur).max())
     trace = []
     alpha1 = alpha + min(1.0, alpha) * apg._grow_term(0)
     delta2 = min(2.0 * apg.DELTA1, 0.49 * (1.0 - apg.MU0) / alpha1)
@@ -305,13 +307,13 @@ def one_solve_reference(op, X0, params):
         inflate = 1.0 + apg.SIGMA / k ** apg.R if k >= 1 else 1.0
         phi1 = zy2 + zx2 - inflate * yx2
         phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
-        F_z, g_z = op.value_and_gradient(z)
+        F_z, g_z = value_and_gradient(z)
         accepted = phi1 >= 0.0 and F_z <= min(F_cur + phi2, bound)
         if accepted:
             X_next, F_next, g_next = z, F_z, g_z
         else:
             X_next = project_rows(X_cur - alpha_next * g_cur)
-            F_next, g_next = op.value_and_gradient(X_next)
+            F_next, g_next = value_and_gradient(X_next)
         error = float(np.abs((X_next - X_cur) / alpha_next + g_next - g_cur).max())
         k += 1
         trace.append((k, F_next, alpha_next, accepted, error, bound))
@@ -324,16 +326,12 @@ def one_solve_reference(op, X0, params):
 
 
 def each_solve(res):
-    """Per solve of a stacked result: X, iterations, converged, error and
-    trace, the fields a single-solve result has."""
+    """Per solve of a result: X, iterations, converged, error and trace,
+    as ``one_solve_reference`` returns them."""
     trace, start = res.trace, 0
     for X, steps, residual in zip(res.X, res.steps.tolist(), res.residuals.tolist()):
         yield X, steps, residual <= res.epsilon, residual, trace[start:start + steps]
         start += steps
-
-
-def fields(res):
-    return res.X, res.iterations, res.converged, res.error, res.trace
 
 
 def assert_same_result(got, want):
@@ -349,11 +347,11 @@ def test_minimize_stack_equals_each_solve_alone():
         params = ApgParams(max_iters=int(rng.integers(40, 400)))
         res = minimize(ObjectiveOperator.pair_refinement(*args, GRID), X0, params)
         singles = [ObjectiveOperator.pair_refinement(*args, [xi]) for xi in GRID]
-        alone = [minimize(op, x0, params) for op, x0 in zip(singles, X0)]
+        alone = [minimize(op, x0[None], params) for op, x0 in zip(singles, X0)]
         for got, one, op, x0 in zip(each_solve(res), alone, singles, X0):
             want = one_solve_reference(op, x0, params)
             assert_same_result(got, want)
-            assert_same_result(fields(one), want)
+            assert_same_result(next(each_solve(one)), want)
             stops.add("start" if one.iterations == 0 else
                       "cap" if one.iterations == params.max_iters else "converged")
         assert res.X.shape == X0.shape
@@ -380,16 +378,6 @@ def test_minimize_custom_stack_equals_each_solve_alone():
         for s, got in enumerate(each_solve(res)):
             op = ObjectiveOperator(n, abar=abar, ca=ca[s], cu=cu[s])
             assert_same_result(got, one_solve_reference(op, X0[s], params))
-
-
-def test_minimize_stack_of_one_equals_a_single_solve():
-    rng = np.random.default_rng(43)
-    op, n, k = random_embedding_op(rng, n_max=30)
-    X0 = seeded_features(n, k, stream=3)
-    single, stacked = minimize(op, X0), minimize(op, X0[None])
-    assert stacked.X.shape == (1, n, k)
-    assert_same_result(fields(single), one_solve_reference(op, X0, ApgParams()))
-    assert_same_result(next(each_solve(stacked)), fields(single))
 
 
 def test_minimize_stack_applies_to_live_solves_only():
@@ -427,12 +415,15 @@ def test_minimize_stack_rejects_nonfinite_solve():
         minimize(op, X0)
 
 
-def test_params_validation():
-    for eps in (0, float("nan")):
-        with pytest.raises(ValueError, match="epsilon"):
-            ApgParams(epsilon=eps)
-    with pytest.raises(ValueError, match="max_iters"):
-        ApgParams(max_iters=0)
+@pytest.mark.parametrize("field, value", [
+    pytest.param("epsilon", 0, id="epsilon-0"),
+    pytest.param("epsilon", float("nan"), id="epsilon-nan"),
+    pytest.param("max_iters", 0, id="max_iters-0"),
+    pytest.param("max_iters", 2.5, id="max_iters-2.5"),
+])
+def test_params_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        ApgParams(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,21 @@ from helpers import (
     kruskal_total,
     random_hypergraph,
 )
-from mstpart.apg import project_rows, seeded_features
+from mstpart.apg import minimize, project_rows, seeded_features
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from mstpart.initial import (
     _merge_clusters,
+    _p_choices,
+    _route_partition,
     candidate_p_values,
     mst_partition_small,
     prim_mst,
     prune_clusters,
     representative_partition_large,
 )
-from mstpart.operators import clique_expand
-from mstpart.pipeline import PipelineConfig, _build_candidate
+from mstpart.operators import ObjectiveOperator, clique_expand
+from mstpart.pipeline import CandidateReport, PipelineConfig, _build_candidates
+from mstpart.refine import repair_feasibility
 
 
 def angles_to_features(angles):
@@ -403,11 +406,48 @@ def test_candidate_p_values():
 
 
 def build_candidates(h, spec, num_init):
-    """Run the pipeline's candidate builder for candidates 0..num_init-1.
-    Pairwise rounds are off so only the embedding, clustering and repair run."""
-    config = PipelineConfig(num_init=num_init, pair_rounds=0)
+    """Run the pipeline's candidate builder for candidates 0..num_init-1, as
+    (partition, report) pairs."""
+    config = PipelineConfig(num_init=num_init)
+    return list(zip(*_build_candidates(h, spec, clique_expand(h), config)))
+
+
+def candidates_one_by_one(h, spec, clique, config):
+    """The candidates with one embedding operator and one solve each, in
+    order: the builder's reference."""
+    combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
+    out = []
+    for i in range(config.num_init):
+        lam1, lam2 = combos[i % len(combos)]
+        op = ObjectiveOperator.embedding(clique, h.vertex_weight, [(lam1, lam2)])
+        X = minimize(op, seeded_features(h.n, spec.k, stream=i)[None], config.apg).X[0]
+        best_part, best_p = None, None
+        for p in _p_choices(h.n, spec.k, config.p):
+            part = _route_partition(X, h, spec, p)
+            if best_part is None or part.cutsize < best_part.cutsize:
+                best_part, best_p = part, p
+        part, _ = repair_feasibility(h, best_part, spec)
+        out.append((part, CandidateReport(lam1, lam2, best_p, part.cutsize,
+                                          is_feasible(part, spec))))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_stacked_candidates_equal_one_solve_each(k):
+    # 13 candidates wrap the 12 grid pairs; k = 4 lays the stack out through
+    # the general transpose, k = 2 through the complex view
+    rng = np.random.default_rng([263, k])
+    h = random_hypergraph(rng, 90, 140, max_edge_size=5, weighted=True)
+    spec = BalanceSpec.for_hypergraph(h, k, 0.05)
+    config = PipelineConfig(num_init=13)
     clique = clique_expand(h)
-    return [_build_candidate(i, h, spec, clique, config) for i in range(num_init)]
+    parts, reports = _build_candidates(h, spec, clique, config)
+    want = candidates_one_by_one(h, spec, clique, config)
+    assert len(parts) == len(want) == 13
+    assert reports[12].lam1 == reports[0].lam1 and reports[12].lam2 == reports[0].lam2
+    for part, report, (want_part, want_report) in zip(parts, reports, want):
+        assert np.array_equal(part.assignment, want_part.assignment)
+        assert report == want_report
 
 
 def test_generate_candidates_first_grid_entry():

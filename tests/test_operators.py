@@ -143,8 +143,8 @@ def test_apply_pure_clique_part():
     rng = np.random.default_rng(71)
     h = random_hypergraph(rng, 9, 12)
     g = clique_expand(h)
-    op = ObjectiveOperator.embedding(g, np.ones(h.n), lam1=1.0, lam2=0.9)
-    X = rng.normal(size=(h.n, 3))
+    op = ObjectiveOperator.embedding(g, np.ones(h.n), [(1.0, 0.9)])
+    X = rng.normal(size=(1, h.n, 3))
     abar = np.diag(g.degree) + g.adjacency.toarray()
     assert np.allclose(op.apply(X), abar @ X, atol=1e-10)
 
@@ -154,8 +154,8 @@ def test_apply_constant_rows_kill_unit_balance():
     rng = np.random.default_rng(73)
     h = random_hypergraph(rng, 8, 10)
     g = clique_expand(h)
-    op = ObjectiveOperator.embedding(g, np.ones(h.n), lam1=0.0, lam2=1.0)
-    X = np.tile(rng.normal(size=(1, 2)), (h.n, 1))
+    op = ObjectiveOperator.embedding(g, np.ones(h.n), [(0.0, 1.0)])
+    X = np.tile(rng.normal(size=(1, 2)), (1, h.n, 1))
     assert np.allclose(op.apply(X), 0.0, atol=1e-9)
 
 
@@ -165,9 +165,9 @@ def test_apply_embedding_matches_dense():
         h = random_hypergraph(rng, 20, 25, weighted=True)
         B = h.vertex_weight
         lam1, lam2 = rng.uniform(size=2)
-        op = ObjectiveOperator.embedding(clique_expand(h), B, lam1, lam2)
+        op = ObjectiveOperator.embedding(clique_expand(h), B, [(lam1, lam2)])
         C = dense_embedding_matrix(h, B, lam1, lam2)
-        X = rng.normal(size=(h.n, 3))
+        X = rng.normal(size=(1, h.n, 3))
         got, want = op.apply(X), C @ X
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -181,7 +181,7 @@ def test_apply_pair_matches_dense():
         xi1, xi2 = rng.uniform(size=2)
         op = ObjectiveOperator.pair_refinement(g, h.vertex_weight, blocks, [(xi1, xi2)])
         C = dense_pair_matrix(g.adjacency.toarray(), h.vertex_weight, blocks, xi1, xi2)
-        X = rng.normal(size=(h.n, 2))
+        X = rng.normal(size=(1, h.n, 2))
         got, want = op.apply(X), C @ X
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -192,7 +192,7 @@ def test_multipartite_part_three_blocks():
     blocks = rng.integers(0, 3, size=n)
     op = ObjectiveOperator(n, cp=1.0, blocks=blocks)
     K = dense_kpartite(blocks)
-    X = rng.normal(size=(n, 4))
+    X = rng.normal(size=(1, n, 4))
     assert np.allclose(op.apply(X), K @ X, atol=1e-10)
 
 
@@ -230,7 +230,7 @@ def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
         B = rng.uniform(0.5, 3.0, size=h.n)
         c = rng.uniform(size=4)
         if mode == "embedding":
-            op = ObjectiveOperator.embedding(g, B, c[0], c[1])
+            op = ObjectiveOperator.embedding(g, B, [(c[0], c[1])])
         elif mode == "pair":
             op = ObjectiveOperator.pair_refinement(g, B, blocks, [(c[0], c[1])])
         else:
@@ -241,12 +241,12 @@ def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
             )
         # k = 2 twice: the second call reads the cached block index
         for k in (1, 2, 4, 2):
-            X = rng.normal(size=(h.n, k))
-            want = formula_apply(op, X)
-            assert np.array_equal(op.apply(X), want)
+            X = rng.normal(size=(1, h.n, k))
+            want = formula_apply(op, X[0])
+            assert np.array_equal(op.apply(X)[0], want)
             value, grad = op.value_and_gradient(X)
-            assert value == -float(np.sum(want * X)) == op.value(X)
-            assert np.array_equal(grad, -2.0 * want)
+            assert value.tolist() == [-float(np.sum(want * X[0]))] == op.value(X).tolist()
+            assert np.array_equal(grad[0], -2.0 * want)
             assert np.array_equal(op.gradient(X), grad)
 
 
@@ -283,11 +283,11 @@ def test_stacked_apply_bit_equals_each_slice(solves, kind, c):
         value, grad = op.value_and_gradient(X)
         assert got.shape == X.shape and value.shape == (solves,)
         for s, one in enumerate(alone):
-            want = one.apply(X[s])
+            want = one.apply(X[s:s + 1])[0]
             assert np.array_equal(bits(got[s]), bits(want))
             assert np.array_equal(bits(want), bits(formula_apply(one, X[s])))
-            assert value[s] == one.value(X[s]) == op.value(X)[s]
-            assert np.array_equal(bits(grad[s]), bits(one.gradient(X[s])))
+            assert value[s] == one.value(X[s:s + 1])[0] == op.value(X)[s]
+            assert np.array_equal(bits(grad[s]), bits(one.gradient(X[s:s + 1])[0]))
         pick = rng.permutation(solves)[: max(1, solves // 2)]
         assert np.array_equal(bits(op.take(pick).apply(X[pick])), bits(got[pick]))
 
@@ -298,12 +298,18 @@ def test_stack_shapes_are_checked():
     op = ObjectiveOperator.pair_refinement(
         clique_expand(h), h.vertex_weight, rng.integers(0, 2, size=h.n), [(0.5, 0.8), (0.15, 0.2)])
     with pytest.raises(ValueError):
-        op.apply(np.ones((h.n, 2)))  # an (n, c) block is one solve
+        op.apply(np.ones((h.n, 2)))  # an (n, c) block is no stack
     with pytest.raises(ValueError):
         op.apply(np.ones((3, h.n, 2)))
+    with pytest.raises(ValueError):  # not even for a stack of one
+        op.take([0]).apply(np.ones((h.n, 2)))
     with pytest.raises(ValueError, match="xi2"):
         ObjectiveOperator.pair_refinement(clique_expand(h), h.vertex_weight,
                                           np.zeros(h.n), [(0.5, 0.8), (0.5, 1.2)])
+    with pytest.raises(ValueError, match="lam1"):
+        ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [(0.5, 0.8), (np.nan, 1.0)])
+    with pytest.raises(ValueError, match="lam1, lam2"):
+        ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [])
 
 
 @pytest.mark.parametrize("coef, field", [("ca", "abar"), ("cw", "weights"), ("cp", "blocks")])
@@ -330,24 +336,24 @@ def test_negative_coefficient_is_rejected(coef, bad):
 
 def test_value_zero_matrix():
     op = ObjectiveOperator(4, abar=np.zeros((4, 4)), ca=1.0)
-    X = np.ones((4, 2))
-    assert op.value(X) == 0.0
+    X = np.ones((1, 4, 2))
+    assert op.value(X).tolist() == [0.0]
 
 
 def test_value_identity_diagnostic():
     rng = np.random.default_rng(97)
     n = 7
-    X = rng.normal(size=(n, 3))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X = rng.normal(size=(1, n, 3))
+    X /= np.linalg.norm(X, axis=-1, keepdims=True)
     op = ObjectiveOperator(n, abar=sparse.identity(n, format="csr"), ca=1.0)
-    assert op.value(X) == pytest.approx(-n)
+    assert op.value(X).tolist() == [pytest.approx(-n)]
 
 
 def test_gradient_is_minus_two_apply():
     rng = np.random.default_rng(101)
     h = random_hypergraph(rng, 10, 12)
-    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, 0.5, 0.8)
-    X = rng.normal(size=(h.n, 2))
+    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [(0.5, 0.8)])
+    X = rng.normal(size=(1, h.n, 2))
     assert np.allclose(op.gradient(X), -2.0 * op.apply(X))
 
 
@@ -356,40 +362,40 @@ def test_gradient_matches_central_differences():
     for _ in range(5):
         h = random_hypergraph(rng, 6, 8, weighted=True)
         op = ObjectiveOperator.embedding(
-            clique_expand(h), h.vertex_weight, rng.uniform(), rng.uniform()
+            clique_expand(h), h.vertex_weight, [(rng.uniform(), rng.uniform())]
         )
-        X = rng.normal(size=(h.n, 2))
+        X = rng.normal(size=(1, h.n, 2))
         grad = op.gradient(X)
         step = 1e-6
         for _ in range(6):
             i = int(rng.integers(0, h.n))
             j = int(rng.integers(0, 2))
             Xp, Xm = X.copy(), X.copy()
-            Xp[i, j] += step
-            Xm[i, j] -= step
-            fd = (op.value(Xp) - op.value(Xm)) / (2 * step)
+            Xp[0, i, j] += step
+            Xm[0, i, j] -= step
+            fd = (op.value(Xp)[0] - op.value(Xm)[0]) / (2 * step)
             scale = max(1.0, abs(fd))
-            assert abs(grad[i, j] - fd) <= 1e-5 * scale
+            assert abs(grad[0, i, j] - fd) <= 1e-5 * scale
 
 
 def test_value_vs_dense_inner_product():
     rng = np.random.default_rng(107)
     h = random_hypergraph(rng, 14, 18, weighted=True)
     lam1, lam2 = 0.15, 0.8
-    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, lam1, lam2)
+    op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [(lam1, lam2)])
     C = dense_embedding_matrix(h, h.vertex_weight, lam1, lam2)
-    X = rng.normal(size=(h.n, 3))
-    assert op.value(X) == pytest.approx(-np.sum(C * (X @ X.T)), rel=1e-10)
+    X = rng.normal(size=(1, h.n, 3))
+    assert op.value(X).tolist() == [pytest.approx(-np.sum(C * (X[0] @ X[0].T)), rel=1e-10)]
 
 
 def test_operator_validates_inputs():
     with pytest.raises(ValueError):
         ObjectiveOperator.embedding(
-            CliqueGraph.from_adjacency(np.zeros((3, 3))), np.ones(3), 1.5, 0.5
+            CliqueGraph.from_adjacency(np.zeros((3, 3))), np.ones(3), [(1.5, 0.5)]
         )
     op = ObjectiveOperator(3, abar=sparse.identity(3, format="csr"), ca=1.0)
     with pytest.raises(ValueError):
-        op.apply(np.ones((4, 2)))
+        op.apply(np.ones((1, 4, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,11 @@ def test_num_init_below_one_is_rejected():
     pytest.param("lambda1", (float("nan"),), id="lambda1-value11"),
     pytest.param("xi1", (2.0,), id="xi1-value12"),
     pytest.param("xi2", (0.8, float("nan")), id="xi2-value13"),
+    pytest.param("num_init", 1.5, id="num_init-1.5"),
+    pytest.param("pair_rounds", 1.5, id="pair_rounds-1.5"),
+    pytest.param("coarsest_factor", 0, id="coarsest_factor-0"),
+    pytest.param("coarsest_factor", -3, id="coarsest_factor--3"),
+    pytest.param("coarsest_factor", 2.5, id="coarsest_factor-2.5"),
 ])
 def test_out_of_range_config_is_rejected(field, value):
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
