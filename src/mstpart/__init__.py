@@ -2,7 +2,7 @@
 
 Pipeline: score-driven coarsening, sphere-constrained proximal-gradient
 vertex embeddings, MST-pruning initial partitioning, and MST/FM refinement
-under per-block weight caps.
+under one block weight cap.
 """
 
 from .hypergraph import (

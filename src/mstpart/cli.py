@@ -259,7 +259,7 @@ def cmd_improve(args) -> int:
 
     before = report["cutsize_before"]
     after = report["cutsize_after"]
-    ratio = after / before if before else 1.0
+    ratio = after / before if before else (float("inf") if after else 1.0)
     lines = [
         f"cutsize_before={before}",
         f"cutsize_after={after}",

@@ -2,8 +2,8 @@
 
 A partition of the vertex set into k blocks is scored by the connectivity-1
 metric (km1): ``sum_e w_e * (spans_e - 1)`` where ``spans_e`` is the number
-of distinct blocks touched by the pins of hyperedge ``e``.  Balance is a set
-of identical per-block weight caps derived from a relative slack epsilon.
+of distinct blocks touched by the pins of hyperedge ``e``.  Balance is one
+weight cap for every block, derived from a relative slack epsilon.
 """
 
 from __future__ import annotations
@@ -259,11 +259,11 @@ def write_hmetis(h: Hypergraph) -> str:
 
 @dataclass(frozen=True)
 class BalanceSpec:
-    """Per-block weight caps: U_i = (1 + epsilon) * ceil(total_weight / k)."""
+    """The weight cap of every block: (1 + epsilon) * ceil(total_weight / k)."""
 
     k: int
     epsilon: float
-    upper_bounds: np.ndarray
+    cap: float
 
     @classmethod
     def from_total(cls, total: int, k: int, epsilon: float) -> "BalanceSpec":
@@ -272,16 +272,11 @@ class BalanceSpec:
         if not 0 <= epsilon < math.inf:  # NaN fails too
             raise ValueError("epsilon must be finite and >= 0")
         avg = -(-int(total) // k)  # integer ceiling before applying the slack
-        cap = (1.0 + epsilon) * avg
-        return cls(k, float(epsilon), np.full(k, cap, dtype=np.float64))
+        return cls(k, float(epsilon), float((1.0 + epsilon) * avg))
 
     @classmethod
     def for_hypergraph(cls, h: Hypergraph, k: int, epsilon: float) -> "BalanceSpec":
         return cls.from_total(h.total_weight, k, epsilon)
-
-    @property
-    def cap(self) -> float:
-        return float(self.upper_bounds[0])
 
 
 def epsilon_from_ubfactor(ubfactor: float, k: int) -> float:
@@ -410,10 +405,10 @@ def km1_value(h: Hypergraph, assignment: np.ndarray, k: int) -> int:
 
 
 def is_feasible(p: Partition, spec: BalanceSpec) -> bool:
-    """True when every block weight is within its cap."""
+    """True when every block weight is within the cap."""
     if p.k != spec.k:
         raise ValueError("partition and balance spec disagree on k")
-    return bool(np.all(p.block_weight <= spec.upper_bounds))
+    return bool(np.all(p.block_weight <= spec.cap))
 
 
 def read_partition(text: str, h: Hypergraph, k: int) -> Partition:

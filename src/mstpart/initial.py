@@ -4,7 +4,7 @@ The complete feature graph joins every pair of vertices with an edge of
 weight 1 - <x_i, x_j>.  Its MST is pruned at the heaviest edges to form
 clusters, which are then merged into k blocks.  Both scales run one
 routine, ``_cluster_partition``: small instances cluster every vertex under
-the true block caps; large ones cluster only the heaviest fifth of the
+the true block cap; large ones cluster only the heaviest fifth of the
 vertices under a cap adapted to their mass, and the routine then places the
 rest by nearest centroid.
 """
@@ -138,7 +138,7 @@ def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.
     return ClusterSet(clusters, weights, centroids)
 
 
-def _merge_clusters(clusters: ClusterSet, k: int, caps: np.ndarray) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+def _merge_clusters(clusters: ClusterSet, k: int, cap: float) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
     """Seed blocks with the k heaviest clusters, then fold each remaining
     cluster into the centroid-nearest block when it fits the cap, else into
     the lightest block.  Returns members, weights, centroids, counts.
@@ -156,7 +156,7 @@ def _merge_clusters(clusters: ClusterSet, k: int, caps: np.ndarray) -> tuple[lis
         c_n = clusters.clusters[ci].shape[0]
         d = np.linalg.norm(centroids - clusters.centroids[ci], axis=1)
         j = int(np.argmin(d))
-        if weights[j] + c_w > caps[j]:
+        if weights[j] + c_w > cap:
             j = int(np.argmin(weights))  # lightest block, cap ignored
         members[j].append(clusters.clusters[ci])
         weights[j] += c_w
@@ -171,7 +171,7 @@ def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int)
         raise ValueError(f"need at least k={spec.k} clusters, got p={p}")
     if p > h.n:
         raise ValueError(f"p={p} exceeds the vertex count {h.n}")
-    return _cluster_partition(X, h, spec, np.arange(h.n), p, spec.upper_bounds)
+    return _cluster_partition(X, h, spec, np.arange(h.n), p, spec.cap)
 
 
 def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int) -> Partition:
@@ -187,30 +187,29 @@ def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSp
     if p < spec.k:
         raise ValueError(f"need at least k={spec.k} representative clusters, got p={p}")
     adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
-    return _cluster_partition(X, h, spec, reps, p, np.full(spec.k, adapted_cap))
+    return _cluster_partition(X, h, spec, reps, p, adapted_cap)
 
 
-def _cluster_partition(X, h, spec, vertices, p, merge_caps) -> Partition:
+def _cluster_partition(X, h, spec, vertices, p, merge_cap) -> Partition:
     """Prim over ``vertices``, prune to p clusters and merge them into k
-    blocks under ``merge_caps``.  Each vertex left out of ``vertices`` is
+    blocks under ``merge_cap``.  Each vertex left out of ``vertices`` is
     then placed, in index order, at its nearest block centroid among the
-    blocks that still fit it under the true caps, else in the lightest
+    blocks that still fit it under the true cap, else in the lightest
     block; centroids track running means as vertices arrive.
     """
     B = h.vertex_weight
     tree = prim_mst(X, vertices=vertices)
     clusters = prune_clusters(tree, p, B, X)
-    members, weights, centroids, counts = _merge_clusters(clusters, spec.k, merge_caps)
+    members, weights, centroids, counts = _merge_clusters(clusters, spec.k, merge_cap)
     assignment = np.full(h.n, -1, dtype=np.int64)
     for b, chunks in enumerate(members):
         for chunk in chunks:
             assignment[chunk] = b
 
-    caps = spec.upper_bounds
     for v in np.flatnonzero(assignment < 0).tolist():
         w = int(B[v])
         d = np.linalg.norm(centroids - X[v], axis=1)
-        fits = weights + w <= caps
+        fits = weights + w <= spec.cap
         if np.any(fits):
             d = np.where(fits, d, np.inf)
             j = int(np.argmin(d))

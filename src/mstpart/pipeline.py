@@ -4,7 +4,8 @@ Coarsens the hypergraph, generates embedding-driven initial partitions on
 the coarsest level (their embeddings solved as one stack) and repairs each,
 keeps the best, pairwise-improves that one once, and projects it back up
 with FM refinement at every level.  A partition that is still infeasible is
-repaired after each projection, and FM runs once it is feasible.
+repaired after each projection, and FM runs once it is feasible; the walk
+is ``_uncoarsen``, and ``improve_partition`` ends with it over no levels.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .apg import ApgParams, minimize, seeded_features
-from .coarsen import coarsen
+from .coarsen import Hierarchy, coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from .initial import _p_choices, _route_partition
@@ -123,7 +124,7 @@ def run_pipeline(
     """Partition ``h`` into ``spec.k`` blocks.
 
     The returned partition always covers every vertex; ``feasible`` reports
-    whether all block weights ended within their caps.
+    whether all block weights ended within the cap.
     """
     config = (config or PipelineConfig()).check(spec.k)
     timings: dict[str, float] = {}
@@ -160,16 +161,7 @@ def run_pipeline(
     timings["initial"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    feasible = is_feasible(part, spec)
-    for li in range(len(hierarchy.levels) - 1, -1, -1):
-        finer = hierarchy.levels[li - 1].hypergraph if li > 0 else h
-        part = _project(hierarchy.levels[li], part, finer)
-        if not feasible:
-            part, feasible = repair_feasibility(finer, part, spec)
-        if feasible:
-            part = kway_fm(finer, part, spec)
-    if not hierarchy.levels and feasible:
-        part = kway_fm(h, part, spec)
+    part = _uncoarsen(h, hierarchy, part, spec)
     timings["uncoarsen"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 
@@ -177,6 +169,25 @@ def run_pipeline(
         part, is_feasible(part, spec), part.cutsize, timings,
         len(hierarchy), reports,
     )
+
+
+def _uncoarsen(h, hierarchy, part, spec) -> Partition:
+    """Project ``part`` from the coarsest level of ``hierarchy`` down to
+    ``h``.  After each projection a partition that is still infeasible is
+    repaired, and FM refines it once it is feasible.  With no levels, FM
+    refines ``part`` on ``h`` itself when it is feasible."""
+    feasible = is_feasible(part, spec)
+    levels = hierarchy.levels
+    for li in range(len(levels) - 1, -1, -1):
+        finer = levels[li - 1].hypergraph if li > 0 else h
+        part = _project(levels[li], part, finer)
+        if not feasible:
+            part, feasible = repair_feasibility(finer, part, spec)
+        if feasible:
+            part = kway_fm(finer, part, spec)
+    if not levels and feasible:
+        part = kway_fm(h, part, spec)
+    return part
 
 
 def improve_partition(
@@ -196,8 +207,7 @@ def improve_partition(
     needed_repair = not is_feasible(p, spec)
     part, repair_ok = repair_feasibility(h, p, spec)
     part = pairwise_improve(h, part, spec, config)
-    if is_feasible(part, spec):
-        part = kway_fm(h, part, spec)
+    part = _uncoarsen(h, Hierarchy(), part, spec)
     report = {
         "cutsize_before": before,
         "cutsize_after": part.cutsize,

@@ -4,12 +4,13 @@ Four tools that share the clique-expansion view of the hypergraph: a
 bipartitioner that cuts a spanning tree over heavy "key" vertices and labels
 everything else by proximity to the two side centers, a pairwise pass that
 re-embeds two blocks at a time and re-splits them, a greedy move-and-swap
-repair for overweight blocks, and a pass-based k-way FM.  An FM pass runs on
-local copies of the gain table and pin counts, updates a gain only when a
-move takes one of its net's pin counts across 0/1/2, stops once the moves
-after its best prefix drift downhill (the random-walk rule of Osipov &
-Sanders, ``STOP_ALPHA`` and ``STOP_BETA``), and applies only its best prefix
-of moves to the partition.
+repair for overweight blocks, and a pass-based k-way FM, all held to the
+one block weight cap ``BalanceSpec.cap``.  An FM pass runs on local copies
+of the gain table and pin counts, updates a gain only when a move takes one
+of its net's pin counts across 0/1/2, stops once the moves after its best
+prefix drift downhill (the random-walk rule of Osipov & Sanders,
+``STOP_ALPHA`` and ``STOP_BETA``), and applies only its best prefix of moves
+to the partition.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
 
 @dataclass
 class BipartitionResult:
-    """Signed labeling of a vertex set, and whether it fits the two caps."""
+    """Signed labeling of a vertex set, and whether both sides fit the cap."""
 
     labels: np.ndarray
     feasible: bool
@@ -53,7 +54,7 @@ KEY_FRACTION = 0.05
 CUT_FRACTION = 0.2
 
 
-def mst_bipartition(X: np.ndarray, B: np.ndarray, caps: tuple, L) -> BipartitionResult:
+def mst_bipartition(X: np.ndarray, B: np.ndarray, cap: float, L) -> BipartitionResult:
     """Split a vertex set in two along a spanning-tree cut of its heavy nodes.
 
     The heaviest ceil(KEY_FRACTION * n) vertices (ties: lower index; all of
@@ -65,8 +66,8 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, caps: tuple, L) -> Bipartition
     ``tree.heaviest_first()`` are cut one at a time; the mean features of
     the two key-node sides become centers c1 (the side holding the tree
     root) and c2, and every vertex gets label +1 when strictly farther from
-    c1 than from c2, else -1.  A labeling is feasible when the +1 side
-    weighs at most caps[0] and the -1 side at most caps[1].  Each labeling
+    c1 than from c2, else -1.  A labeling is feasible when its heavier side
+    weighs at most ``cap``, that is 0.5 (total + |y^T B|) <= cap.  Each labeling
     is scored by 1/4 y^T L y, the clique-graph weight cut between the two
     sides; the first feasible one of least score wins, and if none is
     feasible the first of least score overall is returned flagged
@@ -99,7 +100,7 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, caps: tuple, L) -> Bipartition
         y = np.where(d1 - d2 > 0.0, 1.0, -1.0)
 
         yb = float(y @ B)
-        feasible = 0.5 * (total + yb) <= caps[0] and 0.5 * (total - yb) <= caps[1]
+        feasible = 0.5 * (total + abs(yb)) <= cap
         obj = 0.25 * float(y @ (L @ y))
         if best_any is None or obj < best_any[0]:
             best_any = (obj, y)
@@ -186,7 +187,6 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> Partitio
     L_sub = laplacian(sub)
     B_sub = h.vertex_weight[idx]
     labels01 = (part.assignment[idx] == b).astype(np.int64)
-    caps = (float(spec.upper_bounds[a]), float(spec.upper_bounds[b]))
 
     grid = list(itertools.product(config.xi1, config.xi2))
     op = ObjectiveOperator.pair_refinement(sub, B_sub, labels01, grid)
@@ -194,7 +194,7 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> Partitio
                    for gi in range(len(grid))])
     best = None
     for X in minimize(op, X0, config.apg).X:
-        res = mst_bipartition(X, B_sub, caps, L_sub)
+        res = mst_bipartition(X, B_sub, spec.cap, L_sub)
         if not res.feasible:
             continue
         trial = part.assignment.copy()
@@ -213,8 +213,8 @@ def repair_feasibility(
 ) -> tuple[Partition, bool]:
     """Drain overweight blocks by cheap moves, swapping when nothing fits.
 
-    While any block exceeds its cap: from the most-overloaded block, apply
-    the single relocation into a block that stays within cap minimizing
+    While any block exceeds the cap: from the most-overloaded block, apply
+    the single relocation into a block that stays within the cap minimizing
     (cutsize increase, vertex weight, vertex index, target).  If no vertex
     fits anywhere, try the best strictly-load-reducing swap with a vertex
     of another block that keeps the partner block within cap, minimizing
@@ -225,17 +225,17 @@ def repair_feasibility(
     other block).
     """
     part = p.copy()
-    caps = spec.upper_bounds
+    cap = spec.cap
     B = h.vertex_weight
     ops = 0
     while ops < 2 * h.n:
-        over = part.block_weight - caps
+        over = part.block_weight - cap
         src = int(np.argmax(over))
         if over[src] <= 0:
             return part, True
         members = np.nonzero(part.assignment == src)[0]
         # src itself never fits: it is over cap and weights are >= 1
-        rows, ts = np.nonzero(part.block_weight + B[members, None] <= caps)
+        rows, ts = np.nonzero(part.block_weight + B[members, None] <= cap)
         if rows.size:
             vs = members[rows]
             delta = part.move_deltas(members)[rows, ts]
@@ -251,7 +251,7 @@ def repair_feasibility(
             for t, us in enumerate(blocks):
                 if t == src:
                     continue
-                us = us[(B[us] < bv) & (part.block_weight[t] - B[us] + bv <= caps[t])]
+                us = us[(B[us] < bv) & (part.block_weight[t] - B[us] + bv <= cap)]
                 if us.size == 0:
                     continue
                 d = part.move(v, t) + part.move_deltas(us)[:, src]
@@ -266,7 +266,7 @@ def repair_feasibility(
         part.move(v, t)
         part.move(u, src)
         ops += 2
-    return part, bool(np.all(part.block_weight <= caps))
+    return part, bool(np.all(part.block_weight <= cap))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     """Pass-based k-way FM refinement.
 
     Every pass moves each vertex at most once, always taking the highest
-    gain (cutsize decrease) among moves that keep all blocks within cap
+    gain (cutsize decrease) among moves that keep all blocks within the cap
     (ties: lower vertex, then lower target block), working through negative
     gains as well; only the pass's best prefix of moves is then applied to
     the partition.  Passes repeat while they improve, at most 50 times.  The
@@ -300,8 +300,9 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     v: s -> t changes a gain only on a net e of v whose pin count
     Phi(e, t) rises to 1 or 2 or whose Phi(e, s) falls to 1 or 0.  Walking
     v's nets therefore costs O(1) per net plus O(|e|) for each net that
-    crosses one of these thresholds, and each changed (vertex, block) gain
-    pushes one heap entry.
+    crosses one of these thresholds.  A heap entry (gain, v, t) is pushed
+    whenever the gain of moving v to t changes, and it is live while v is
+    unlocked and the gain table still holds that gain.
     """
     if not is_feasible(p, spec):
         raise ValueError("FM refinement requires a feasible starting partition")
@@ -317,14 +318,13 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
         h.edge_weight.tolist(),
         h.vertex_weight.tolist(),
     )
-    caps = spec.upper_bounds.tolist()
     for _ in range(50):
-        if _fm_pass(part, caps, *graph) <= 0:
+        if _fm_pass(part, spec.cap, *graph) <= 0:
             break
     return part
 
 
-def _fm_pass(part: Partition, caps: list, nets: list, pins: list,
+def _fm_pass(part: Partition, cap: float, nets: list, pins: list,
              edge_weight: list, vertex_weight: list) -> int:
     """One FM pass on local copies of the partition's tables, ended by the
     stop rule of ``kway_fm`` or an empty heap; applies the best prefix of
@@ -336,8 +336,7 @@ def _fm_pass(part: Partition, caps: list, nets: list, pins: list,
     block = part.assignment.tolist()
     weight = part.block_weight.tolist()
     locked = [False] * n
-    version = [0] * (n * k)  # of the live heap entry of (v, t), at v * k + t
-    heap = [(row[t], v, t, 0) for v, row in enumerate(delta)
+    heap = [(row[t], v, t) for v, row in enumerate(delta)
             for t in range(k) if t != block[v]]
     heapq.heapify(heap)
     deferred: list[list] = [[] for _ in range(k)]  # entries by target block
@@ -349,16 +348,15 @@ def _fm_pass(part: Partition, caps: list, nets: list, pins: list,
     steps = gain_sum = gain_sq = 0  # of the moves since the best prefix
     while heap:
         item = pop(heap)
-        d, v, t, ver = item
-        if locked[v] or ver != version[v * k + t]:
+        d, v, t = item
+        if locked[v] or d != delta[v][t]:
             continue
         w = vertex_weight[v]
-        if weight[t] + w > caps[t]:
+        if weight[t] + w > cap:
             deferred[t].append(item)  # fits only after t loses weight
             continue
         s = block[v]
         locked[v] = True
-        changed: set[int] = set()
         for e in nets[v]:
             row = pin_count[e]
             ps, pt = row[s], row[t]
@@ -370,23 +368,23 @@ def _fm_pass(part: Partition, caps: list, nets: list, pins: list,
                 for u in pins[e]:
                     if not locked[u]:
                         delta[u][t] -= we
-                        changed.add(u * k + t)
+                        push(heap, (delta[u][t], u, t))
             elif pt == 1:  # the pin alone in t no longer frees e by leaving
                 for u in pins[e]:
                     if block[u] == t:
                         if not locked[u]:
-                            _shift_row(delta[u], we, u, t, k, changed)
+                            _shift_row(heap, delta[u], we, u, t)
                         break
             if ps == 1:  # s no longer spanned: joining s costs w_e
                 for u in pins[e]:
                     if not locked[u]:
                         delta[u][s] += we
-                        changed.add(u * k + s)
+                        push(heap, (delta[u][s], u, s))
             elif ps == 2:  # the pin left in s now frees e by leaving
                 for u in pins[e]:
                     if u != v and block[u] == s:
                         if not locked[u]:
-                            _shift_row(delta[u], -we, u, s, k, changed)
+                            _shift_row(heap, delta[u], -we, u, s)
                         break
         block[v] = t
         weight[s] -= w
@@ -405,10 +403,6 @@ def _fm_pass(part: Partition, caps: list, nets: list, pins: list,
                 var = gain_sq / steps - mean * mean
                 if steps * mean * mean > STOP_ALPHA * var + beta:
                     break
-        for key in changed:
-            version[key] += 1
-            u, b = divmod(key, k)
-            push(heap, (delta[u][b], u, b, version[key]))
         for item in deferred[s]:  # the only block that lost weight
             push(heap, item)
         deferred[s].clear()
@@ -418,9 +412,10 @@ def _fm_pass(part: Partition, caps: list, nets: list, pins: list,
     return best_cum
 
 
-def _shift_row(row: list, by: int, u: int, own: int, k: int, changed: set) -> None:
-    """Add ``by`` to the delta of every move of vertex u out of block ``own``."""
-    for b in range(k):
+def _shift_row(heap: list, row: list, by: int, u: int, own: int) -> None:
+    """Add ``by`` to the delta of every move of vertex u out of block ``own``
+    and push each new gain."""
+    for b in range(len(row)):
         if b != own:
             row[b] += by
-            changed.add(u * k + b)
+            heapq.heappush(heap, (row[b], u, b))

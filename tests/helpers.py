@@ -66,7 +66,7 @@ def brute_force_bipartition(h: Hypergraph, spec: BalanceSpec):
         assign = np.array([(mask >> v) & 1 for v in range(n)], dtype=np.int64)
         w1 = int(weights[assign == 1].sum())
         w0 = int(weights.sum()) - w1
-        if w0 > spec.upper_bounds[0] or w1 > spec.upper_bounds[1]:
+        if w0 > spec.cap or w1 > spec.cap:
             continue
         cut = km1_oracle(h, assign)
         if best_cut is None or cut < best_cut:
@@ -85,11 +85,11 @@ def clique_cut_oracle(A, y):
     return total
 
 
-def brute_force_signed_labels(L_dense, B, caps):
+def brute_force_signed_labels(L_dense, B, cap):
     """Exhaustive min of 1/4 y^T L y over feasible +/-1 labelings.
 
-    Feasible means the +1 side weighs at most caps[0] and the -1 side at
-    most caps[1].  Returns None when nothing is feasible.
+    Feasible means the +1 side and the -1 side each weigh at most ``cap``.
+    Returns None when nothing is feasible.
     """
     n = L_dense.shape[0]
     total = float(np.sum(B))
@@ -97,7 +97,7 @@ def brute_force_signed_labels(L_dense, B, caps):
     for mask in range(2 ** n):
         y = np.array([1.0 if (mask >> v) & 1 else -1.0 for v in range(n)])
         yb = float(y @ B)
-        if (total + yb) / 2 > caps[0] or (total - yb) / 2 > caps[1]:
+        if (total + yb) / 2 > cap or (total - yb) / 2 > cap:
             continue
         obj = 0.25 * float(y @ L_dense @ y)
         if best is None or obj < best:

@@ -465,7 +465,7 @@ def _greedy_first_fit(h, k, eps):
     assign = np.empty(h.n, dtype=np.int64)
     for v in range(h.n):
         for t in range(k):
-            if weights[t] + h.vertex_weight[v] <= spec.upper_bounds[t]:
+            if weights[t] + h.vertex_weight[v] <= spec.cap:
                 assign[v] = t
                 weights[t] += h.vertex_weight[v]
                 break

@@ -36,6 +36,8 @@ SPANS = (
     "pipeline.improve_partition",
 )
 LEAVES = ("operators.apply.embed", "operators.apply.pair", "hypergraph.move")
+# improve-k2 starts infeasible, so improve_partition repairs and then runs FM
+IMPROVE_SPANS = ("refine.repair", "refine.fm")
 
 
 def config_of(w):
@@ -68,6 +70,17 @@ def small_instance(name, n, **changes):
     for field, value in changes.items():
         setattr(config, field, value)
     return w, inst, h, spec, config
+
+
+def spans_under(t, root):
+    """Names of the spans that lie, at any depth, under a span named ``root``."""
+    under = set()
+    for name, _, _, parent in t.spans:
+        while parent >= 0 and t.spans[parent][0] != root:
+            parent = t.spans[parent][3]
+        if parent >= 0:
+            under.add(name)
+    return under
 
 
 def _bindings():
@@ -105,6 +118,8 @@ def test_tracer_records_every_layer_and_uninstalls():
     assert res.levels >= 1
     recorded = {span[0] for span in t.spans}
     assert set(SPANS) <= recorded, sorted(set(SPANS) - recorded)
+    improved = spans_under(t, "pipeline.improve_partition")
+    assert set(IMPROVE_SPANS) <= improved, sorted(set(IMPROVE_SPANS) - improved)
     leaves = {name for name, _ in t.leaves}
     assert set(LEAVES) <= leaves, sorted(set(LEAVES) - leaves)
 

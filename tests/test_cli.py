@@ -185,6 +185,27 @@ def test_improve_local_optimum_ratio_one(tmp_path, capsys):
     assert out.read_text() == part.read_text()
 
 
+@pytest.mark.parametrize("hgr_text, start, k, after, ratio", [
+    # all three vertices in block 0 cut nothing but outweigh the cap of 1.06
+    pytest.param("2 3\n1 2\n2 3\n", "0\n0\n0\n", "3", "2", "inf", id="rises-from-zero"),
+    pytest.param("1 4\n1 2\n", "0\n0\n1\n1\n", "2", "0", "1.000000", id="stays-zero"),
+])
+def test_improve_ratio_from_a_zero_cut(tmp_path, capsys, hgr_text, start, k, after, ratio):
+    hgr = tmp_path / "in.hgr"
+    hgr.write_text(hgr_text)
+    part = tmp_path / "start.part"
+    part.write_text(start)
+    code = main([
+        "improve", "--input", str(hgr), "--partition", str(part),
+        "--k", k, "--output", str(tmp_path / "out.part"),
+    ])
+    metrics = metric_map(capsys.readouterr().out)
+    assert code == 0
+    assert metrics["cutsize_before"] == "0"
+    assert metrics["cutsize_after"] == after
+    assert metrics["ratio"] == ratio
+
+
 def test_improve_lowers_bad_partition(tmp_path, capsys):
     hgr = two_clique_file(tmp_path)
     part = tmp_path / "alt.part"

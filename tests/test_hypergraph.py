@@ -182,7 +182,7 @@ def test_cutsize_relabel_invariant():
 
 def test_balance_cap_uses_ceiling_before_slack():
     spec = BalanceSpec.from_total(100, 4, 0.08)
-    assert spec.upper_bounds == pytest.approx([27.0] * 4)
+    assert spec.cap == pytest.approx(27.0)
 
     h = Hypergraph.from_edges([[0, 1]], n=4, vertex_weight=[27, 27, 27, 19])
     p = Partition(h, [0, 1, 2, 3], 4)

@@ -332,10 +332,10 @@ def test_representative_at_cap_falls_to_lightest():
 
 def reference_small(X, h, spec, p):
     """Small-scale partition written out straight: cluster every vertex,
-    merge under the true caps."""
+    merge under the true cap."""
     tree = prim_mst(X)
     clusters = prune_clusters(tree, p, h.vertex_weight, X)
-    members, _, _, _ = _merge_clusters(clusters, spec.k, spec.upper_bounds)
+    members, _, _, _ = _merge_clusters(clusters, spec.k, spec.cap)
     assignment = np.empty(h.n, dtype=np.int64)
     for b, chunks in enumerate(members):
         for chunk in chunks:
@@ -352,20 +352,18 @@ def reference_large(X, h, spec, p):
     tree = prim_mst(X, vertices=reps)
     clusters = prune_clusters(tree, min(p, n_rep), B, X)
     adapted_cap = (1.0 + spec.epsilon) * int(clusters.weights.sum()) / spec.k
-    members, weights, centroids, counts = _merge_clusters(
-        clusters, spec.k, np.full(spec.k, adapted_cap)
-    )
+    members, weights, centroids, counts = _merge_clusters(clusters, spec.k, adapted_cap)
     assignment = np.full(n, -1, dtype=np.int64)
     for b, chunks in enumerate(members):
         for chunk in chunks:
             assignment[chunk] = b
-    caps = spec.upper_bounds
+    cap = spec.cap
     for v in range(n):
         if assignment[v] >= 0:
             continue
         w = int(B[v])
         d = np.linalg.norm(centroids - X[v], axis=1)
-        fits = weights + w <= caps
+        fits = weights + w <= cap
         if np.any(fits):
             j = int(np.argmin(np.where(fits, d, np.inf)))
         else:

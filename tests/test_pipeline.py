@@ -143,7 +143,7 @@ def test_planted_clusters_and_validity():
     res = run_pipeline(h, spec, quick_config())
     assert res.feasible
     assert res.cutsize == km1_oracle(h, res.partition.assignment)
-    assert np.all(res.partition.block_weight <= spec.upper_bounds)
+    assert np.all(res.partition.block_weight <= spec.cap)
     assert res.cutsize <= 4  # planted cut is 2: allow slack but demand locality
 
 
@@ -160,7 +160,7 @@ def test_random_instances_valid_and_reported_accurately():
         assert res.partition.assignment.max() < k
         assert res.cutsize == km1_oracle(h, res.partition.assignment)
         assert res.feasible == bool(
-            np.all(res.partition.block_weight <= spec.upper_bounds)
+            np.all(res.partition.block_weight <= spec.cap)
         )
         assert len(res.candidates) == 2
 

@@ -5,18 +5,25 @@ vertices, single-pin nets and k >= n; the ``example`` cases pin each of these
 down so that every run covers them, and a vertex heavier than the cap too.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mstpart.apg import ApgParams
+from mstpart.cli import main
 from mstpart.hypergraph import (
     BalanceSpec,
     Hypergraph,
     Partition,
     PartitionFormatError,
     is_feasible,
+    read_partition,
+    write_hmetis,
+    write_partition,
 )
 from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
 from mstpart.refine import kway_fm
@@ -52,9 +59,9 @@ def build(case):
     weight = np.zeros(k)
     assign = []
     for v, b in enumerate(wants):
-        if weight[b] + vw[v] > spec.upper_bounds[b]:
+        if weight[b] + vw[v] > spec.cap:
             b = int(np.argmin(weight))
-            if weight[b] + vw[v] > spec.upper_bounds[b]:
+            if weight[b] + vw[v] > spec.cap:
                 return h, spec, None
         weight[b] += vw[v]
         assign.append(b)
@@ -132,3 +139,33 @@ def test_pipeline_and_improve_report_their_partitions_accurately(case):
     assert report["cutsize_before"] == km1_oracle(h, start.assignment)
     if is_feasible(start, spec):
         assert report["cutsize_after"] <= report["cutsize_before"]
+
+
+QUICK_FLAGS = ["--pair-rounds", "1", "--apg-max-iters", "50"]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=instances())
+@example(case=([[0, 1], [1, 2, 3], [3, 4]], 5, [9, 1, 1, 1, 1], [2, 1, 3], 2, 0.0,
+               [0, 1, 1, 0, 1]))  # vertex 0 outweighs the cap of 7: exit 2
+def test_cli_exit_code_and_cutsize_match_the_written_partition(case):
+    """``partition`` and ``improve`` exit 0 exactly when the partition they
+    write is feasible, else 2, and print that partition's km1."""
+    nets, n, vw, ew, k, epsilon, wants = case
+    h = Hypergraph.from_edges(nets, n=n, vertex_weight=vw, edge_weight=ew)
+    spec = BalanceSpec.for_hypergraph(h, k, epsilon)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "in.hgr").write_text(write_hmetis(h))
+        (d / "start.part").write_text(write_partition(Partition(h, wants, k)))
+        common = ["--input", str(d / "in.hgr"), "--k", str(k), "--epsilon", str(epsilon),
+                  "--output", str(d / "out.part"), "--metrics", str(d / "metrics"), *QUICK_FLAGS]
+        for command, extra, key in (
+            ("partition", ["--num-init", "2"], "cutsize"),
+            ("improve", ["--partition", str(d / "start.part")], "cutsize_after"),
+        ):
+            code = main([command, *common, *extra])
+            part = read_partition((d / "out.part").read_text(), h, k)
+            metrics = dict(line.split("=", 1) for line in (d / "metrics").read_text().splitlines())
+            assert code == (0 if is_feasible(part, spec) else 2)
+            assert int(metrics[key]) == km1_oracle(h, part.assignment)

@@ -67,7 +67,7 @@ def test_bipartition_separates_two_blobs():
             A[i, j] = A[j, i] = 4.0 if same else 0.5
     L = laplacian(CliqueGraph.from_adjacency(A))
     B = np.ones(n)
-    res = mst_bipartition(X, B, (float(n), float(n)), L)
+    res = mst_bipartition(X, B, float(n), L)
     assert res.feasible
     sides = {frozenset(np.where(res.labels > 0)[0].tolist()),
              frozenset(np.where(res.labels < 0)[0].tolist())}
@@ -79,13 +79,13 @@ def test_bipartition_separates_two_blobs():
 def test_bipartition_identical_features_flagged_infeasible():
     X = np.full((6, 2), 0.5)
     L = laplacian(CliqueGraph.from_adjacency(random_adjacency(np.random.default_rng(0), 6)))
-    res = mst_bipartition(X, np.ones(6), (5.0, 5.0), L)
+    res = mst_bipartition(X, np.ones(6), 5.0, L)
     assert not res.feasible
     assert np.all(res.labels == -1.0)
-    assert not any(f for _, f, _ in scored_cuts(X, np.ones(6), (5.0, 5.0), L))
+    assert not any(f for _, f, _ in scored_cuts(X, np.ones(6), 5.0, L))
 
 
-def scored_cuts(X, B, caps, L):
+def scored_cuts(X, B, cap, L):
     """(score, feasible, labels) of every cut ``mst_bipartition`` scores, in
     order: cut each scored tree edge, put the child's subtree (every key
     whose parent chain reaches the child) on side 2, and label by the
@@ -111,7 +111,7 @@ def scored_cuts(X, B, caps, L):
         d2 = np.sum((X - c2) ** 2, axis=1)
         y = np.where(d1 - d2 > 0.0, 1.0, -1.0)
         yb = float(y @ B)
-        feasible = 0.5 * (total + yb) <= caps[0] and 0.5 * (total - yb) <= caps[1]
+        feasible = 0.5 * (total + yb) <= cap and 0.5 * (total - yb) <= cap
         cuts.append((0.25 * float(y @ (L @ y)), feasible, y))
     return cuts
 
@@ -126,11 +126,11 @@ def test_bipartition_candidate_envelope_and_brute_force():
         L = laplacian(CliqueGraph.from_adjacency(A))
         B = rng.integers(1, 5, size=n).astype(np.float64)
         cap = 0.75 * float(B.sum())
-        res = mst_bipartition(X, B, (cap, cap), L)
+        res = mst_bipartition(X, B, cap, L)
         objective = 0.25 * float(res.labels @ (L @ res.labels))
 
         # the returned labeling is the minimum over the scored cuts
-        cuts = scored_cuts(X, B, (cap, cap), L)
+        cuts = scored_cuts(X, B, cap, L)
         feas = [obj for obj, f, _ in cuts if f]
         if res.feasible:
             assert objective == min(feas)
@@ -138,7 +138,7 @@ def test_bipartition_candidate_envelope_and_brute_force():
             assert not feas
             assert objective == min(obj for obj, _, _ in cuts)
 
-        best = brute_force_signed_labels(L.toarray(), B, (cap, cap))
+        best = brute_force_signed_labels(L.toarray(), B, cap)
         if res.feasible:
             assert best is not None
             assert objective >= best - 1e-9
@@ -156,10 +156,10 @@ def test_bipartition_candidates_match_subtree_oracle():
         L = laplacian(CliqueGraph.from_adjacency((A + A.T).astype(np.float64)))
         B = rng.integers(1, 5, size=n).astype(np.float64)
         total = float(B.sum())
-        caps = (0.75 * total, 0.6 * total)  # unequal, so the sides differ
-        res = mst_bipartition(X, B, caps, L)
+        cap = 0.6 * total
+        res = mst_bipartition(X, B, cap, L)
 
-        cuts = scored_cuts(X, B, caps, L)
+        cuts = scored_cuts(X, B, cap, L)
         several += len(cuts) >= 2
         # the first feasible cut of least score, else the first overall
         pool = [i for i, (_, f, _) in enumerate(cuts) if f] or range(len(cuts))
@@ -172,7 +172,7 @@ def test_bipartition_candidates_match_subtree_oracle():
 def test_bipartition_rejects_single_vertex():
     L = laplacian(CliqueGraph.from_adjacency(np.zeros((1, 1))))
     with pytest.raises(ValueError):
-        mst_bipartition(np.ones((1, 2)), np.ones(1), (1.0, 1.0), L)
+        mst_bipartition(np.ones((1, 2)), np.ones(1), 1.0, L)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_pairwise_fixes_misplaced_vertex_to_brute_optimum():
     best_cut, _ = brute_force_bipartition(h, spec)
     assert out.cutsize == best_cut == 1
     assert out.cutsize < p.cutsize
-    assert np.all(out.block_weight <= spec.upper_bounds)
+    assert np.all(out.block_weight <= spec.cap)
 
 
 def test_pairwise_leftover_block_untouched():
@@ -345,7 +345,7 @@ def test_pairwise_monotone_and_feasibility_preserving():
         out = pairwise_improve(h, p, spec, config)
         assert out.cutsize <= p.cutsize
         assert out.cutsize == km1_oracle(h, out.assignment)
-        assert np.all(out.block_weight <= spec.upper_bounds)
+        assert np.all(out.block_weight <= spec.cap)
 
 
 def scripted_pairwise(monkeypatch, h, start, splits):
@@ -354,7 +354,7 @@ def scripted_pairwise(monkeypatch, h, start, splits):
     ``blocks`` lists the block of every vertex of the pair."""
     results = iter(splits)
 
-    def stub(X, B, caps, L):
+    def stub(X, B, cap, L):
         blocks, feasible = next(results)
         labels = np.where(np.asarray(blocks) == 0, 1.0, -1.0)
         return BipartitionResult(labels, feasible)
@@ -436,7 +436,7 @@ def test_repair_moves_min_increase_vertex():
     candidates = []
     for v in range(4):
         w = int(h.vertex_weight[v])
-        if p.block_weight[1] + w <= spec.upper_bounds[1]:
+        if p.block_weight[1] + w <= spec.cap:
             trial = p.assignment.copy()
             trial[v] = 1
             delta = km1_oracle(h, trial) - p.cutsize
@@ -448,7 +448,7 @@ def test_repair_moves_min_increase_vertex():
     moved = np.where(out.assignment != p.assignment)[0]
     assert moved.tolist() == [expected[2]]
     assert out.cutsize == p.cutsize + expected[0]
-    assert np.all(out.block_weight <= spec.upper_bounds)
+    assert np.all(out.block_weight <= spec.cap)
 
 
 def test_repair_swap_when_no_move_fits():
@@ -482,7 +482,7 @@ def test_repair_random_overloads():
         out, ok = repair_feasibility(h, p, spec)
         assert out.cutsize == km1_oracle(h, out.assignment)
         if ok:
-            assert np.all(out.block_weight <= spec.upper_bounds)
+            assert np.all(out.block_weight <= spec.cap)
             fixed += 1
     assert fixed >= 20
 
@@ -490,10 +490,10 @@ def test_repair_random_overloads():
 def reference_repair(h, p, spec):
     """The repair_feasibility rule by trial moves on a copy; also counts swaps."""
     part = p.copy()
-    caps = spec.upper_bounds
+    cap = spec.cap
     ops = swaps = 0
     while ops < 2 * h.n:
-        over = part.block_weight - caps
+        over = part.block_weight - cap
         src = int(np.argmax(over))
         if over[src] <= 0:
             return part, True, swaps
@@ -502,7 +502,7 @@ def reference_repair(h, p, spec):
         for v in members:
             bv = int(h.vertex_weight[v])
             for t in range(part.k):
-                if t != src and part.block_weight[t] + bv <= caps[t]:
+                if t != src and part.block_weight[t] + bv <= cap:
                     d = part.move(v, t)
                     part.move(v, src)
                     moves.append((d, bv, v, t))
@@ -519,7 +519,7 @@ def reference_repair(h, p, spec):
                     continue
                 for u in np.where(part.assignment == t)[0].tolist():
                     bu = int(h.vertex_weight[u])
-                    if bu < bv and part.block_weight[t] - bu + bv <= caps[t]:
+                    if bu < bv and part.block_weight[t] - bu + bv <= cap:
                         d = part.move(v, t) + part.move(u, src)
                         part.move(u, t)
                         part.move(v, src)
@@ -531,7 +531,7 @@ def reference_repair(h, p, spec):
         part.move(u, src)
         ops += 2
         swaps += 1
-    return part, bool(np.all(part.block_weight <= caps)), swaps
+    return part, bool(np.all(part.block_weight <= cap)), swaps
 
 
 def test_repair_matches_reference_rule():
@@ -641,7 +641,7 @@ def test_fm_random_instances_monotone_and_feasible():
         out = kway_fm(h, p, spec)
         assert out.cutsize <= p.cutsize
         assert out.cutsize == km1_oracle(h, out.assignment)
-        assert np.all(out.block_weight <= spec.upper_bounds)
+        assert np.all(out.block_weight <= spec.cap)
         if out.cutsize < p.cutsize:
             improved += 1
     assert improved >= 50
@@ -670,7 +670,7 @@ def reference_fm(h, p, spec):
     part = p.copy()
     if h.n == 0 or part.k < 2:
         return part, 0, 0
-    n, k, caps = h.n, part.k, spec.upper_bounds
+    n, k, cap = h.n, part.k, spec.cap
     alpha, beta = 16.0, 4.0 * math.log(n)
     revived = stopped = 0
     for _ in range(50):
@@ -694,7 +694,7 @@ def reference_fm(h, p, spec):
             delta, v, t, ver = item
             if locked[v] or ver != version[v]:
                 continue
-            if part.block_weight[t] + h.vertex_weight[v] > caps[t]:
+            if part.block_weight[t] + h.vertex_weight[v] > cap:
                 deferred.append(item)
                 waited.add(item)
                 continue
@@ -729,20 +729,20 @@ def reference_fm(h, p, spec):
 
 
 def feasible_start(rng, h, k, spec, near_cap):
-    """A random assignment within the caps, or None.  With ``near_cap``
+    """A random assignment within the cap, or None.  With ``near_cap``
     block 0 is filled first until the next vertex would not fit."""
-    caps = spec.upper_bounds
+    cap = spec.cap
     weight = np.zeros(k)
     assign = np.zeros(h.n, dtype=np.int64)
     order = rng.permutation(h.n)
     filling = near_cap
     for v in order.tolist():
         w = h.vertex_weight[v]
-        if filling and weight[0] + w <= caps[0]:
+        if filling and weight[0] + w <= cap:
             assign[v] = 0
         else:
             filling = False
-            fits = np.nonzero(weight + w <= caps)[0]
+            fits = np.nonzero(weight + w <= cap)[0]
             if fits.size == 0:
                 return None
             assign[v] = int(rng.choice(fits))
@@ -793,7 +793,7 @@ def test_fm_matches_reference_pass():
             assert np.array_equal(got.block_weight, fresh.block_weight)
             assert np.array_equal(got.pin_count, fresh.pin_count)
             assert got.cutsize == fresh.cutsize
-        assert np.all(out.block_weight <= spec.upper_bounds)
+        assert np.all(out.block_weight <= spec.cap)
     assert revived_on >= 150  # a deferred move became possible and was made
     assert stops >= 5  # the stop rule ended passes before their heaps ran dry
 
@@ -836,4 +836,4 @@ def test_fm_pass_stops_before_its_heap_runs_dry(monkeypatch):
     assert seeded[0] == n * (k - 1)
     assert pops[0] < seeded[0]  # without the stop a pass pops every entry
     assert out.cutsize < p.cutsize
-    assert np.all(out.block_weight <= spec.upper_bounds)
+    assert np.all(out.block_weight <= spec.cap)
