@@ -265,6 +265,7 @@ def cmd_improve(args) -> int:
         f"cutsize_after={after}",
         f"ratio={ratio:.6f}",
         f"repaired={_flag(report['repaired'])}",
+        f"repair_ok={_flag(report['repair_ok'])}",
         f"feasible={_flag(report['feasible'])}",
         f"time_io={io_time:.6f}",
     ]

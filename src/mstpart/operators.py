@@ -5,11 +5,12 @@ hyperedge e contributes w_e / (|e| - 1) to every pin pair.  Embedding
 objectives are quadratic forms F(X) = -<C, X X^T> whose matrix C mixes the
 reinforced adjacency with Laplacians of complete graphs (unit weights,
 vertex weights, or a complete multipartite structure).  Those complete-graph
-pieces are never materialized; they are applied in O(n k) via column sums.
-One operator holds a stack of such objectives that share every matrix and
-differ only in their mixing coefficients, so the solves of a weight grid
-apply their operators in one call; both constructors take such a grid as
-a list of weight pairs.
+pieces are never materialized: each is a diagonal plus a low-rank matrix, so
+C = ca Abar + Diag(d) - U Diag(coef) U^T is applied in O(nnz + n r) for the
+r columns of U.  One operator holds a stack of such objectives that share
+every matrix and differ only in their mixing coefficients, so the solves of
+a weight grid apply their operators in one call; both constructors take
+such a grid as a list of weight pairs.
 """
 
 from __future__ import annotations
@@ -84,34 +85,39 @@ class ObjectiveOperator:
     """Symmetric operators C behind the embedding objective F(X) = -<C, X X^T>,
     one per solve of a stack.
 
-    Composition of solve s, with B the vertex weights and W = sum(B):
-      apply(X)[s] = ca[s] * Abar X[s] + cu[s] * Gu X[s] + cw[s] * Gw X[s] + cp[s] * Kp X[s]
+    With B the vertex weights, W = sum(B), n_b(i) the size of vertex i's
+    block and e_b the indicator of block b, solve s mixes four terms,
+      C[s] = ca[s] Abar + cu[s] Gu + cw[s] Gw + cp[s] Kp,
     where Abar = Diag(degree) + A reinforces the clique adjacency,
     Gu = n I - 1 1^T is the unit complete-graph Laplacian,
     Gw = W Diag(B) - B B^T is the weighted complete-graph Laplacian, and
-    Kp is the Laplacian of the complete multipartite graph over given blocks.
-    Each coefficient is a nonnegative scalar or one value per solve; the
-    solves share every input and constant.  With ``abar`` positive
-    semidefinite, as the constructors build it, C is positive semidefinite
-    and F concave, which the solver's stepsize rule relies on.
+    Kp = Diag(n - n_b(i)) - 1 1^T + sum_b e_b e_b^T is the Laplacian of the
+    complete multipartite graph over given blocks.  Every term but Abar is a
+    diagonal plus a low-rank matrix, so
+      C[s] = ca[s] Abar + Diag(d[s]) - U Diag(coef[s]) U^T
+    with d[s] = cu[s] n + cw[s] W B + cp[s] (n - n_b(i)), the columns
+    U = [1, B, e_0, ..., e_{K-1}] and coef[s] = [cu[s] + cp[s], cw[s],
+    -cp[s], ..., -cp[s]]; B and the e_b are there only when ``weights`` and
+    ``blocks`` are given, and d, U and coef are computed once in
+    ``__init__``.  Each coefficient is a nonnegative scalar or one value per
+    solve; the solves share every input and constant.  With ``abar``
+    positive semidefinite, as the constructors build it, C is positive
+    semidefinite and F concave, which the solver's stepsize rule relies on.
 
     ``apply``, ``value`` and ``gradient`` take the whole (S, n, c) stack, a
     single solve being a stack of one, and return one result per solve.
-    ``apply`` lays the stack out as one (n, S*c) block with a coefficient
-    per column, so the sparse product, the column sums and the block sums
-    run once for all solves, and every slice stays bit-equal to the formula
-    evaluated for that solve alone, term by term into a zero array: the
-    block sums add rows in index order, like ``np.add.at``.  A zero
-    coefficient adds an exact zero.  The constants of the formula (W, B as a
-    column, n minus each vertex's block size, the flat block index of every
-    entry) are computed once in ``__init__``.  A nonzero coefficient without
+    ``apply`` evaluates d X - U (coef * (U^T X)) + ca (Abar X) in that order
+    on the stack; U^T X and U (.) are one small matrix product per solve,
+    whose order does not depend on the stack width, and only the sparse
+    product runs on the stack laid out as one (n, S*c) block.  So every
+    slice is bit-equal to its solve alone.  A nonzero coefficient without
     its input (``abar``, ``weights`` or ``blocks``) and a negative one are
     ``ValueError``.
     """
 
     def __init__(self, n, *, abar=None, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
                  weights=None, blocks=None, mode="custom"):
-        self.n = int(n)
+        self.n = n = int(n)
         self.abar = abar
         self.ca, self.cu, self.cw, self.cp = (
             np.array(c, dtype=np.float64)
@@ -126,22 +132,26 @@ class ObjectiveOperator:
                                   ("cp", "blocks", blocks)):
             if getattr(self, coef).any() and given is None:
                 raise ValueError(f"{coef} != 0 needs {name}")
+        cu, cw, cp = (c[:, None] for c in (self.cu, self.cw, self.cp))
+        d = cu * np.full(n, float(n))
+        columns, coef = [np.ones(n)], [cu + cp]
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (self.n,):
+            if weights.shape != (n,):
                 raise ValueError("weights length mismatch")
-            self._weight_sum = weights.sum()
-            self._weight_col = weights[:, None]
-        self.weights = weights
+            d = d + cw * (weights.sum() * weights)
+            columns.append(weights)
+            coef.append(cw)
         if blocks is not None:
             blocks = np.asarray(blocks, dtype=np.int64)
-            if blocks.shape != (self.n,):
+            if blocks.shape != (n,):
                 raise ValueError("blocks length mismatch")
             sizes = np.bincount(blocks)
-            self._outside_counts = (self.n - sizes[blocks]).astype(np.float64)[:, None]
-            self._flat_blocks = {}  # column count T -> blocks * T + column
-        self.blocks = blocks
-        self._columns = {}  # row width c -> per-column coefficients
+            d = d + cp * (n - sizes[blocks]).astype(np.float64)
+            columns.extend((blocks == b).astype(np.float64) for b in range(sizes.shape[0]))
+            coef.extend([-cp] * sizes.shape[0])
+        self.weights, self.blocks = weights, blocks
+        self.d, self.U, self.coef = d, np.column_stack(columns), np.hstack(coef)
 
     @property
     def solves(self) -> int:
@@ -152,8 +162,8 @@ class ObjectiveOperator:
         """The stack of the solves ``solves`` only, sharing every input and
         constant with this one."""
         sub = copy.copy(self)
-        sub.ca, sub.cu, sub.cw, sub.cp = (c[solves] for c in (self.ca, self.cu, self.cw, self.cp))
-        sub._columns = {}
+        sub.ca, sub.cu, sub.cw, sub.cp, sub.d, sub.coef = (
+            a[solves] for a in (self.ca, self.cu, self.cw, self.cp, self.d, self.coef))
         return sub
 
     # -- constructors -------------------------------------------------------
@@ -184,60 +194,20 @@ class ObjectiveOperator:
 
     # -- application --------------------------------------------------------
 
-    def _coefficient_columns(self, c: int):
-        """Each coefficient repeated over the c columns of every solve, or
-        None for a term that every solve leaves out."""
-        cols = self._columns.get(c)
-        if cols is None:
-            cols = self._columns[c] = tuple(
-                np.repeat(coef, c) if coef.any() else None
-                for coef in (self.ca, self.cu, self.cw, self.cp)
-            )
-        return cols
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """C @ X for every solve, without materializing the complete-graph
         parts; the result has the shape of X."""
-        stack = np.ascontiguousarray(X, dtype=np.float64)
-        if stack.ndim != 3 or stack.shape[:2] != (self.solves, self.n):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 3 or X.shape[:2] != (self.solves, self.n):
             raise ValueError(f"X must be ({self.solves}, {self.n}, c)")
-        S, n, c = stack.shape
-        cols = _to_columns(stack)
-        ca, cu, cw, cp = self._coefficient_columns(c)
-        # each term is built in place in one temporary: the products commute
-        out = np.zeros_like(cols)
-        if ca is not None:
-            t = self.abar @ cols
-            t *= ca
-            out += t
-        if cu is not None or cp is not None:
-            sums = cols.sum(axis=0, keepdims=True)
-        if cu is not None:
-            t = self.n * cols
-            t -= sums
-            t *= cu
-            out += t
-        if cw is not None:
-            B = self._weight_col
-            colsum = (self.weights @ stack).reshape(1, S * c)
-            t = B * cols
-            t *= self._weight_sum
-            t -= B * colsum
-            t *= cw
-            out += t
-        if cp is not None:
-            T = S * c
-            flat = self._flat_blocks.get(T)
-            if flat is None:
-                flat = self._flat_blocks[T] = (self.blocks[:, None] * T + np.arange(T)).ravel()
-            block_sums = np.bincount(flat, weights=cols.ravel()).reshape(-1, T)
-            others = block_sums[self.blocks]
-            np.subtract(sums, others, out=others)
-            t = self._outside_counts * cols
-            t -= others
-            t *= cp
-            out += t
-        return _to_stack(out, S, c)
+        S, n, c = X.shape
+        out = self.d[:, :, None] * X
+        out -= self.U @ (self.coef[:, :, None] * (self.U.T @ X))
+        if self.abar is not None:
+            clique = self.abar @ X.transpose(1, 0, 2).reshape(n, S * c)
+            clique *= np.repeat(self.ca, c)
+            out += clique.reshape(n, S, c).transpose(1, 0, 2)
+        return out
 
     def value(self, X: np.ndarray) -> np.ndarray:
         """F(X) = -<C, X X^T>, one value per solve."""
@@ -267,32 +237,6 @@ def _unit_pairs(pairs, name):
         if not ((col >= 0.0) & (col <= 1.0)).all():  # NaN fails too
             raise ValueError(f"{name}{j} must lie in [0, 1]")
     return pairs.T
-
-
-def _to_columns(stack: np.ndarray) -> np.ndarray:
-    """(S, n, c) -> (n, S*c), column s*c + j holding column j of solve s.
-
-    Column sums must add each solve's column as its own (n, c) block does:
-    row by row when c > 1, which the C-ordered copy keeps, and pairwise for
-    a contiguous single column, which the c = 1 result keeps by being a view
-    whose columns are the solves' contiguous columns.
-    """
-    S, n, c = stack.shape
-    if S == 1:
-        return stack.reshape(n, c)
-    if c == 2:  # one complex entry per row moves both columns at once
-        return stack.view(np.complex128).reshape(S, n).T.copy().view(np.float64)
-    return stack.transpose(1, 0, 2).reshape(n, S * c)
-
-
-def _to_stack(cols: np.ndarray, S: int, c: int) -> np.ndarray:
-    """The inverse of ``_to_columns``."""
-    n = cols.shape[0]
-    if S == 1:
-        return cols.reshape(1, n, c)
-    if c == 2:
-        return cols.view(np.complex128).T.copy().view(np.float64).reshape(S, n, 2)
-    return cols.reshape(n, S, c).transpose(1, 0, 2).copy()
 
 
 # ---------------------------------------------------------------------------

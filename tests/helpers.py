@@ -31,6 +31,25 @@ def random_hypergraph(rng, n, m, max_edge_size=4, weighted=False):
     return Hypergraph.from_edges(pins, n=n, vertex_weight=vw, edge_weight=ew)
 
 
+def dense_gu(n):
+    """Laplacian of the complete graph on n unit-weight vertices."""
+    return n * np.eye(n) - np.ones((n, n))
+
+
+def dense_gw(B):
+    """Laplacian of the complete graph whose edge (i, j) weighs B_i B_j."""
+    B = np.asarray(B, dtype=float)
+    return B.sum() * np.diag(B) - np.outer(B, B)
+
+
+def dense_kpartite(blocks):
+    """Laplacian of the complete multipartite graph over the blocks."""
+    blocks = np.asarray(blocks)
+    n = blocks.shape[0]
+    A = (blocks[:, None] != blocks[None, :]).astype(float)
+    return np.diag(A.sum(axis=1)) - A
+
+
 def random_partition(rng, h, k):
     return Partition(h, rng.integers(0, k, size=h.n), k)
 

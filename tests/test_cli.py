@@ -233,7 +233,25 @@ def test_improve_repairs_infeasible_input(tmp_path, capsys):
     metrics = metric_map(capsys.readouterr().out)
     assert code == 0
     assert metrics["repaired"] == "true"
+    assert metrics["repair_ok"] == "true"
     assert metrics["feasible"] == "true"
+
+
+def test_improve_reports_a_failed_repair(tmp_path, capsys):
+    # vertex 0 weighs 9 against a cap of 7, so no repair can succeed
+    hgr = tmp_path / "heavy.hgr"
+    hgr.write_text("3 5 10\n1 2\n2 3 4\n4 5\n9\n1\n1\n1\n1\n")
+    part = tmp_path / "start.part"
+    part.write_text("0\n1\n1\n0\n1\n")
+    code = main([
+        "improve", "--input", str(hgr), "--partition", str(part),
+        "--k", "2", "--epsilon", "0", "--output", str(tmp_path / "out.part"),
+    ])
+    metrics = metric_map(capsys.readouterr().out)
+    assert code == 2
+    assert metrics["repaired"] == "true"
+    assert metrics["repair_ok"] == "false"
+    assert metrics["feasible"] == "false"
 
 
 @pytest.mark.parametrize("flag, value", [

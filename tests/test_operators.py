@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import random_hypergraph
+from helpers import dense_gu, dense_gw, dense_kpartite, random_hypergraph
 from mstpart.hypergraph import Hypergraph
 from mstpart.operators import (
     CliqueGraph,
@@ -29,22 +29,6 @@ def dense_clique_oracle(h):
                 if i != j:
                     A[i, j] += w
     return A
-
-
-def dense_gu(n):
-    return n * np.eye(n) - np.ones((n, n))
-
-
-def dense_gw(B):
-    B = np.asarray(B, dtype=float)
-    return B.sum() * np.diag(B) - np.outer(B, B)
-
-
-def dense_kpartite(blocks):
-    blocks = np.asarray(blocks)
-    n = blocks.shape[0]
-    A = (blocks[:, None] != blocks[None, :]).astype(float)
-    return np.diag(A.sum(axis=1)) - A
 
 
 def dense_embedding_matrix(h, B, lam1, lam2):
@@ -197,8 +181,34 @@ def test_multipartite_part_three_blocks():
 
 
 def formula_apply(op, X):
-    """The documented formula term by term: a zero array, in-place adds,
-    np.outer for B colsum^T and np.add.at for the block sums."""
+    """The documented formula for one solve, from its raw inputs:
+    d X - U (coef * (U^T X)) + ca (Abar X), with the columns of U and the
+    entries of d and coef in documented order and B, e_b only when given."""
+    n = op.n
+    d = op.cu * np.full(n, float(n))
+    columns, coef = [np.ones(n)], [op.cu + op.cp]
+    if op.weights is not None:
+        B = op.weights
+        d = d + op.cw * (B.sum() * B)
+        columns.append(B)
+        coef.append(op.cw)
+    if op.blocks is not None:
+        sizes = np.bincount(op.blocks)
+        d = d + op.cp * (n - sizes[op.blocks]).astype(float)
+        columns += [(op.blocks == b).astype(float) for b in range(sizes.shape[0])]
+        coef += [-op.cp] * sizes.shape[0]
+    U, coef = np.column_stack(columns), np.hstack(coef)
+    out = d[:, None] * X
+    out -= U @ (coef[:, None] * (U.T @ X))
+    if op.abar is not None:
+        out += op.ca * (op.abar @ X)
+    return out
+
+
+def legacy_formula_apply(op, X):
+    """The formula term by term, as the operator once evaluated it: a zero
+    array, in-place adds, np.outer for B colsum^T and np.add.at for the
+    block sums."""
     out = np.zeros_like(X)
     if op.ca:
         out += op.ca * (op.abar @ X)
@@ -216,38 +226,65 @@ def formula_apply(op, X):
     return out
 
 
+def formula_case(rng, mode, num_blocks, empty_block):
+    """One single-solve operator of the given kind on a random instance,
+    with its dense matrix C built term by term."""
+    h = random_hypergraph(rng, 25, 30, weighted=True)
+    g = clique_expand(h)
+    blocks = rng.integers(0, num_blocks, size=h.n)
+    if empty_block:  # block id num_blocks - 2 keeps no member
+        blocks[blocks == num_blocks - 2] = num_blocks - 1
+    B = rng.uniform(0.5, 3.0, size=h.n)
+    c = rng.uniform(size=4)
+    abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
+    if mode == "embedding":
+        op = ObjectiveOperator.embedding(g, B, [(c[0], c[1])])
+    elif mode == "pair":
+        op = ObjectiveOperator.pair_refinement(g, B, blocks, [(c[0], c[1])])
+    else:
+        op = ObjectiveOperator(
+            h.n, abar=abar, ca=c[0], cu=c[1], cw=c[2], cp=c[3],
+            weights=B, blocks=blocks,
+        )
+    C = op.ca[0] * abar.toarray() + op.cu[0] * dense_gu(h.n) + op.cw[0] * dense_gw(B)
+    if op.blocks is not None:
+        C += op.cp[0] * dense_kpartite(blocks)
+    return op, C
+
+
 @pytest.mark.parametrize("empty_block", [False, True])
 @pytest.mark.parametrize("num_blocks", [2, 3])
 @pytest.mark.parametrize("mode", ["embedding", "pair", "custom"])
 def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
     rng = np.random.default_rng([109, num_blocks, empty_block])
     for _ in range(5):
-        h = random_hypergraph(rng, 25, 30, weighted=True)
-        g = clique_expand(h)
-        blocks = rng.integers(0, num_blocks, size=h.n)
-        if empty_block:  # block id num_blocks - 2 keeps no member
-            blocks[blocks == num_blocks - 2] = num_blocks - 1
-        B = rng.uniform(0.5, 3.0, size=h.n)
-        c = rng.uniform(size=4)
-        if mode == "embedding":
-            op = ObjectiveOperator.embedding(g, B, [(c[0], c[1])])
-        elif mode == "pair":
-            op = ObjectiveOperator.pair_refinement(g, B, blocks, [(c[0], c[1])])
-        else:
-            abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
-            op = ObjectiveOperator(
-                h.n, abar=abar, ca=c[0], cu=c[1], cw=c[2], cp=c[3],
-                weights=B, blocks=blocks,
-            )
-        # k = 2 twice: the second call reads the cached block index
+        op, _ = formula_case(rng, mode, num_blocks, empty_block)
+        # k = 2 twice: a repeated call gives the same bits
         for k in (1, 2, 4, 2):
-            X = rng.normal(size=(1, h.n, k))
+            X = rng.normal(size=(1, op.n, k))
             want = formula_apply(op, X[0])
             assert np.array_equal(op.apply(X)[0], want)
             value, grad = op.value_and_gradient(X)
             assert value.tolist() == [-float(np.sum(want * X[0]))] == op.value(X).tolist()
             assert np.array_equal(grad[0], -2.0 * want)
             assert np.array_equal(op.gradient(X), grad)
+
+
+@pytest.mark.parametrize("c", [1, 2, 4])
+@pytest.mark.parametrize("empty_block", [False, True])
+@pytest.mark.parametrize("num_blocks", [2, 3])
+@pytest.mark.parametrize("mode", ["embedding", "pair", "custom"])
+def test_apply_stays_near_the_legacy_formula(mode, num_blocks, empty_block, c):
+    """The low-rank evaluation rounds differently from the term-by-term one,
+    by at most 1e-12 of max|C| max|X|."""
+    rng = np.random.default_rng([131, num_blocks, empty_block, c])
+    for _ in range(5):
+        op, C = formula_case(rng, mode, num_blocks, empty_block)
+        X = rng.normal(size=(1, op.n, c))
+        drift = np.abs(op.apply(X)[0] - legacy_formula_apply(op, X[0])).max()
+        assert drift <= 1e-12 * np.abs(C).max() * np.abs(X).max()
+        assert np.abs(legacy_formula_apply(op, X[0]) - C @ X[0]).max() \
+            <= 1e-12 * np.abs(C).max() * np.abs(X).max()
 
 
 def bits(a):

@@ -3,6 +3,7 @@
 The generated instances include no nets, isolated vertices, a net over all
 vertices, single-pin nets and k >= n; the ``example`` cases pin each of these
 down so that every run covers them, and a vertex heavier than the cap too.
+The operator cases add unused block ids and stacks of 1 to 6 solves.
 """
 
 import tempfile
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mstpart.apg import ApgParams
 from mstpart.cli import main
@@ -25,10 +27,11 @@ from mstpart.hypergraph import (
     write_hmetis,
     write_partition,
 )
+from mstpart.operators import ObjectiveOperator, clique_expand
 from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
 from mstpart.refine import kway_fm
 
-from helpers import km1_oracle
+from helpers import dense_gu, dense_gw, dense_kpartite, km1_oracle
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -169,3 +172,71 @@ def test_cli_exit_code_and_cutsize_match_the_written_partition(case):
             metrics = dict(line.split("=", 1) for line in (d / "metrics").read_text().splitlines())
             assert code == (0 if is_feasible(part, spec) else 2)
             assert int(metrics[key]) == km1_oracle(h, part.assignment)
+
+
+COEFFICIENT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def operator_cases(draw):
+    """(nets, n, vertex weights, blocks, kind, S coefficient rows, c, X seed,
+    picked solves); the embedding and pair kinds read the first two
+    coefficients of a row as their weight pair."""
+    n = draw(st.integers(1, 10))
+    nets = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5)),
+                         max_size=2 * n))
+    vw = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    blocks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["embedding", "pair", "custom"]))
+    S = draw(st.integers(1, 6))
+    coefs = draw(st.lists(st.tuples(*[COEFFICIENT] * 4), min_size=S, max_size=S))
+    c = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pick = draw(st.permutations(range(S)).flatmap(
+        lambda perm: st.integers(1, S).map(lambda size: perm[:size])))
+    return nets, n, vw, blocks, kind, coefs, c, seed, pick
+
+
+def build_operator(h, blocks, kind, coefs):
+    """The operator of the given kind with one solve per coefficient row,
+    and each solve's dense C."""
+    g = clique_expand(h)
+    B = h.vertex_weight.astype(float)
+    coefs = np.array(coefs, dtype=float)
+    abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
+    if kind == "embedding":
+        op = ObjectiveOperator.embedding(g, B, coefs[:, :2])
+    elif kind == "pair":
+        op = ObjectiveOperator.pair_refinement(g, B, blocks, coefs[:, :2])
+    else:
+        op = ObjectiveOperator(h.n, abar=abar, ca=coefs[:, 0],
+                               cu=coefs[:, 1], cw=coefs[:, 2], cp=coefs[:, 3],
+                               weights=B, blocks=blocks)
+    dense = [op.ca[s] * abar.toarray() + op.cu[s] * dense_gu(h.n) + op.cw[s] * dense_gw(B)
+             + op.cp[s] * dense_kpartite(blocks) for s in range(op.solves)]
+    return op, dense
+
+
+@SETTINGS
+@given(case=operator_cases())
+@example(case=([], 5, [1, 2, 1, 3, 1], [0, 1, 1, 0, 1], "custom",
+               [(0.5, 0.2, 0.3, 0.4)] * 3, 2, 7, [2, 0]))  # m = 0
+@example(case=([[0, 1], [1, 2]], 6, [1] * 6, [0, 2, 2, 0, 3, 3], "pair",
+               [(0.5, 0.8, 0.0, 0.0), (0.15, 0.2, 0.0, 0.0)], 3, 11, [1]))  # isolated; id 1 unused
+@example(case=([[0, 1, 2], [2, 3]], 4, [2, 1, 1, 3], [1, 1, 3, 3], "custom",
+               [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0)], 4, 13, [1, 0]))  # unused 0 and 2
+def test_operator_matches_dense_and_each_slice_matches_its_solve(case):
+    nets, n, vw, blocks, kind, coefs, c, seed, pick = case
+    h = Hypergraph.from_edges(nets, n=n, vertex_weight=vw)
+    blocks = np.array(blocks)
+    op, dense = build_operator(h, blocks, kind, coefs)
+    X = np.random.default_rng(seed).normal(size=(op.solves, n, c))
+    got = op.apply(X)
+    assert got.shape == X.shape
+    for s, C in enumerate(dense):
+        want = C @ X[s]
+        assert np.abs(got[s] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        alone, _ = build_operator(h, blocks, kind, [coefs[s]])
+        assert np.array_equal(alone.apply(X[s:s + 1]).view(np.int64), got[s:s + 1].view(np.int64))
+    pick = list(pick)
+    assert np.array_equal(op.take(pick).apply(X[pick]).view(np.int64), got[pick].view(np.int64))
