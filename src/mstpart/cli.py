@@ -27,6 +27,7 @@ from .hypergraph import (
     read_partition,
     write_partition,
 )
+from .initial import P_RULES
 from .pipeline import PipelineConfig, improve_partition, run_pipeline
 
 __all__ = ["main", "build_parser"]
@@ -73,8 +74,8 @@ PIPELINE_FLAGS = {
     "--lambda1": ("lambda1", tuple, _grid("embedding grid for lambda1")),
     "--lambda2": ("lambda2", tuple, _grid("embedding grid for lambda2")),
     "--p": ("p", lambda p: (p,), {"type": int, "help": "fixed cluster count"}),
-    "--p-rule": ("p", lambda rule: ("sqrt", "linear") if rule == "both" else (rule,),
-                 {"choices": ["sqrt", "linear", "both"],
+    "--p-rule": ("p", lambda rule: tuple(P_RULES) if rule == "both" else (rule,),
+                 {"choices": [*P_RULES, "both"],
                   "help": "cluster-count rule(s) when --p is not given (default both)"}),
 }
 SWEEP_AXES = ("p", "num_init", "lambda1", "lambda2", "xi1", "xi2")
@@ -290,8 +291,8 @@ def cmd_sweep(args) -> int:
     base = _config(args, PIPELINE_FLAGS)
 
     if args.axis == "p" and not args.values:
-        entries = [("sqrt(n/2)", dataclasses.replace(base, p=("sqrt",))),
-                   ("n/(5k)", dataclasses.replace(base, p=("linear",)))]
+        entries = [(label, dataclasses.replace(base, p=(rule,)))
+                   for label, rule in zip(("sqrt(n/2)", "n/(5k)"), P_RULES)]
     elif not args.values:
         raise CliError(f"axis {args.axis!r} needs --values")
     else:
@@ -322,10 +323,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, HgrFormatError, PartitionFormatError, ValueError) as exc:
+    except (CliError, OSError, HgrFormatError, PartitionFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -107,14 +107,11 @@ def contract(h: Hypergraph, matching: list[tuple[int, int]]) -> CoarseLevel:
     keys = sorted(merged)  # canonical edge order
     pins = [list(key) for key in keys]
     ew = np.array([merged[key] for key in keys], dtype=np.int64)
-    coarse = Hypergraph.from_edges(
-        pins, n=next_id, vertex_weight=coarse_vw,
-        edge_weight=ew if len(keys) else None,
-    )
+    coarse = Hypergraph.from_edges(pins, n=next_id, vertex_weight=coarse_vw, edge_weight=ew)
     return CoarseLevel(coarse, ids)
 
 
-def coarsen(h: Hypergraph, spec: BalanceSpec, coarsest_factor: int = 625) -> Hierarchy:
+def coarsen(h: Hypergraph, spec: BalanceSpec, coarsest_factor: int) -> Hierarchy:
     """Repeat match-and-contract until any stop condition holds: the vertex
     count is at most coarsest_factor * k, the matching comes back empty, a
     round keeps more than 80 % of the vertices, or ``MAX_ROUNDS`` rounds

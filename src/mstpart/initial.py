@@ -2,11 +2,12 @@
 
 The complete feature graph joins every pair of vertices with an edge of
 weight 1 - <x_i, x_j>.  Its MST is pruned at the heaviest edges to form
-clusters, which are then merged into k blocks.  Both scales run one
-routine, ``_cluster_partition``: small instances cluster every vertex under
-the true block cap; large ones cluster only the heaviest fifth of the
-vertices under a cap adapted to their mass, and the routine then places the
-rest by nearest centroid.
+clusters, labelled per tree position, which are then merged into k blocks.
+Both scales run one routine, ``_cluster_partitions``, which builds one tree
+per embedding and cuts a partition per cluster count from it: small
+instances cluster every vertex under the true block cap; large ones cluster
+only the heaviest fifth of the vertices under a cap adapted to their mass,
+and the routine then places the rest by nearest centroid.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from .hypergraph import BalanceSpec, Hypergraph, Partition
 
 __all__ = [
     "SpanningTree",
-    "ClusterSet",
+    "P_RULES",
+    "heaviest",
     "prim_mst",
     "prune_clusters",
     "mst_partition_small",
     "representative_partition_large",
-    "candidate_p_values",
 ]
 
 LARGE_SCALE_THRESHOLD = 35_000
@@ -72,15 +73,6 @@ class SpanningTree:
         return rank[labels]
 
 
-@dataclass
-class ClusterSet:
-    """Clusters of original vertex ids with weights and feature centroids."""
-
-    clusters: list[np.ndarray]
-    weights: np.ndarray
-    centroids: np.ndarray
-
-
 def prim_mst(X: np.ndarray, vertices: np.ndarray | None = None) -> SpanningTree:
     """Prim's algorithm over the complete graph of the feature rows of
     ``vertices``, each edge weighted 1 - <x_i, x_j>.
@@ -118,134 +110,141 @@ def prim_mst(X: np.ndarray, vertices: np.ndarray | None = None) -> SpanningTree:
     return SpanningTree(vertices, edges, parent)
 
 
-def prune_clusters(tree: SpanningTree, p: int, vertex_weight: np.ndarray, X: np.ndarray) -> ClusterSet:
+def heaviest(weights: np.ndarray, m: int) -> np.ndarray:
+    """The indices of the m heaviest entries of ``weights`` (ties by lower
+    index), in index order."""
+    return np.sort(np.lexsort((np.arange(weights.shape[0]), -weights))[:m])
+
+
+def prune_clusters(tree: SpanningTree, p: int) -> np.ndarray:
     """Remove the first p - 1 edges of ``tree.heaviest_first()``, leaving
-    exactly p connected parts.  Weights and feature centroids are computed
-    per part over the original arrays.
-    """
+    exactly p connected parts, and label each tree position with its part
+    as ``SpanningTree.cut`` does (in order of the lowest position)."""
     nv = tree.vertices.shape[0]
     if not 1 <= p <= nv:
         raise ValueError(f"p={p} out of range 1..{nv}")
-    comp = tree.cut(tree.heaviest_first()[: p - 1])
-    clusters = []
-    weights = np.zeros(p, dtype=np.int64)
-    centroids = np.zeros((p, X.shape[1]))
-    for c in range(p):
-        members = tree.vertices[comp == c]
-        clusters.append(members)
-        weights[c] = int(vertex_weight[members].sum())
-        centroids[c] = X[members].mean(axis=0)
-    return ClusterSet(clusters, weights, centroids)
+    return tree.cut(tree.heaviest_first()[: p - 1])
 
 
-def _merge_clusters(clusters: ClusterSet, k: int, cap: float) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+def _merge_clusters(vertices: np.ndarray, labels: np.ndarray, B, X, k: int, cap: float):
     """Seed blocks with the k heaviest clusters, then fold each remaining
     cluster into the centroid-nearest block when it fits the cap, else into
-    the lightest block.  Returns members, weights, centroids, counts.
+    the lightest block.  Cluster ``labels[i]`` holds ``vertices[i]``.
+    Returns each cluster's block and the blocks' weights, centroids, counts.
     """
-    p = len(clusters.clusters)
-    order = sorted(range(p), key=lambda i: (-int(clusters.weights[i]), i))
+    p = int(labels.max()) + 1
+    members = [vertices[labels == c] for c in range(p)]
+    weights = np.array([int(B[c].sum()) for c in members], dtype=np.int64)
+    centroids = np.array([X[c].mean(axis=0) for c in members])
+    sizes = np.bincount(labels)
+    order = sorted(range(p), key=lambda i: (-int(weights[i]), i))
     seeds, rest = order[:k], sorted(order[k:])
-    members: list[list[np.ndarray]] = [[clusters.clusters[s]] for s in seeds]
-    weights = clusters.weights[seeds].astype(np.int64).copy()
-    centroids = clusters.centroids[seeds].copy()
-    counts = np.array([clusters.clusters[s].shape[0] for s in seeds], dtype=np.int64)
+    block = np.empty(p, dtype=np.int64)
+    block[seeds] = np.arange(len(seeds))
+    b_weights, b_centroids, b_counts = weights[seeds], centroids[seeds], sizes[seeds]
 
     for ci in rest:
-        c_w = int(clusters.weights[ci])
-        c_n = clusters.clusters[ci].shape[0]
-        d = np.linalg.norm(centroids - clusters.centroids[ci], axis=1)
+        d = np.linalg.norm(b_centroids - centroids[ci], axis=1)
         j = int(np.argmin(d))
-        if weights[j] + c_w > cap:
-            j = int(np.argmin(weights))  # lightest block, cap ignored
-        members[j].append(clusters.clusters[ci])
-        weights[j] += c_w
-        centroids[j] = (counts[j] * centroids[j] + c_n * clusters.centroids[ci]) / (counts[j] + c_n)
-        counts[j] += c_n
-    return members, weights, centroids, counts
+        if b_weights[j] + weights[ci] > cap:
+            j = int(np.argmin(b_weights))  # lightest block, cap ignored
+        block[ci] = j
+        b_weights[j] += weights[ci]
+        n_j, n_c = b_counts[j], sizes[ci]
+        b_centroids[j] = (n_j * b_centroids[j] + n_c * centroids[ci]) / (n_j + n_c)
+        b_counts[j] += n_c
+    return block, b_weights, b_centroids, b_counts
 
 
-def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int) -> Partition:
-    """Cluster every vertex through the pruned MST, then merge into k blocks."""
-    if p < spec.k:
-        raise ValueError(f"need at least k={spec.k} clusters, got p={p}")
-    if p > h.n:
-        raise ValueError(f"p={p} exceeds the vertex count {h.n}")
-    return _cluster_partition(X, h, spec, np.arange(h.n), p, spec.cap)
+def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, ps) -> list[Partition]:
+    """Cluster every vertex through one pruned MST, then merge into k
+    blocks: one partition per cluster count in ``ps``."""
+    for p in ps:
+        if p < spec.k:
+            raise ValueError(f"need at least k={spec.k} clusters, got p={p}")
+        if p > h.n:
+            raise ValueError(f"p={p} exceeds the vertex count {h.n}")
+    return _cluster_partitions(X, h, spec, np.arange(h.n), ps, spec.cap)
 
 
-def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, p: int) -> Partition:
+def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, ps) -> list[Partition]:
     """Cluster only the heaviest ceil(0.2 n) vertices (ties by lower index)
     into min(p, n_rep) clusters, merged under the cap adapted to their mass,
     (1 + epsilon) * rep_weight / k; every other vertex is then placed by
-    nearest centroid.
+    nearest centroid.  One partition per cluster count p in ``ps``, all cut
+    from one tree over the representatives.
     """
     B = h.vertex_weight
     n_rep = math.ceil(0.2 * h.n)
-    reps = np.sort(np.lexsort((np.arange(h.n), -B))[:n_rep])
-    p = min(p, n_rep)
-    if p < spec.k:
-        raise ValueError(f"need at least k={spec.k} representative clusters, got p={p}")
+    reps = heaviest(B, n_rep)
+    ps = [min(p, n_rep) for p in ps]
+    for p in ps:
+        if p < spec.k:
+            raise ValueError(f"need at least k={spec.k} representative clusters, got p={p}")
     adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
-    return _cluster_partition(X, h, spec, reps, p, adapted_cap)
+    return _cluster_partitions(X, h, spec, reps, ps, adapted_cap)
 
 
-def _cluster_partition(X, h, spec, vertices, p, merge_cap) -> Partition:
-    """Prim over ``vertices``, prune to p clusters and merge them into k
-    blocks under ``merge_cap``.  Each vertex left out of ``vertices`` is
-    then placed, in index order, at its nearest block centroid among the
-    blocks that still fit it under the true cap, else in the lightest
-    block; centroids track running means as vertices arrive.
+def _cluster_partitions(X, h, spec, vertices, ps, merge_cap) -> list[Partition]:
+    """Prim over ``vertices`` once; for each p in ``ps``, prune the tree to
+    p clusters and merge them into k blocks under ``merge_cap``.  Each
+    vertex left out of ``vertices`` is then placed, in index order, at its
+    nearest block centroid among the blocks that still fit it under the true
+    cap, else in the lightest block; centroids track running means as
+    vertices arrive.
     """
     B = h.vertex_weight
     tree = prim_mst(X, vertices=vertices)
-    clusters = prune_clusters(tree, p, B, X)
-    members, weights, centroids, counts = _merge_clusters(clusters, spec.k, merge_cap)
-    assignment = np.full(h.n, -1, dtype=np.int64)
-    for b, chunks in enumerate(members):
-        for chunk in chunks:
-            assignment[chunk] = b
+    parts = []
+    for p in ps:
+        labels = prune_clusters(tree, p)
+        block, weights, centroids, counts = _merge_clusters(
+            tree.vertices, labels, B, X, spec.k, merge_cap)
+        assignment = np.full(h.n, -1, dtype=np.int64)
+        assignment[tree.vertices] = block[labels]
 
-    for v in np.flatnonzero(assignment < 0).tolist():
-        w = int(B[v])
-        d = np.linalg.norm(centroids - X[v], axis=1)
-        fits = weights + w <= spec.cap
-        if np.any(fits):
-            d = np.where(fits, d, np.inf)
-            j = int(np.argmin(d))
-        else:
-            j = int(np.argmin(weights))
-        assignment[v] = j
-        weights[j] += w
-        centroids[j] = (counts[j] * centroids[j] + X[v]) / (counts[j] + 1)
-        counts[j] += 1
-    return Partition(h, assignment, spec.k)
+        for v in np.flatnonzero(assignment < 0).tolist():
+            w = int(B[v])
+            d = np.linalg.norm(centroids - X[v], axis=1)
+            fits = weights + w <= spec.cap
+            if np.any(fits):
+                d = np.where(fits, d, np.inf)
+                j = int(np.argmin(d))
+            else:
+                j = int(np.argmin(weights))
+            assignment[v] = j
+            weights[j] += w
+            centroids[j] = (counts[j] * centroids[j] + X[v]) / (counts[j] + 1)
+            counts[j] += 1
+        parts.append(Partition(h, assignment, spec.k))
+    return parts
 
 
-def candidate_p_values(n: int, k: int) -> tuple[int, int]:
-    """The two cluster-count rules: ceil(sqrt(n / 2)) and ceil(n / (5 k))."""
-    return math.ceil(math.sqrt(n / 2.0)), math.ceil(n / (5.0 * k))
+# The cluster-count rules of ``PipelineConfig.p`` by name, each a count for
+# an n-vertex level and k blocks.
+P_RULES = {
+    "sqrt": lambda n, k: math.ceil(math.sqrt(n / 2.0)),
+    "linear": lambda n, k: math.ceil(n / (5.0 * k)),
+}
 
 
 def _p_choices(n: int, k: int, p) -> list[int]:
     """Distinct cluster counts to try on an n-vertex level, each in k..n.
 
-    ``p`` is ``PipelineConfig.p``: each entry is the rule "sqrt" or
-    "linear" of ``candidate_p_values``, or a fixed count.  The config check
-    rejects a fixed count below k, so only the rules can fall under k here;
-    any count above n is lowered to n, because the caller cannot know the
-    coarsest level's size.
+    ``p`` is ``PipelineConfig.p``: each entry is the name of a rule of
+    ``P_RULES`` or a fixed count.  The config check rejects a fixed count
+    below k, so only the rules can fall under k here; any count above n is
+    lowered to n, because the caller cannot know the coarsest level's size.
     """
-    rules = dict(zip(("sqrt", "linear"), candidate_p_values(n, k)))
     out = []
     for entry in p:
-        count = min(max(rules.get(entry, entry), k), n)
+        count = min(max(P_RULES[entry](n, k) if entry in P_RULES else entry, k), n)
         if count not in out:
             out.append(count)
     return out
 
 
-def _route_partition(X, h, spec, p):
+def _route_partitions(X, h, spec, ps) -> list[Partition]:
     if h.n > LARGE_SCALE_THRESHOLD:
-        return representative_partition_large(X, h, spec, p)
-    return mst_partition_small(X, h, spec, p)
+        return representative_partition_large(X, h, spec, ps)
+    return mst_partition_small(X, h, spec, ps)

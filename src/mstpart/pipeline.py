@@ -19,7 +19,7 @@ from .apg import ApgParams, minimize, seeded_features
 from .coarsen import Hierarchy, coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
-from .initial import _p_choices, _route_partition
+from .initial import P_RULES, _p_choices, _route_partitions
 from .operators import ObjectiveOperator, clique_expand
 from .refine import kway_fm, pairwise_improve, repair_feasibility
 
@@ -45,7 +45,7 @@ class PipelineConfig:
     lambda2: tuple = (1.0, 0.9, 0.8)
     xi1: tuple = (0.5, 0.15)
     xi2: tuple = (1.0, 0.8, 0.2)
-    p: tuple = ("sqrt", "linear")
+    p: tuple = tuple(P_RULES)
     coarsest_factor: int = 625
     pair_rounds: int = 5
     apg: ApgParams = field(default_factory=ApgParams)
@@ -70,8 +70,9 @@ class PipelineConfig:
             raise ValueError("p must not be empty")
         for entry in self.p:
             if isinstance(entry, str):
-                if entry not in ("sqrt", "linear"):
-                    raise ValueError(f"p rules are 'sqrt' and 'linear', got {entry!r}")
+                if entry not in P_RULES:
+                    rules = " and ".join(map(repr, P_RULES))
+                    raise ValueError(f"p rules are {rules}, got {entry!r}")
             elif not (isinstance(entry, (int, np.integer)) and entry >= k):
                 raise ValueError(f"p counts must be integers >= k ({k}), got {entry!r}")
         return self
@@ -110,11 +111,10 @@ def _build_candidates(h, spec, clique, config):
     ps = _p_choices(h.n, spec.k, config.p)
     parts, reports = [], []
     for (lam1, lam2), X in zip(lams, minimize(op, X0, config.apg).X):
-        routed = [(_route_partition(X, h, spec, p), p) for p in ps]
-        part, p = min(routed, key=lambda r: r[0].cutsize)
-        part, _ = repair_feasibility(h, part, spec)
+        part, p = min(zip(_route_partitions(X, h, spec, ps), ps), key=lambda r: r[0].cutsize)
+        part, feasible = repair_feasibility(h, part, spec)
         parts.append(part)
-        reports.append(CandidateReport(lam1, lam2, p, part.cutsize, is_feasible(part, spec)))
+        reports.append(CandidateReport(lam1, lam2, p, part.cutsize, feasible))
     return parts, reports
 
 

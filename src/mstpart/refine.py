@@ -25,7 +25,7 @@ import numpy as np
 
 from .apg import minimize, seeded_features
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
-from .initial import prim_mst
+from .initial import heaviest, prim_mst
 from .operators import CliqueGraph, ObjectiveOperator, clique_expand, laplacian
 
 if TYPE_CHECKING:  # pipeline imports this module
@@ -82,10 +82,7 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, cap: float, L) -> BipartitionR
         raise ValueError("need at least two vertices to bipartition")
 
     n_key = math.ceil(KEY_FRACTION * n)
-    if n_key < 2:
-        keys = np.arange(n)
-    else:
-        keys = np.sort(np.lexsort((np.arange(n), -B))[:n_key])
+    keys = heaviest(B, n_key if n_key >= 2 else n)
     tree = prim_mst(X, vertices=keys)
     m_cand = max(1, math.ceil(CUT_FRACTION * len(tree.edges)))
 

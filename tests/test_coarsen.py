@@ -198,21 +198,21 @@ def test_contract_weight_conservation():
 def test_coarsen_small_graph_noop():
     h = Hypergraph.from_edges([[0, 1], [1, 2]], n=3)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
-    assert len(coarsen(h, spec)) == 0  # 3 <= 625 * 2 already
+    assert len(coarsen(h, spec, coarsest_factor=625)) == 0  # 3 <= 625 * 2 already
 
 
 def test_coarsen_stops_on_empty_matching():
     # 1300 isolated vertices: no neighbours, so the first matching is empty
     h = Hypergraph.from_edges([[0]], n=1300)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
-    assert len(coarsen(h, spec)) == 0
+    assert len(coarsen(h, spec, coarsest_factor=625)) == 0
 
 
 def test_coarsen_chain_replay():
     n = 10_000
     h = Hypergraph.from_edges([[i, i + 1] for i in range(n - 1)], n=n)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
-    hier = coarsen(h, spec)
+    hier = coarsen(h, spec, coarsest_factor=625)
     sizes = [h.n] + [lvl.hypergraph.n for lvl in hier.levels]
     # replay the stop predicate against the recorded sizes
     assert len(hier) <= 20
@@ -236,7 +236,7 @@ def test_coarsen_respects_round_cap(monkeypatch):
     h = Hypergraph.from_edges([[i, i + 1] for i in range(n - 1)], n=n)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
     monkeypatch.setattr(coarsen_module, "MAX_ROUNDS", 2)
-    hier = coarsen(h, spec)
+    hier = coarsen(h, spec, coarsest_factor=625)
     assert len(hier) <= 2
 
 

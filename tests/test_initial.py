@@ -14,11 +14,14 @@ from helpers import (
 )
 from mstpart.apg import minimize, project_rows, seeded_features
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
+import mstpart.initial as initial_module
 from mstpart.initial import (
+    P_RULES,
+    SpanningTree,
     _merge_clusters,
     _p_choices,
-    _route_partition,
-    candidate_p_values,
+    _route_partitions,
+    heaviest,
     mst_partition_small,
     prim_mst,
     prune_clusters,
@@ -127,32 +130,30 @@ def test_prim_euclidean_metric_same_tree_on_unit_rows():
 # ---------------------------------------------------------------------------
 # pruning
 
+def clusters_of(tree, labels):
+    """The member lists of the clusters that ``labels`` gives the tree's
+    positions, in label order."""
+    return [tree.vertices[labels == c].tolist() for c in range(labels.max() + 1)]
+
+
 def test_prune_cuts_heaviest_edge():
     # path with edge weights 0.9, 0.1, 0.5: p=2 removes the 0.9 edge
-    tree_vertices = np.arange(4)
-    from mstpart.initial import SpanningTree
-
     tree = SpanningTree(
-        tree_vertices,
+        np.arange(4),
         [(0, 1, 0.9), (1, 2, 0.1), (2, 3, 0.5)],
         np.array([-1, 0, 1, 2]),
     )
-    X = np.zeros((4, 2))
-    cs = prune_clusters(tree, 2, np.ones(4, dtype=np.int64), X)
-    groups = sorted(sorted(c.tolist()) for c in cs.clusters)
+    groups = sorted(clusters_of(tree, prune_clusters(tree, 2)))
     assert groups == [[0], [1, 2, 3]]
 
 
 def test_prune_tie_break_by_edge_index():
-    from mstpart.initial import SpanningTree
-
     tree = SpanningTree(
         np.arange(3),
         [(0, 1, 0.5), (1, 2, 0.5)],
         np.array([-1, 0, 1]),
     )
-    cs = prune_clusters(tree, 2, np.ones(3, dtype=np.int64), np.zeros((3, 2)))
-    groups = sorted(sorted(c.tolist()) for c in cs.clusters)
+    groups = sorted(clusters_of(tree, prune_clusters(tree, 2)))
     assert groups == [[0], [1, 2]]  # first of the tied edges is removed
 
 
@@ -162,15 +163,17 @@ def test_prune_extremes_and_oracle():
         X = project_rows(rng.normal(size=(12, 3)))
         if trial == 2:  # duplicate rows: tied tree weights
             X[6:] = X[:6]
+        B = rng.integers(1, 5, size=12)
         tree = prim_mst(X)
-        whole = prune_clusters(tree, 1, np.ones(12, dtype=np.int64), X)
-        assert len(whole.clusters) == 1 and whole.clusters[0].shape[0] == 12
+        whole = prune_clusters(tree, 1)
+        assert clusters_of(tree, whole) == [list(range(12))]
 
-        single = prune_clusters(tree, 12, np.ones(12, dtype=np.int64), X)
-        assert [c.tolist() for c in single.clusters] == [[v] for v in range(12)]
+        single = prune_clusters(tree, 12)
+        assert clusters_of(tree, single) == [[v] for v in range(12)]
 
         for p in (2, 4, 7):
-            cs = prune_clusters(tree, p, np.ones(12, dtype=np.int64), X)
+            labels = prune_clusters(tree, p)
+            clusters = clusters_of(tree, labels)
             # oracle: union-find over the kept edges
             order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
             removed = set(order[: p - 1])
@@ -181,15 +184,20 @@ def test_prune_extremes_and_oracle():
             want = {}
             for v in range(12):
                 want.setdefault(uf.find(v), set()).add(v)
-            got = {frozenset(c.tolist()) for c in cs.clusters}
+            got = {frozenset(c) for c in clusters}
             assert got == {frozenset(s) for s in want.values()}
             # clusters come in order of their lowest member
-            lowest = [int(c.min()) for c in cs.clusters]
+            lowest = [min(c) for c in clusters]
             assert lowest == sorted(lowest)
-            # centroids and weights
-            for c, w, cent in zip(cs.clusters, cs.weights, cs.centroids):
-                assert w == len(c)
-                assert np.allclose(cent, X[c].mean(axis=0))
+            # weights and centroids: merged into k = p blocks, every cluster
+            # seeds a block of its own
+            block, weights, centroids, counts = _merge_clusters(
+                tree.vertices, labels, B, X, p, np.inf)
+            assert sorted(block.tolist()) == list(range(p))
+            for c, members in zip(block, clusters):
+                assert weights[c] == B[members].sum()
+                assert counts[c] == len(members)
+                assert np.allclose(centroids[c], X[members].mean(axis=0))
 
 
 def test_spanning_tree_cut_matches_union_find():
@@ -231,7 +239,7 @@ def test_small_partition_p_equals_k():
     X = three_group_features([4, 4, 4], seed=1)
     h = Hypergraph.from_edges([[i, i + 1] for i in range(11)], n=12)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.2)
-    part = mst_partition_small(X, h, spec, p=3)
+    part = mst_partition_small(X, h, spec, [3])[0]
     blocks = [sorted(np.where(part.assignment == b)[0].tolist()) for b in range(3)]
     assert sorted(map(tuple, blocks)) == [
         tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12)),
@@ -248,7 +256,7 @@ def test_small_partition_merges_into_nearest_feasible():
     ])
     h = Hypergraph.from_edges([[0, 9], [5, 6]], n=10)
     spec = BalanceSpec.from_total(10, 2, 0.2)  # cap = 6
-    part = mst_partition_small(X, h, spec, p=3)
+    part = mst_partition_small(X, h, spec, [3])[0]
     b0 = part.assignment[0]
     assert part.assignment[9] == b0
     assert part.block_weight.tolist() in ([6, 4], [4, 6])
@@ -263,7 +271,7 @@ def test_small_partition_overflow_goes_to_lightest():
     ])
     h = Hypergraph.from_edges([[0, 9], [5, 6]], n=10)
     spec = BalanceSpec.from_total(10, 2, 0.0)  # cap = 5: 5 + 1 does not fit
-    part = mst_partition_small(X, h, spec, p=3)
+    part = mst_partition_small(X, h, spec, [3])[0]
     assert part.assignment[9] == part.assignment[5]
     assert part.block_weight.tolist() == [5, 5]
 
@@ -273,12 +281,12 @@ def test_small_partition_rejects_p_below_k():
     h = Hypergraph.from_edges([[0, 1]], n=6)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.1)
     with pytest.raises(ValueError, match=r"^need at least k=3 clusters, got p=2$"):
-        mst_partition_small(X, h, spec, p=2)
+        mst_partition_small(X, h, spec, [3, 2])
     with pytest.raises(ValueError, match=r"^p=7 exceeds the vertex count 6$"):
-        mst_partition_small(X, h, spec, p=7)
+        mst_partition_small(X, h, spec, [7])
     # n_rep = ceil(0.2 * 6) = 2 < k, so any p is lowered below k
     with pytest.raises(ValueError, match=r"^need at least k=3 representative clusters, got p=2$"):
-        representative_partition_large(X, h, spec, p=5)
+        representative_partition_large(X, h, spec, [5])
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +298,21 @@ def test_representatives_are_lowest_index_on_equal_weights():
     X = project_rows(rng.normal(size=(n, 2)))
     h = Hypergraph.from_edges([[i, (i + 1) % n] for i in range(n)], n=n)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.1)
-    part = representative_partition_large(X, h, spec, p=4)
+    part = representative_partition_large(X, h, spec, [4])[0]
     assert part.h.n == n  # smoke: full cover
     assert np.all(part.assignment >= 0)
 
     # the representative rule itself: ceil(0.2 * 50) = 10 lowest indices
-    B = h.vertex_weight
-    by_weight = np.lexsort((np.arange(n), -B))
-    assert sorted(by_weight[:10].tolist()) == list(range(10))
+    assert heaviest(h.vertex_weight, 10).tolist() == list(range(10))
+
+
+def test_heaviest_ranks_by_weight_then_index_and_returns_index_order():
+    B = np.array([1, 3, 3, 2, 3, 5])
+    assert heaviest(B, 1).tolist() == [5]
+    assert heaviest(B, 3).tolist() == [1, 2, 5]  # 4 ties with 1 and 2 but ranks after
+    assert heaviest(B, 5).tolist() == [1, 2, 3, 4, 5]
+    assert heaviest(B.astype(np.float64), 3).tolist() == [1, 2, 5]
+    assert heaviest(B, 0).tolist() == []
 
 
 def test_representative_partition_two_clusters():
@@ -310,7 +325,7 @@ def test_representative_partition_two_clusters():
     X = project_rows(anchors[group] + rng.normal(scale=0.05, size=(n, 2)))
     h = Hypergraph.from_edges([[0, 1]], n=n)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.1)
-    part = representative_partition_large(X, h, spec, p=6)
+    part = representative_partition_large(X, h, spec, [6])[0]
     even = part.assignment[group == 0]
     odd = part.assignment[group == 1]
     majority_even = np.bincount(even, minlength=2).max() / even.size
@@ -326,20 +341,19 @@ def test_representative_at_cap_falls_to_lightest():
     X = np.tile(angles_to_features([0.0]), (n, 1))
     h = Hypergraph.from_edges([[0, 1]], n=n, vertex_weight=[5] * n)
     spec = BalanceSpec.from_total(50, 2, 0.0)  # cap 25 = five vertices
-    part = representative_partition_large(X, h, spec, p=2)
+    part = representative_partition_large(X, h, spec, [2])[0]
     assert part.block_weight.tolist() == [25, 25]
 
 
 def reference_small(X, h, spec, p):
-    """Small-scale partition written out straight: cluster every vertex,
-    merge under the true cap."""
+    """Small-scale partition written out straight: one tree per count,
+    cluster every vertex, merge under the true cap."""
     tree = prim_mst(X)
-    clusters = prune_clusters(tree, p, h.vertex_weight, X)
-    members, _, _, _ = _merge_clusters(clusters, spec.k, spec.cap)
+    labels = prune_clusters(tree, p)
+    block, _, _, _ = _merge_clusters(tree.vertices, labels, h.vertex_weight, X, spec.k, spec.cap)
     assignment = np.empty(h.n, dtype=np.int64)
-    for b, chunks in enumerate(members):
-        for chunk in chunks:
-            assignment[chunk] = b
+    for v, c in zip(tree.vertices, labels):
+        assignment[v] = block[c]
     return assignment
 
 
@@ -350,13 +364,13 @@ def reference_large(X, h, spec, p):
     n_rep = math.ceil(0.2 * n)
     reps = np.sort(np.lexsort((np.arange(n), -B))[:n_rep])
     tree = prim_mst(X, vertices=reps)
-    clusters = prune_clusters(tree, min(p, n_rep), B, X)
-    adapted_cap = (1.0 + spec.epsilon) * int(clusters.weights.sum()) / spec.k
-    members, weights, centroids, counts = _merge_clusters(clusters, spec.k, adapted_cap)
+    labels = prune_clusters(tree, min(p, n_rep))
+    adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
+    block, weights, centroids, counts = _merge_clusters(
+        tree.vertices, labels, B, X, spec.k, adapted_cap)
     assignment = np.full(n, -1, dtype=np.int64)
-    for b, chunks in enumerate(members):
-        for chunk in chunks:
-            assignment[chunk] = b
+    for v, c in zip(tree.vertices, labels):
+        assignment[v] = block[c]
     cap = spec.cap
     for v in range(n):
         if assignment[v] >= 0:
@@ -386,21 +400,21 @@ def test_both_scales_match_their_written_out_references():
         X = project_rows(rng.normal(size=(n, 3)))
         # distinct rows, then rows drawn with repeats: tied tree weights
         for X in (X, X[rng.integers(0, n, size=n)]):
-            for p in range(k, n_rep + 3):
-                assert np.array_equal(mst_partition_small(X, h, spec, p).assignment,
-                                      reference_small(X, h, spec, p))
-                if min(p, n_rep) >= k:
-                    assert np.array_equal(
-                        representative_partition_large(X, h, spec, p).assignment,
-                        reference_large(X, h, spec, p))
+            # every count from one call; counts above n_rep clamp alike
+            ps = list(range(k, n_rep + 3))
+            for p, part in zip(ps, mst_partition_small(X, h, spec, ps), strict=True):
+                assert np.array_equal(part.assignment, reference_small(X, h, spec, p))
+            ps = [p for p in ps if min(p, n_rep) >= k]
+            for p, part in zip(ps, representative_partition_large(X, h, spec, ps), strict=True):
+                assert np.array_equal(part.assignment, reference_large(X, h, spec, p))
 
 
 # ---------------------------------------------------------------------------
 # candidates
 
 def test_candidate_p_values():
-    assert candidate_p_values(5000, 2) == (50, 500)
-    assert candidate_p_values(8, 2) == (2, 1)
+    assert [rule(5000, 2) for rule in P_RULES.values()] == [50, 500]
+    assert [rule(8, 2) for rule in P_RULES.values()] == [2, 1]
 
 
 def build_candidates(h, spec, num_init):
@@ -421,7 +435,7 @@ def candidates_one_by_one(h, spec, clique, config):
         X = minimize(op, seeded_features(h.n, spec.k, stream=i)[None], config.apg).X[0]
         best_part, best_p = None, None
         for p in _p_choices(h.n, spec.k, config.p):
-            part = _route_partition(X, h, spec, p)
+            part = _route_partitions(X, h, spec, [p])[0]  # a tree of its own
             if best_part is None or part.cutsize < best_part.cutsize:
                 best_part, best_p = part, p
         part, _ = repair_feasibility(h, best_part, spec)
@@ -444,6 +458,37 @@ def test_stacked_candidates_equal_one_solve_each(k):
     assert len(parts) == len(want) == 13
     assert reports[12].lam1 == reports[0].lam1 and reports[12].lam2 == reports[0].lam2
     for part, report, (want_part, want_report) in zip(parts, reports, want):
+        assert np.array_equal(part.assignment, want_part.assignment)
+        assert report == want_report
+
+
+def test_candidates_build_one_tree_each(monkeypatch):
+    rng = np.random.default_rng(269)
+    h = random_hypergraph(rng, 90, 140, max_edge_size=5)
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.05)
+    config = PipelineConfig(num_init=3)
+    assert _p_choices(h.n, spec.k, config.p) == [7, 9]  # the two rules differ
+    trees = []
+    prim = initial_module.prim_mst
+    monkeypatch.setattr(initial_module, "prim_mst",
+                        lambda *args, **kwargs: trees.append(prim(*args, **kwargs)) or trees[-1])
+    _build_candidates(h, spec, clique_expand(h), config)
+    assert len(trees) == 3
+
+
+def test_large_scale_candidates_with_counts_clamped_alike(monkeypatch):
+    # both fixed counts exceed n_rep = ceil(0.2 * 60) = 12, so both clamp to
+    # 12 and the candidate reports the first
+    monkeypatch.setattr(initial_module, "LARGE_SCALE_THRESHOLD", 0)
+    rng = np.random.default_rng(271)
+    h = random_hypergraph(rng, 60, 90, weighted=True)
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.05)
+    config = PipelineConfig(num_init=2, p=(20, 30))
+    clique = clique_expand(h)
+    parts, reports = _build_candidates(h, spec, clique, config)
+    want = candidates_one_by_one(h, spec, clique, config)
+    assert [r.p for r in reports] == [20, 20]
+    for part, report, (want_part, want_report) in zip(parts, reports, want, strict=True):
         assert np.array_equal(part.assignment, want_part.assignment)
         assert report == want_report
 
