@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_instance_flags(sp, partition_file=False):
+def _add_instance_flags(sp, partition_file=False, metrics=True):
     sp.add_argument("--input", required=True, help="hMetis .hgr file")
     if partition_file:
         sp.add_argument("--partition", required=True, help="partition file, one block id per line")
@@ -52,6 +52,8 @@ def _add_instance_flags(sp, partition_file=False):
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--epsilon", type=float, help="balance slack (default depends on k)")
     group.add_argument("--ubfactor", type=float, help="hMetis-style UBfactor, converted to epsilon")
+    if metrics:
+        sp.add_argument("--metrics", help="also write the metric lines to this file")
 
 
 def _grid(help):
@@ -73,10 +75,10 @@ PIPELINE_FLAGS = {
     "--num-init": ("num_init", int, {"type": int, "help": "initial partition candidates (default 10)"}),
     "--lambda1": ("lambda1", tuple, _grid("embedding grid for lambda1")),
     "--lambda2": ("lambda2", tuple, _grid("embedding grid for lambda2")),
-    "--p": ("p", lambda p: (p,), {"type": int, "help": "fixed cluster count"}),
-    "--p-rule": ("p", lambda rule: tuple(P_RULES) if rule == "both" else (rule,),
-                 {"choices": [*P_RULES, "both"],
-                  "help": "cluster-count rule(s) when --p is not given (default both)"}),
+    # an integer --p token is a fixed count, any other token a rule name
+    "--p": ("p", tuple, {"type": lambda t: int(t) if t.removeprefix("-").isdecimal() else t,
+                         "nargs": "+",
+                         "help": "cluster counts and rules (sqrt, linear) to try (default both rules)"}),
 }
 SWEEP_AXES = ("p", "num_init", "lambda1", "lambda2", "xi1", "xi2")
 
@@ -86,10 +88,8 @@ def _dest(flag: str) -> str:
 
 
 def _add_config_flags(sp, flags):
-    sp.add_argument("--metrics", help="also write the metric lines to this file")
-    group = sp.add_mutually_exclusive_group()  # --p and --p-rule both set p
-    for flag, (field, _, settings) in flags.items():
-        (group if field == "p" else sp).add_argument(flag, **settings)
+    for flag, (_, _, settings) in flags.items():
+        sp.add_argument(flag, **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("evaluate", help="score an existing partition")
     _add_instance_flags(se, partition_file=True)
-    se.add_argument("--metrics", help="also write the metric lines to this file")
     se.set_defaults(func=cmd_evaluate)
 
     si = sub.add_parser("improve", help="refine an existing partition")
@@ -114,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.set_defaults(func=cmd_improve)
 
     sw = sub.add_parser("sweep", help="rerun the pipeline along one parameter axis")
-    _add_instance_flags(sw)
+    _add_instance_flags(sw, metrics=False)
     _add_config_flags(sw, PIPELINE_FLAGS)
     sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sw.add_argument("--values", nargs="+", help="axis values (p axis defaults to its two rules)")
@@ -297,18 +296,16 @@ def cmd_sweep(args) -> int:
         raise CliError(f"axis {args.axis!r} needs --values")
     else:
         entries = [(raw, _sweep_entry(args, axis_flag, base, raw)) for raw in args.values]
-    field = PIPELINE_FLAGS[axis_flag][0]
-    for flag, (other, _, _) in PIPELINE_FLAGS.items():
-        if other == field and getattr(args, _dest(flag)) is not None:
-            raise CliError(f"{flag} cannot be combined with --axis {args.axis}, "
-                           "which sets it on every run")
+    if getattr(args, _dest(axis_flag)) is not None:  # each field has one flag
+        raise CliError(f"{axis_flag} cannot be combined with --axis {args.axis}, "
+                       "which sets it on every run")
 
     rows = ["value,cutsize,time"]
     all_feasible = True
     for label, config in entries:
         res = run_pipeline(h, spec, config)
         if args.axis == "p" and args.values and res.candidates:
-            label = res.candidates[0].p  # the p that ran: clamped to the coarsest n
+            label = res.candidates[0].p  # the count that ran, as the clustered set bounds it
         rows.append(f"{label},{res.cutsize},{res.timings['total']:.6f}")
         all_feasible = all_feasible and res.feasible
     out = "\n".join(rows) + "\n"

@@ -7,7 +7,8 @@ Both scales run one routine, ``_cluster_partitions``, which builds one tree
 per embedding and cuts a partition per cluster count from it: small
 instances cluster every vertex under the true block cap; large ones cluster
 only the heaviest fifth of the vertices under a cap adapted to their mass,
-and the routine then places the rest by nearest centroid.
+and then places the rest by nearest centroid.  ``_route_partitions`` alone
+resolves a level's cluster counts, each in k..(size of the clustered set).
 """
 
 from __future__ import annotations
@@ -158,29 +159,24 @@ def _merge_clusters(vertices: np.ndarray, labels: np.ndarray, B, X, k: int, cap:
 
 def mst_partition_small(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, ps) -> list[Partition]:
     """Cluster every vertex through one pruned MST, then merge into k
-    blocks: one partition per cluster count in ``ps``."""
-    for p in ps:
-        if p < spec.k:
-            raise ValueError(f"need at least k={spec.k} clusters, got p={p}")
-        if p > h.n:
-            raise ValueError(f"p={p} exceeds the vertex count {h.n}")
+    blocks: one partition per cluster count in ``ps``, each in k..n."""
     return _cluster_partitions(X, h, spec, np.arange(h.n), ps, spec.cap)
 
 
+def _n_representatives(n: int) -> int:
+    """How many vertices the large scale clusters on an n-vertex level."""
+    return math.ceil(0.2 * n)
+
+
 def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSpec, ps) -> list[Partition]:
-    """Cluster only the heaviest ceil(0.2 n) vertices (ties by lower index)
-    into min(p, n_rep) clusters, merged under the cap adapted to their mass,
+    """Cluster only the n_rep = ceil(0.2 n) heaviest vertices (ties by lower
+    index), merged under the cap adapted to their mass,
     (1 + epsilon) * rep_weight / k; every other vertex is then placed by
-    nearest centroid.  One partition per cluster count p in ``ps``, all cut
-    from one tree over the representatives.
+    nearest centroid.  One partition per cluster count in ``ps``, each in
+    k..n_rep, all cut from one tree over the representatives.
     """
     B = h.vertex_weight
-    n_rep = math.ceil(0.2 * h.n)
-    reps = heaviest(B, n_rep)
-    ps = [min(p, n_rep) for p in ps]
-    for p in ps:
-        if p < spec.k:
-            raise ValueError(f"need at least k={spec.k} representative clusters, got p={p}")
+    reps = heaviest(B, _n_representatives(h.n))
     adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
     return _cluster_partitions(X, h, spec, reps, ps, adapted_cap)
 
@@ -193,6 +189,9 @@ def _cluster_partitions(X, h, spec, vertices, ps, merge_cap) -> list[Partition]:
     cap, else in the lightest block; centroids track running means as
     vertices arrive.
     """
+    for p in ps:
+        if not spec.k <= p <= len(vertices):
+            raise ValueError(f"cluster counts must lie in k..{len(vertices)} (k={spec.k}), got p={p}")
     B = h.vertex_weight
     tree = prim_mst(X, vertices=vertices)
     parts = []
@@ -228,23 +227,26 @@ P_RULES = {
 }
 
 
-def _p_choices(n: int, k: int, p) -> list[int]:
-    """Distinct cluster counts to try on an n-vertex level, each in k..n.
+def _p_choices(n: int, k: int, p, most: int) -> list[int]:
+    """Distinct cluster counts, in order of first appearance, to try on an
+    n-vertex level that clusters ``most`` vertices, each in k..most.
 
-    ``p`` is ``PipelineConfig.p``: each entry is the name of a rule of
-    ``P_RULES`` or a fixed count.  The config check rejects a fixed count
-    below k, so only the rules can fall under k here; any count above n is
-    lowered to n, because the caller cannot know the coarsest level's size.
+    ``p`` is ``PipelineConfig.p``: each entry is a rule of ``P_RULES``,
+    evaluated on n, or a fixed count (>= k, by the config check).  A count
+    is raised to k and lowered to ``most``, which callers cannot know.
     """
     out = []
     for entry in p:
-        count = min(max(P_RULES[entry](n, k) if entry in P_RULES else entry, k), n)
+        count = min(max(P_RULES[entry](n, k) if entry in P_RULES else entry, k), most)
         if count not in out:
             out.append(count)
     return out
 
 
-def _route_partitions(X, h, spec, ps) -> list[Partition]:
-    if h.n > LARGE_SCALE_THRESHOLD:
-        return representative_partition_large(X, h, spec, ps)
-    return mst_partition_small(X, h, spec, ps)
+def _route_partitions(X, h, spec, p) -> list[tuple[Partition, int]]:
+    """A (partition, count) pair per count that ``PipelineConfig.p`` entries
+    ``p`` resolve to: large scale above ``LARGE_SCALE_THRESHOLD``, else small."""
+    large = h.n > LARGE_SCALE_THRESHOLD
+    ps = _p_choices(h.n, spec.k, p, _n_representatives(h.n) if large else h.n)
+    route = representative_partition_large if large else mst_partition_small
+    return list(zip(route(X, h, spec, ps), ps))

@@ -19,7 +19,7 @@ from .apg import ApgParams, minimize, seeded_features
 from .coarsen import Hierarchy, coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
-from .initial import P_RULES, _p_choices, _route_partitions
+from .initial import P_RULES, _route_partitions
 from .operators import ObjectiveOperator, clique_expand
 from .refine import kway_fm, pairwise_improve, repair_feasibility
 
@@ -103,15 +103,14 @@ class PipelineResult:
 def _build_candidates(h, spec, clique, config):
     """The ``config.num_init`` repaired initial partitions and their reports.
     Candidate i embeds seeded start i with grid pair i (wrapping around), all
-    in one stack, and keeps the first p of lowest cutsize."""
+    in one stack, and keeps the first cluster count of lowest cutsize."""
     combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
     lams = [combos[i % len(combos)] for i in range(config.num_init)]
     op = ObjectiveOperator.embedding(clique, h.vertex_weight, lams)
     X0 = np.stack([seeded_features(h.n, spec.k, stream=i) for i in range(config.num_init)])
-    ps = _p_choices(h.n, spec.k, config.p)
     parts, reports = [], []
     for (lam1, lam2), X in zip(lams, minimize(op, X0, config.apg).X):
-        part, p = min(zip(_route_partitions(X, h, spec, ps), ps), key=lambda r: r[0].cutsize)
+        part, p = min(_route_partitions(X, h, spec, config.p), key=lambda r: r[0].cutsize)
         part, feasible = repair_feasibility(h, part, spec)
         parts.append(part)
         reports.append(CandidateReport(lam1, lam2, p, part.cutsize, feasible))
@@ -146,11 +145,9 @@ def run_pipeline(
     if coarse.n <= spec.k:
         # too few supervertices to embed meaningfully; spread them out
         part = Partition(coarse, np.arange(coarse.n, dtype=np.int64), spec.k)
-        part, _ = repair_feasibility(coarse, part, spec)
+        part, feasible = repair_feasibility(coarse, part, spec)
         parts = [part]
-        reports = [
-            CandidateReport(0.0, 0.0, coarse.n, part.cutsize, is_feasible(part, spec))
-        ]
+        reports = [CandidateReport(0.0, 0.0, coarse.n, part.cutsize, feasible)]
     else:
         parts, reports = _build_candidates(coarse, spec, clique, config)
     chosen = min(

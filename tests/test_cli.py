@@ -306,14 +306,15 @@ def test_sweep_p_axis_default_rules(tmp_path, capsys):
 
 
 def test_sweep_p_axis_labels_rows_with_the_p_that_ran(tmp_path, capsys):
-    hgr = two_clique_file(tmp_path)  # 10 vertices: p = 500 runs as p = 10
+    # 10 vertices: p = 500 runs as p = 10, and sqrt as ceil(sqrt(10 / 2)) = 3
+    hgr = two_clique_file(tmp_path)
     code = main([
         "sweep", "--input", str(hgr), "--k", "2", "--num-init", "1",
-        "--axis", "p", "--values", "2", "500",
+        "--axis", "p", "--values", "2", "500", "sqrt",
     ])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
-    assert [row.split(",")[0] for row in lines[1:]] == ["2", "10"]
+    assert [row.split(",")[0] for row in lines[1:]] == ["2", "10", "3"]
 
 
 def test_sweep_single_lambda_value(tmp_path, capsys):
@@ -466,7 +467,7 @@ def test_sweep_p_below_k_is_an_error(tmp_path, capsys, extra):
 @pytest.mark.parametrize("flag, value, axis, values", [
     pytest.param("--p", "3", "p", [], id="p-default-rules"),
     pytest.param("--p", "3", "p", ["4"], id="p-values"),
-    pytest.param("--p-rule", "sqrt", "p", [], id="p-rule"),
+    pytest.param("--p", "sqrt", "p", [], id="p-rule"),
     pytest.param("--num-init", "2", "num_init", ["1"], id="num-init"),
     pytest.param("--lambda1", "0.3", "lambda1", ["0.5"], id="lambda1"),
     pytest.param("--lambda2", "0.3", "lambda2", ["0.5"], id="lambda2"),
@@ -488,20 +489,56 @@ def test_sweep_rejects_the_flag_of_its_own_axis(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
 
 
+def test_p_takes_counts_and_rules_together(tmp_path, capsys):
+    hgr = two_clique_file(tmp_path)  # 10 vertices: 12 runs as 10
+    out = tmp_path / "o.txt"
+    code = main(["partition", "--input", str(hgr), "--k", "2", "--num-init", "2",
+                 "--p", "sqrt", "12", "--output", str(out)])
+    metrics = metric_map(capsys.readouterr().out)
+    assert code == 0
+    assert metrics["feasible"] == "true"
+    assert len(out.read_text().split()) == 10
+
+
 @pytest.mark.parametrize("command", ["partition", "sweep"])
-def test_p_and_p_rule_exclude_each_other(tmp_path, capsys, monkeypatch, command):
-    # both set the one cluster-count field, so neither may drop the other
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(["--p", "x"], ["--p", "'sqrt'", "'linear'", "'x'"], id="unknown-rule"),
+    pytest.param(["--p", "sqrt", "1"], ["--p", ">= k (2)", "got 1"], id="count-below-k"),
+    pytest.param(["--p-rule", "sqrt"], ["--p-rule"], id="p-rule"),
+])
+def test_bad_p_entries_are_errors(tmp_path, capsys, monkeypatch, command, flags, named):
     runs = []
     monkeypatch.setattr(cli, "run_pipeline", lambda *args: runs.append(args))
     hgr = two_clique_file(tmp_path)
     out = tmp_path / "o.txt"
     extra = (["--output", str(out)] if command == "partition"
              else ["--axis", "num_init", "--values", "1"])
-    code = main([command, "--input", str(hgr), "--k", "2",
-                 "--p", "3", "--p-rule", "sqrt", *extra])
+    code = main([command, "--input", str(hgr), "--k", "2", *flags, *extra])
     captured = capsys.readouterr()
     assert code == 1
     assert runs == []
-    assert "--p-rule" in captured.err and "--p" in captured.err.replace("--p-rule", "")
+    assert all(word in captured.err for word in named)
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_sweep_has_no_metrics_flag(tmp_path, capsys):
+    # sweep writes its rows with --csv; a --metrics file would never be written
+    hgr = two_clique_file(tmp_path)
+    metrics_path = tmp_path / "metrics.txt"
+    code = main(["sweep", "--input", str(hgr), "--k", "2", "--axis", "num_init",
+                 "--values", "1", "--metrics", str(metrics_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--metrics" in captured.err
+    assert not metrics_path.exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "evaluate", "improve", "sweep"])
+def test_every_subcommand_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith(f"usage: mstpart {command} ")
+    assert ("--metrics" in help_text) == (command != "sweep")

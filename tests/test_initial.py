@@ -280,13 +280,17 @@ def test_small_partition_rejects_p_below_k():
     X = project_rows(np.random.default_rng(0).normal(size=(6, 2)))
     h = Hypergraph.from_edges([[0, 1]], n=6)
     spec = BalanceSpec.for_hypergraph(h, 3, 0.1)
-    with pytest.raises(ValueError, match=r"^need at least k=3 clusters, got p=2$"):
+    with pytest.raises(ValueError, match=r"^cluster counts must lie in k\.\.6 \(k=3\), got p=2$"):
         mst_partition_small(X, h, spec, [3, 2])
-    with pytest.raises(ValueError, match=r"^p=7 exceeds the vertex count 6$"):
+    with pytest.raises(ValueError, match=r"^cluster counts must lie in k\.\.6 \(k=3\), got p=7$"):
         mst_partition_small(X, h, spec, [7])
-    # n_rep = ceil(0.2 * 6) = 2 < k, so any p is lowered below k
-    with pytest.raises(ValueError, match=r"^need at least k=3 representative clusters, got p=2$"):
+    # n_rep = ceil(0.2 * 6) = 2 < k, so no count fits, and none is lowered
+    with pytest.raises(ValueError, match=r"^cluster counts must lie in k\.\.2 \(k=3\), got p=5$"):
         representative_partition_large(X, h, spec, [5])
+    h = Hypergraph.from_edges([[0, 1]], n=20)  # n_rep = 4
+    X = project_rows(np.random.default_rng(1).normal(size=(20, 2)))
+    with pytest.raises(ValueError, match=r"^cluster counts must lie in k\.\.4 \(k=3\), got p=5$"):
+        representative_partition_large(X, h, spec, [4, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +368,7 @@ def reference_large(X, h, spec, p):
     n_rep = math.ceil(0.2 * n)
     reps = np.sort(np.lexsort((np.arange(n), -B))[:n_rep])
     tree = prim_mst(X, vertices=reps)
-    labels = prune_clusters(tree, min(p, n_rep))
+    labels = prune_clusters(tree, p)
     adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
     block, weights, centroids, counts = _merge_clusters(
         tree.vertices, labels, B, X, spec.k, adapted_cap)
@@ -400,11 +404,11 @@ def test_both_scales_match_their_written_out_references():
         X = project_rows(rng.normal(size=(n, 3)))
         # distinct rows, then rows drawn with repeats: tied tree weights
         for X in (X, X[rng.integers(0, n, size=n)]):
-            # every count from one call; counts above n_rep clamp alike
+            # every count from one call, each scale up to its clustered set
             ps = list(range(k, n_rep + 3))
             for p, part in zip(ps, mst_partition_small(X, h, spec, ps), strict=True):
                 assert np.array_equal(part.assignment, reference_small(X, h, spec, p))
-            ps = [p for p in ps if min(p, n_rep) >= k]
+            ps = list(range(k, n_rep + 1))
             for p, part in zip(ps, representative_partition_large(X, h, spec, ps), strict=True):
                 assert np.array_equal(part.assignment, reference_large(X, h, spec, p))
 
@@ -434,8 +438,8 @@ def candidates_one_by_one(h, spec, clique, config):
         op = ObjectiveOperator.embedding(clique, h.vertex_weight, [(lam1, lam2)])
         X = minimize(op, seeded_features(h.n, spec.k, stream=i)[None], config.apg).X[0]
         best_part, best_p = None, None
-        for p in _p_choices(h.n, spec.k, config.p):
-            part = _route_partitions(X, h, spec, [p])[0]  # a tree of its own
+        for entry in config.p:
+            part, p = _route_partitions(X, h, spec, (entry,))[0]  # a tree of its own
             if best_part is None or part.cutsize < best_part.cutsize:
                 best_part, best_p = part, p
         part, _ = repair_feasibility(h, best_part, spec)
@@ -467,7 +471,7 @@ def test_candidates_build_one_tree_each(monkeypatch):
     h = random_hypergraph(rng, 90, 140, max_edge_size=5)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.05)
     config = PipelineConfig(num_init=3)
-    assert _p_choices(h.n, spec.k, config.p) == [7, 9]  # the two rules differ
+    assert _p_choices(h.n, spec.k, config.p, h.n) == [7, 9]  # the two rules differ
     trees = []
     prim = initial_module.prim_mst
     monkeypatch.setattr(initial_module, "prim_mst",
@@ -478,16 +482,22 @@ def test_candidates_build_one_tree_each(monkeypatch):
 
 def test_large_scale_candidates_with_counts_clamped_alike(monkeypatch):
     # both fixed counts exceed n_rep = ceil(0.2 * 60) = 12, so both clamp to
-    # 12 and the candidate reports the first
+    # 12, which is clustered once per candidate and reported as the count
     monkeypatch.setattr(initial_module, "LARGE_SCALE_THRESHOLD", 0)
     rng = np.random.default_rng(271)
     h = random_hypergraph(rng, 60, 90, weighted=True)
     spec = BalanceSpec.for_hypergraph(h, 2, 0.05)
     config = PipelineConfig(num_init=2, p=(20, 30))
     clique = clique_expand(h)
+    merges = []
+    merge = initial_module._merge_clusters
+    monkeypatch.setattr(initial_module, "_merge_clusters",
+                        lambda *args: merges.append(args) or merge(*args))
     parts, reports = _build_candidates(h, spec, clique, config)
+    assert len(merges) == 2
+    monkeypatch.setattr(initial_module, "_merge_clusters", merge)
     want = candidates_one_by_one(h, spec, clique, config)
-    assert [r.p for r in reports] == [20, 20]
+    assert [r.p for r in reports] == [12, 12]
     for part, report, (want_part, want_report) in zip(parts, reports, want, strict=True):
         assert np.array_equal(part.assignment, want_part.assignment)
         assert report == want_report

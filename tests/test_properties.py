@@ -6,6 +6,7 @@ down so that every run covers them, and a vertex heavier than the cap too.
 The operator cases add unused block ids and stacks of 1 to 6 solves.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from mstpart.hypergraph import (
     write_hmetis,
     write_partition,
 )
+from mstpart.initial import _p_choices
 from mstpart.operators import ObjectiveOperator, clique_expand
 from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
 from mstpart.refine import kway_fm
@@ -240,3 +242,29 @@ def test_operator_matches_dense_and_each_slice_matches_its_solve(case):
         assert np.array_equal(alone.apply(X[s:s + 1]).view(np.int64), got[s:s + 1].view(np.int64))
     pick = list(pick)
     assert np.array_equal(op.take(pick).apply(X[pick]).view(np.int64), got[pick].view(np.int64))
+
+
+@st.composite
+def p_cases(draw):
+    """(n, k, most, p): an n-vertex level whose clustered vertex set has
+    ``most`` vertices, and a ``PipelineConfig.p`` that passes its check."""
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(k + 1, 5000))
+    most = draw(st.integers(k, n))
+    p = draw(st.lists(st.one_of(st.sampled_from(["sqrt", "linear"]), st.integers(k, 2 * n)),
+                      min_size=1, max_size=6))
+    return n, k, most, tuple(p)
+
+
+@SETTINGS
+@given(case=p_cases())
+@example(case=(5000, 2, 1000, ("sqrt", "linear", 50, 2000)))  # rules on n: 50, 500
+@example(case=(60, 2, 12, (20, 30, "linear")))  # all three lowered to most
+def test_p_choices_are_distinct_counts_in_range_in_first_appearance_order(case):
+    n, k, most, p = case
+    rules = {"sqrt": math.ceil(math.sqrt(n / 2)), "linear": math.ceil(n / (5 * k))}
+    each = [min(max(rules[e] if isinstance(e, str) else e, k), most) for e in p]
+    got = _p_choices(n, k, p, most)
+    assert len(got) == len(set(got))
+    assert all(k <= c <= most for c in got)
+    assert got == sorted(set(each), key=each.index)
