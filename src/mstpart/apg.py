@@ -1,6 +1,7 @@
 """Accelerated proximal gradient descent over the row-sphere set.
 
-Minimizes F(X) = -<C, X X^T> subject to every row of X having unit norm.
+Minimizes F(X) = -<C, X X^T> subject to every row of X having unit norm;
+F = -<C X, X> and grad F = -2 C X are formed here from the operator's C X.
 The stepsize grows by a summable sequence, extrapolated trial points pass a
 nonmonotone acceptance test against an averaged objective bound, and a plain
 projected gradient step is the fallback.  Termination uses the infinity norm
@@ -108,11 +109,6 @@ class ApgResult:
         return bool((self.residuals <= self.epsilon).all())
 
     @property
-    def error(self) -> float:
-        """The largest final residual."""
-        return float(self.residuals.max())
-
-    @property
     def trace(self) -> list:
         """Every solve's records, solve after solve: one ``IterRecord``
         (iteration, F, alpha, accepted flag, residual, objective bound) per
@@ -150,14 +146,20 @@ def project_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _objective(op, X: np.ndarray):
+    """F(X) = -<C X, X> per solve and grad F(X) = -2 C X, from one ``op.apply``."""
+    cx = op.apply(X)
+    return -(cx * X).sum(axis=(1, 2)), -2.0 * cx
+
+
 def initial_stepsize(op, X0: np.ndarray, g0: np.ndarray):
     """Secant estimate between X0 and the projected gradient direction:
     ||X0 - X1|| / ||g0 - grad(X1)|| with g0 = grad(X0) and
     X1 = project(g0), one estimate per solve of the (S, n, c) stack from a
-    single operator application.  Degenerate cases fall back to 1.0.
+    single ``op.apply``.  Degenerate cases fall back to 1.0.
     """
     X1 = project_rows(g0)
-    g1 = op.gradient(X1)
+    _, g1 = _objective(op, X1)
     return np.array([_secant(dx, dg) for dx, dg in zip(X0 - X1, g0 - g1)])
 
 
@@ -187,9 +189,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     """Run the solver from a row-feasible X0, a stack of S independent
     solves of shape (S, n, c) run in lockstep.
 
-    ``op`` provides ``value_and_gradient(X)`` and ``gradient(X)`` on
-    (S, n, c) stacks, with one value per solve, and for S > 1
-    ``take(solves)``, the operator of some of its solves.  Each solve keeps
+    ``op`` provides ``apply(X)``, the product C X of every solve's linear
+    map on an (S, n, c) stack, and ``take(solves)``, the operator of some
+    of its solves; F and its gradient are formed from C X.  Each solve keeps
     its own stepsize, δ1/δ2, bound, objective, residual and stop; the step
     counter and what depends on it alone (q, β, the growth term, the
     inflation factor) are shared.  A solve that stops leaves the stack, so a
@@ -204,14 +206,14 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     eps = params.epsilon
     ids = np.arange(S)  # the live solves
 
-    F_cur, g_cur = op.value_and_gradient(X_cur)
+    F_cur, g_cur = _objective(op, X_cur)
     _check_finite(F_cur, ids, "start", 0)
     alpha = initial_stepsize(op, X_cur, g_cur)
 
     # stationarity probe: a fixed point of the projected gradient map stops here
     a = alpha[:, None, None]
     probe = project_rows(X_cur - a * g_cur)
-    error = np.abs((probe - X_cur) / a + op.gradient(probe) - g_cur).max(axis=(1, 2))
+    error = np.abs((probe - X_cur) / a + _objective(op, probe)[1] - g_cur).max(axis=(1, 2))
 
     X_out = np.empty_like(X_cur)
     steps = np.zeros(S, dtype=np.int64)
@@ -256,7 +258,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         phi1 = zy2 + zx2 - inflate * yx2
         phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
 
-        F_next, g_next = op_live.value_and_gradient(z)
+        F_next, g_next = _objective(op_live, z)
         _check_finite(F_next, ids, "trial", k)
         accepted = (phi1 >= 0.0) & (F_next <= np.minimum(F_cur + phi2, bound))
         X_next = z
@@ -264,7 +266,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
             rej = np.flatnonzero(~accepted)
             X_f = project_rows(X_cur[rej] - a[rej] * g_cur[rej])
             op_rej = op_live if rej.size == ids.size else op.take(ids[rej])
-            F_f, g_f = op_rej.value_and_gradient(X_f)
+            F_f, g_f = _objective(op_rej, X_f)
             _check_finite(F_f, ids[rej], "fallback", k)
             X_next[rej], F_next[rej], g_next[rej] = X_f, F_f, g_f
 

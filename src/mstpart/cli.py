@@ -37,8 +37,22 @@ class CliError(Exception):
     pass
 
 
+class _StoreOnce(argparse.Action):
+    """Argparse's plain store, except that an option given twice is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # argparse's own test for an unseen option: the default object is still there
+        if getattr(namespace, self.dest, self.default) is not self.default:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems through the error exit code."""
+    """Argparse that takes each option once and reports usage errors as ``CliError``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)  # the default action, subparsers too
 
     def error(self, message):
         raise CliError(message)

@@ -10,6 +10,7 @@ vertices can still fit a block.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,17 +98,17 @@ def contract(h: Hypergraph, matching: list[tuple[int, int]]) -> CoarseLevel:
 
     coarse_vw = np.bincount(ids, weights=h.vertex_weight, minlength=next_id).astype(np.int64)
 
-    merged: dict[tuple[int, ...], int] = {}
-    for e in range(h.m):
-        key = tuple(np.unique(ids[h.edge_pins(e)]).tolist())
-        if len(key) < 2:
-            continue  # collapsed to a single coarse pin
-        merged[key] = merged.get(key, 0) + int(h.edge_weight[e])
+    offsets = h.pin_offsets.tolist()
+    coarse_pins = ids[h.pin_list].tolist()
+    merged: Counter[tuple[int, ...]] = Counter()
+    for e, w in enumerate(h.edge_weight.tolist()):
+        key = tuple(sorted(set(coarse_pins[offsets[e]:offsets[e + 1]])))
+        if len(key) >= 2:  # else it collapsed to a single coarse pin
+            merged[key] += w
 
     keys = sorted(merged)  # canonical edge order
-    pins = [list(key) for key in keys]
-    ew = np.array([merged[key] for key in keys], dtype=np.int64)
-    coarse = Hypergraph.from_edges(pins, n=next_id, vertex_weight=coarse_vw, edge_weight=ew)
+    coarse = Hypergraph.from_edges(keys, n=next_id, vertex_weight=coarse_vw,
+                                   edge_weight=[merged[key] for key in keys])
     return CoarseLevel(coarse, ids)
 
 

@@ -1,16 +1,16 @@
-"""Clique expansion and matrix-free quadratic objective operators.
+"""Clique expansion and the matrix-free linear maps of the relaxation.
 
 The hypergraph is relaxed to a weighted graph by clique expansion: each
-hyperedge e contributes w_e / (|e| - 1) to every pin pair.  Embedding
-objectives are quadratic forms F(X) = -<C, X X^T> whose matrix C mixes the
-reinforced adjacency with Laplacians of complete graphs (unit weights,
-vertex weights, or a complete multipartite structure).  Those complete-graph
-pieces are never materialized: each is a diagonal plus a low-rank matrix, so
-C = ca Abar + Diag(d) - U Diag(coef) U^T is applied in O(nnz + n r) for the
-r columns of U.  One operator holds a stack of such objectives that share
-every matrix and differ only in their mixing coefficients, so the solves of
-a weight grid apply their operators in one call; both constructors take
-such a grid as a list of weight pairs.
+hyperedge e contributes w_e / (|e| - 1) to every pin pair.  The relaxation
+model is a symmetric matrix C that mixes the reinforced adjacency with
+Laplacians of complete graphs (unit weights, vertex weights, or a complete
+multipartite structure); ``apg.minimize`` minimizes F(X) = -<C, X X^T> with
+it.  The complete-graph pieces are never materialized: each is a diagonal
+plus a low-rank matrix, so C = ca Abar + Diag(d) - U Diag(coef) U^T is
+applied in O(nnz + n r) for the r columns of U.  One operator holds a stack
+of such matrices that share every input and differ only in their mixing
+coefficients, so the solves of a weight grid apply their matrices in one
+call; both constructors take such a grid as a list of weight pairs.
 """
 
 from __future__ import annotations
@@ -82,8 +82,7 @@ def laplacian(g: CliqueGraph) -> sparse.csr_matrix:
 
 
 class ObjectiveOperator:
-    """Symmetric operators C behind the embedding objective F(X) = -<C, X X^T>,
-    one per solve of a stack.
+    """The symmetric linear maps C of a stack of solves, one per solve.
 
     With B the vertex weights, W = sum(B), n_b(i) the size of vertex i's
     block and e_b the indicator of block b, solve s mixes four terms,
@@ -102,20 +101,20 @@ class ObjectiveOperator:
     ``__init__``.  Each coefficient is a nonnegative scalar or one value per
     solve; the solves share every input and constant.  With ``abar``
     positive semidefinite, as the constructors build it, C is positive
-    semidefinite and F concave, which the solver's stepsize rule relies on.
+    semidefinite, which the solver's stepsize rule relies on.
 
-    ``apply``, ``value`` and ``gradient`` take the whole (S, n, c) stack, a
-    single solve being a stack of one, and return one result per solve.
-    ``apply`` evaluates d X - U (coef * (U^T X)) + ca (Abar X) in that order
-    on the stack; U^T X and U (.) are one small matrix product per solve,
-    whose order does not depend on the stack width, and only the sparse
-    product runs on the stack laid out as one (n, S*c) block.  So every
-    slice is bit-equal to its solve alone.  A nonzero coefficient without
-    its input (``abar``, ``weights`` or ``blocks``) and a negative one are
-    ``ValueError``.
+    ``apply`` and ``take`` are what the solver uses.  ``apply`` takes the
+    whole (S, n, c) stack, a single solve being a stack of one, and returns
+    C[s] X[s] for every solve s.  It evaluates d X - U (coef * (U^T X)) +
+    ca (Abar X) in that order on the stack; U^T X and U (.) are one small
+    matrix product per solve, whose order does not depend on the stack
+    width, and only the sparse product runs on the stack laid out as one
+    (n, S*c) block.  So every slice is bit-equal to its solve alone.
+    ``abar`` is required.  A nonzero coefficient without its input
+    (``weights`` or ``blocks``) and a negative one are ``ValueError``.
     """
 
-    def __init__(self, n, *, abar=None, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
+    def __init__(self, n, *, abar, ca=0.0, cu=0.0, cw=0.0, cp=0.0,
                  weights=None, blocks=None, mode="custom"):
         self.n = n = int(n)
         self.abar = abar
@@ -128,8 +127,7 @@ class ObjectiveOperator:
         if not all((c >= 0.0).all() for c in (self.ca, self.cu, self.cw, self.cp)):
             raise ValueError("coefficients must be nonnegative")  # NaN too
         self.mode = mode
-        for coef, name, given in (("ca", "abar", abar), ("cw", "weights", weights),
-                                  ("cp", "blocks", blocks)):
+        for coef, name, given in (("cw", "weights", weights), ("cp", "blocks", blocks)):
             if getattr(self, coef).any() and given is None:
                 raise ValueError(f"{coef} != 0 needs {name}")
         cu, cw, cp = (c[:, None] for c in (self.cu, self.cw, self.cp))
@@ -203,24 +201,10 @@ class ObjectiveOperator:
         S, n, c = X.shape
         out = self.d[:, :, None] * X
         out -= self.U @ (self.coef[:, :, None] * (self.U.T @ X))
-        if self.abar is not None:
-            clique = self.abar @ X.transpose(1, 0, 2).reshape(n, S * c)
-            clique *= np.repeat(self.ca, c)
-            out += clique.reshape(n, S, c).transpose(1, 0, 2)
+        clique = self.abar @ X.transpose(1, 0, 2).reshape(n, S * c)
+        clique *= np.repeat(self.ca, c)
+        out += clique.reshape(n, S, c).transpose(1, 0, 2)
         return out
-
-    def value(self, X: np.ndarray) -> np.ndarray:
-        """F(X) = -<C, X X^T>, one value per solve."""
-        return -(self.apply(X) * X).sum(axis=(1, 2))
-
-    def gradient(self, X: np.ndarray) -> np.ndarray:
-        """grad F(X) = -2 C X."""
-        return -2.0 * self.apply(X)
-
-    def value_and_gradient(self, X: np.ndarray):
-        """Both quantities from a single operator application."""
-        cx = self.apply(X)
-        return -(cx * X).sum(axis=(1, 2)), -2.0 * cx
 
 
 def _reinforced(g: CliqueGraph) -> sparse.csr_matrix:

@@ -44,9 +44,9 @@ __all__ = [
 
 @dataclass
 class BipartitionResult:
-    """Signed labeling of a vertex set, and whether both sides fit the cap."""
+    """A signed labeling whose both sides fit the cap, or None when no cut fits."""
 
-    labels: np.ndarray
+    labels: np.ndarray | None
     feasible: bool
 
 
@@ -67,11 +67,10 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, cap: float, L) -> BipartitionR
     the two key-node sides become centers c1 (the side holding the tree
     root) and c2, and every vertex gets label +1 when strictly farther from
     c1 than from c2, else -1.  A labeling is feasible when its heavier side
-    weighs at most ``cap``, that is 0.5 (total + |y^T B|) <= cap.  Each labeling
-    is scored by 1/4 y^T L y, the clique-graph weight cut between the two
-    sides; the first feasible one of least score wins, and if none is
-    feasible the first of least score overall is returned flagged
-    infeasible.
+    weighs at most ``cap``, that is 0.5 (total + |y^T B|) <= cap.  Only a
+    feasible labeling is scored, by 1/4 y^T L y, the clique-graph weight cut
+    between the two sides, and the first of least score wins.  When no cut
+    is feasible there is no split: ``labels`` is None.
 
     The constants are fixed: ``KEY_FRACTION = 0.05``, ``CUT_FRACTION = 0.2``.
     """
@@ -87,7 +86,7 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, cap: float, L) -> BipartitionR
     m_cand = max(1, math.ceil(CUT_FRACTION * len(tree.edges)))
 
     total = float(B.sum())
-    best_feasible = best_any = None
+    best = None
     for ei in tree.heaviest_first()[:m_cand]:
         side2 = tree.cut([ei]) == 1  # the root is position 0, so label 0
         c1 = X[keys[~side2]].mean(axis=0)
@@ -96,17 +95,14 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, cap: float, L) -> BipartitionR
         d2 = np.sum((X - c2) ** 2, axis=1)
         y = np.where(d1 - d2 > 0.0, 1.0, -1.0)
 
-        yb = float(y @ B)
-        feasible = 0.5 * (total + abs(yb)) <= cap
-        obj = 0.25 * float(y @ (L @ y))
-        if best_any is None or obj < best_any[0]:
-            best_any = (obj, y)
-        if feasible and (best_feasible is None or obj < best_feasible[0]):
-            best_feasible = (obj, y)
+        if 0.5 * (total + abs(float(y @ B))) <= cap:
+            obj = 0.25 * float(y @ (L @ y))
+            if best is None or obj < best[0]:
+                best = (obj, y)
 
-    if best_feasible is not None:
-        return BipartitionResult(best_feasible[1], True)
-    return BipartitionResult(best_any[1], False)
+    if best is None:
+        return BipartitionResult(None, False)
+    return BipartitionResult(best[1], True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ import numpy as np
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition
 
 
+def objective(op, X):
+    """F(X) = -<C X, X>, one value per solve, and grad F(X) = -2 C X of an
+    operator stack, from one ``op.apply``."""
+    cx = op.apply(X)
+    return -(cx * X).sum(axis=(1, 2)), -2.0 * cx
+
+
 def km1_oracle(h: Hypergraph, assignment) -> int:
     """Per-edge distinct-block count, straight from the definition."""
     total = 0

@@ -25,6 +25,7 @@ from helpers import (
     dense_similarity_edges,
     km1_oracle,
     kruskal_total,
+    objective,
     random_hypergraph,
     two_cluster_hypergraph,
 )
@@ -168,7 +169,8 @@ def test_criterion_03_quality_floor_vs_brute_force():
 
 class _RowCheckOp:
     """Forwards to an operator while recording the worst row-norm deviation
-    among evaluated iterates (start point and every candidate step)."""
+    among the points it is applied to (start point, stepsize and stationarity
+    probes, and every candidate step)."""
 
     def __init__(self, op):
         self.op = op
@@ -179,16 +181,9 @@ class _RowCheckOp:
         if dev > self.worst:
             self.worst = dev
 
-    def gradient(self, X):
-        return self.op.gradient(X)
-
-    def value(self, X):
+    def apply(self, X):
         self._record(X)
-        return self.op.value(X)
-
-    def value_and_gradient(self, X):
-        self._record(X)
-        return self.op.value_and_gradient(X)
+        return self.op.apply(X)
 
 
 def test_criterion_04_solver_convergence_and_invariants():
@@ -212,14 +207,14 @@ def test_criterion_04_solver_convergence_and_invariants():
         res = minimize(checked, seeded_features(n, k, stream=i)[None], params)
         checked._record(res.X)
         worst_row = max(worst_row, checked.worst)
-        if res.converged and res.error < 1e-3 and res.iterations < params.max_iters:
+        if res.converged and res.residuals.max() < 1e-3 and res.iterations < params.max_iters:
             converged += 1
         for rec in res.trace:
             if rec.accepted and rec.value > rec.bound:
                 bound_breaks += 1
         if i < 20:
             X = seeded_features(n, k, stream=10_000 + i)[None]
-            g = op.gradient(X)
+            g = objective(op, X)[1]
             fd = np.zeros_like(X)
             hstep = 1e-6
             for a in range(n):
@@ -227,7 +222,7 @@ def test_criterion_04_solver_convergence_and_invariants():
                     Xp, Xm = X.copy(), X.copy()
                     Xp[0, a, b] += hstep
                     Xm[0, a, b] -= hstep
-                    fd[0, a, b] = (op.value(Xp)[0] - op.value(Xm)[0]) / (2 * hstep)
+                    fd[0, a, b] = (objective(op, Xp)[0][0] - objective(op, Xm)[0][0]) / (2 * hstep)
             if np.max(np.abs(g - fd)) > 1e-5 * max(1.0, float(np.max(np.abs(g)))):
                 fd_fail += 1
     _report(

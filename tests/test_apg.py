@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import random_hypergraph
+from helpers import objective, random_hypergraph
 from mstpart import apg
 from mstpart.apg import (
     ETA,
@@ -82,14 +82,14 @@ def test_initial_stepsize_identity():
     # C = I: grad(X) = -2X, X1 = project(-2X) = -X, so the secant ratio is 1/2
     X0 = project_rows(np.random.default_rng(2).normal(size=(1, 6, 2)))
     op = ObjectiveOperator(6, abar=sparse.identity(6, format="csr"), ca=1.0)
-    assert initial_stepsize(op, X0, op.gradient(X0)).tolist() == [pytest.approx(0.5)]
+    assert initial_stepsize(op, X0, objective(op, X0)[1]).tolist() == [pytest.approx(0.5)]
 
 
 def test_initial_stepsize_degenerate_falls_back():
     # C = -I/2: grad(X) = X, already row-normalized, so X1 = X0 exactly
     X0 = project_rows(np.random.default_rng(3).normal(size=(1, 5, 3)))
     op = ObjectiveOperator(5, abar=-0.5 * np.eye(5), ca=1.0)
-    assert initial_stepsize(op, X0, op.gradient(X0)).tolist() == [1.0]
+    assert initial_stepsize(op, X0, objective(op, X0)[1]).tolist() == [1.0]
 
 
 def test_initial_stepsize_positive_finite():
@@ -97,7 +97,7 @@ def test_initial_stepsize_positive_finite():
     for _ in range(100):
         op, n, k = random_embedding_op(rng, n_max=20)
         X0 = seeded_features(n, k, stream=int(rng.integers(0, 1000)))[None]
-        (a,) = initial_stepsize(op, X0, op.gradient(X0))
+        (a,) = initial_stepsize(op, X0, objective(op, X0)[1])
         assert np.isfinite(a) and a > 0
 
 
@@ -133,7 +133,7 @@ def test_minimize_two_vertex_grid_oracle():
         C = (np.diag(clique_expand(h).degree) + clique_expand(h).adjacency.toarray())
         vals = -(C[0, 0] + C[1, 1] + 2 * C[0, 1] * np.cos(t1 - t2))
         best = min(best, float(vals.min()))
-    assert op.value(res.X).tolist() == [pytest.approx(best, abs=1e-4)]
+    assert objective(op, res.X)[0].tolist() == [pytest.approx(best, abs=1e-4)]
     # rows align
     assert float(res.X[0, 0] @ res.X[0, 1]) == pytest.approx(1.0, abs=1e-4)
 
@@ -145,7 +145,7 @@ def test_minimize_trace_invariants():
     res = minimize(op, X0)
     assert np.allclose(np.linalg.norm(res.X, axis=-1), 1.0, atol=1e-12)
     # replay the averaged-bound recurrence and the acceptance rule
-    (c,) = op.value(project_rows(X0))
+    (c,) = objective(op, project_rows(X0))[0]
     q = 1.0
     for rec in res.trace:
         assert rec.alpha > 0
@@ -156,7 +156,7 @@ def test_minimize_trace_invariants():
         c = (ETA * q * c + rec.value) / q_next
         q = q_next
     if res.converged:
-        assert res.error <= 1e-3
+        assert res.residuals.max() <= 1e-3
 
 
 def test_minimize_convergence_rate_on_randoms():
@@ -243,9 +243,9 @@ def test_extrapolated_gradient_equals_gradient_at_extrapolated_point(kind):
             X_prev = project_rows(X0) if k == 1 else minimize(op, X0, ApgParams(max_iters=k - 1)).X
             X_cur = minimize(op, X0, ApgParams(max_iters=k)).X
             beta = k / (k + 3.0)
-            g_prev, g_cur = op.gradient(X_prev), op.gradient(X_cur)
+            g_prev, g_cur = objective(op, X_prev)[1], objective(op, X_cur)[1]
             gy = g_cur + beta * (g_cur - g_prev)
-            want = op.gradient(X_cur + beta * (X_cur - X_prev))
+            want = objective(op, X_cur + beta * (X_cur - X_prev))[1]
             scale = np.maximum(np.abs(g_cur).max(axis=(1, 2)), np.abs(g_prev).max(axis=(1, 2)))
             assert (np.abs(gy - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
             assert not np.array_equal(X_prev, X_cur)
@@ -282,7 +282,7 @@ def one_solve_reference(op, X0, params):
     ``op`` holds one solve and sees each iterate as a stack of one."""
 
     def value_and_gradient(X):
-        F, g = op.value_and_gradient(X[None])
+        F, g = objective(op, X[None])
         return float(F[0]), g[0]
 
     X_cur = project_rows(X0)
@@ -290,7 +290,7 @@ def one_solve_reference(op, X0, params):
     F_cur, g_cur = value_and_gradient(X_cur)
     alpha = float(initial_stepsize(op, X_cur[None], g_cur[None])[0])
     probe = project_rows(X_cur - alpha * g_cur)
-    error = float(np.abs((probe - X_cur) / alpha + op.gradient(probe[None])[0] - g_cur).max())
+    error = float(np.abs((probe - X_cur) / alpha + objective(op, probe[None])[1][0] - g_cur).max())
     trace = []
     alpha1 = alpha + min(1.0, alpha) * apg._grow_term(0)
     delta2 = min(2.0 * apg.DELTA1, 0.49 * (1.0 - apg.MU0) / alpha1)
@@ -357,7 +357,7 @@ def test_minimize_stack_equals_each_solve_alone():
         assert res.X.shape == X0.shape
         assert res.iterations == sum(one.iterations for one in alone)
         assert res.converged == all(one.converged for one in alone)
-        assert res.error == max(one.error for one in alone)
+        assert res.residuals.max() == max(one.residuals.max() for one in alone)
         assert res.trace == [rec for one in alone for rec in one.trace]
         assert len({one.iterations for one in alone}) > 1
     assert stops == {"start", "cap", "converged"}
@@ -406,11 +406,45 @@ def test_minimize_stack_applies_to_live_solves_only():
         assert sizes[:3] == [6, 6, 6]
 
 
+class BareStack:
+    """A stack of linear maps with only ``n``, ``apply`` and ``take``: each
+    solve's matrix is held whole and applied as it is."""
+
+    def __init__(self, mats):
+        self.mats = mats
+        self.n = mats[0].shape[0]
+
+    def apply(self, X):
+        return np.stack([C @ x for C, x in zip(self.mats, X)])
+
+    def take(self, solves):
+        return BareStack([self.mats[s] for s in np.atleast_1d(solves)])
+
+
+def test_minimize_runs_on_apply_and_take_alone():
+    # dense PSD matrices C_s = ca_s M; the powers of two make ca_s M exact, so
+    # both stacks compute the same products, and the solves equal bit for bit
+    rng = np.random.default_rng(67)
+    ca = np.array([1.0, 0.25, 4.0, 0.5])
+    for n in (12, 30):
+        G = rng.normal(size=(n, n))
+        M = G @ G.T / n
+        X0 = np.stack([seeded_features(n, 2, stream=s) for s in range(4)])
+        params = ApgParams(max_iters=300)
+        want = minimize(ObjectiveOperator(n, abar=sparse.csr_matrix(M), ca=ca), X0, params)
+        got = minimize(BareStack([sparse.csr_matrix(c * M) for c in ca]), X0, params)
+        assert np.array_equal(got.X.view(np.int64), want.X.view(np.int64))
+        assert np.array_equal(got.steps, want.steps)
+        assert np.array_equal(got.residuals, want.residuals)
+        assert got.trace == want.trace
+        assert len(set(want.steps.tolist())) > 1  # some solves leave the stack early
+
+
 def test_minimize_stack_rejects_nonfinite_solve():
     # solve 1 has an infinite objective; solve 0 alone runs fine
     op = ObjectiveOperator(5, abar=sparse.identity(5, format="csr"), ca=[1.0, np.inf])
     X0 = np.stack([seeded_features(5, 2, stream=s) for s in range(2)])
-    assert np.isfinite(minimize(op.take([0]), X0[:1]).error)
+    assert np.isfinite(minimize(op.take([0]), X0[:1]).residuals).all()
     with pytest.raises(FloatingPointError, match="solve 1"):
         minimize(op, X0)
 

@@ -542,3 +542,39 @@ def test_every_subcommand_prints_its_help(capsys, command):
     help_text = capsys.readouterr().out
     assert help_text.startswith(f"usage: mstpart {command} ")
     assert ("--metrics" in help_text) == (command != "sweep")
+
+
+REPEATS = {
+    "--num-init": ["--num-init", "2", "--num-init", "1"],
+    "--k": ["--k", "3"],  # after the --k 2 every run gives
+    "--p": ["--p", "3", "--p", "sqrt"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command}{flag}")
+    for command in ("partition", "evaluate", "improve", "sweep")
+    for flag in REPEATS
+    if command in ("partition", "sweep") or flag == "--k"
+])
+def test_an_option_given_twice_is_an_error(tmp_path, capsys, monkeypatch, command, flag):
+    # argparse would keep the last value; the run stops before the input is read
+    reads = []
+    monkeypatch.setattr(cli, "parse_hmetis", lambda text: reads.append(text))
+    hgr = two_clique_file(tmp_path)
+    part = tmp_path / "start.part"
+    part.write_text("0\n" * 5 + "1\n" * 5)
+    out = tmp_path / "out.txt"
+    extra = {
+        "partition": ["--output", str(out)],
+        "evaluate": ["--partition", str(part), "--metrics", str(out)],
+        "improve": ["--partition", str(part), "--output", str(out)],
+        "sweep": ["--axis", "lambda1", "--values", "0.5", "--csv", str(out)],
+    }[command]
+    code = main([command, "--input", str(hgr), "--k", "2", *REPEATS[flag], *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"argument {flag}: given more than once" in captured.err
+    assert captured.out == ""
+    assert reads == []
+    assert not out.exists()

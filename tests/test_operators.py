@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import dense_gu, dense_gw, dense_kpartite, random_hypergraph
+from helpers import dense_gu, dense_gw, dense_kpartite, objective, random_hypergraph
 from mstpart.hypergraph import Hypergraph
 from mstpart.operators import (
     CliqueGraph,
@@ -174,7 +174,7 @@ def test_multipartite_part_three_blocks():
     rng = np.random.default_rng(89)
     n = 12
     blocks = rng.integers(0, 3, size=n)
-    op = ObjectiveOperator(n, cp=1.0, blocks=blocks)
+    op = ObjectiveOperator(n, abar=sparse.csr_matrix((n, n)), cp=1.0, blocks=blocks)
     K = dense_kpartite(blocks)
     X = rng.normal(size=(1, n, 4))
     assert np.allclose(op.apply(X), K @ X, atol=1e-10)
@@ -200,8 +200,7 @@ def formula_apply(op, X):
     U, coef = np.column_stack(columns), np.hstack(coef)
     out = d[:, None] * X
     out -= U @ (coef[:, None] * (U.T @ X))
-    if op.abar is not None:
-        out += op.ca * (op.abar @ X)
+    out += op.ca * (op.abar @ X)
     return out
 
 
@@ -264,10 +263,10 @@ def test_apply_bit_equals_formula(mode, num_blocks, empty_block):
             X = rng.normal(size=(1, op.n, k))
             want = formula_apply(op, X[0])
             assert np.array_equal(op.apply(X)[0], want)
-            value, grad = op.value_and_gradient(X)
-            assert value.tolist() == [-float(np.sum(want * X[0]))] == op.value(X).tolist()
+            value, grad = objective(op, X)
+            assert value.tolist() == [-float(np.sum(want * X[0]))] == objective(op, X)[0].tolist()
             assert np.array_equal(grad[0], -2.0 * want)
-            assert np.array_equal(op.gradient(X), grad)
+            assert np.array_equal(objective(op, X)[1], grad)
 
 
 @pytest.mark.parametrize("c", [1, 2, 4])
@@ -317,14 +316,14 @@ def test_stacked_apply_bit_equals_each_slice(solves, kind, c):
         assert op.solves == solves
         X = rng.normal(size=(solves, h.n, c))
         got = op.apply(X)
-        value, grad = op.value_and_gradient(X)
+        value, grad = objective(op, X)
         assert got.shape == X.shape and value.shape == (solves,)
         for s, one in enumerate(alone):
             want = one.apply(X[s:s + 1])[0]
             assert np.array_equal(bits(got[s]), bits(want))
             assert np.array_equal(bits(want), bits(formula_apply(one, X[s])))
-            assert value[s] == one.value(X[s:s + 1])[0] == op.value(X)[s]
-            assert np.array_equal(bits(grad[s]), bits(one.gradient(X[s:s + 1])[0]))
+            assert value[s] == objective(one, X[s:s + 1])[0][0] == objective(op, X)[0][s]
+            assert np.array_equal(bits(grad[s]), bits(objective(one, X[s:s + 1])[1][0]))
         pick = rng.permutation(solves)[: max(1, solves // 2)]
         assert np.array_equal(bits(op.take(pick).apply(X[pick])), bits(got[pick]))
 
@@ -349,11 +348,17 @@ def test_stack_shapes_are_checked():
         ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [])
 
 
-@pytest.mark.parametrize("coef, field", [("ca", "abar"), ("cw", "weights"), ("cp", "blocks")])
+@pytest.mark.parametrize("coef, field", [("cw", "weights"), ("cp", "blocks")])
 def test_nonzero_term_without_its_input_is_rejected(coef, field):
+    abar = sparse.identity(4, format="csr")
     with pytest.raises(ValueError, match=field):
-        ObjectiveOperator(4, **{coef: 0.5})
-    ObjectiveOperator(4, **{coef: 0.0})  # a zero term needs no input
+        ObjectiveOperator(4, abar=abar, **{coef: 0.5})
+    ObjectiveOperator(4, abar=abar, **{coef: 0.0})  # a zero term needs no input
+
+
+def test_operator_needs_abar():
+    with pytest.raises(TypeError, match="abar"):
+        ObjectiveOperator(4, ca=0.0, cu=1.0)
 
 
 @pytest.mark.parametrize("coef", ["ca", "cu", "cw", "cp"])
@@ -374,7 +379,7 @@ def test_negative_coefficient_is_rejected(coef, bad):
 def test_value_zero_matrix():
     op = ObjectiveOperator(4, abar=np.zeros((4, 4)), ca=1.0)
     X = np.ones((1, 4, 2))
-    assert op.value(X).tolist() == [0.0]
+    assert objective(op, X)[0].tolist() == [0.0]
 
 
 def test_value_identity_diagnostic():
@@ -383,7 +388,7 @@ def test_value_identity_diagnostic():
     X = rng.normal(size=(1, n, 3))
     X /= np.linalg.norm(X, axis=-1, keepdims=True)
     op = ObjectiveOperator(n, abar=sparse.identity(n, format="csr"), ca=1.0)
-    assert op.value(X).tolist() == [pytest.approx(-n)]
+    assert objective(op, X)[0].tolist() == [pytest.approx(-n)]
 
 
 def test_gradient_is_minus_two_apply():
@@ -391,7 +396,7 @@ def test_gradient_is_minus_two_apply():
     h = random_hypergraph(rng, 10, 12)
     op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [(0.5, 0.8)])
     X = rng.normal(size=(1, h.n, 2))
-    assert np.allclose(op.gradient(X), -2.0 * op.apply(X))
+    assert np.allclose(objective(op, X)[1], -2.0 * op.apply(X))
 
 
 def test_gradient_matches_central_differences():
@@ -402,7 +407,7 @@ def test_gradient_matches_central_differences():
             clique_expand(h), h.vertex_weight, [(rng.uniform(), rng.uniform())]
         )
         X = rng.normal(size=(1, h.n, 2))
-        grad = op.gradient(X)
+        grad = objective(op, X)[1]
         step = 1e-6
         for _ in range(6):
             i = int(rng.integers(0, h.n))
@@ -410,7 +415,7 @@ def test_gradient_matches_central_differences():
             Xp, Xm = X.copy(), X.copy()
             Xp[0, i, j] += step
             Xm[0, i, j] -= step
-            fd = (op.value(Xp)[0] - op.value(Xm)[0]) / (2 * step)
+            fd = (objective(op, Xp)[0][0] - objective(op, Xm)[0][0]) / (2 * step)
             scale = max(1.0, abs(fd))
             assert abs(grad[0, i, j] - fd) <= 1e-5 * scale
 
@@ -422,7 +427,7 @@ def test_value_vs_dense_inner_product():
     op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, [(lam1, lam2)])
     C = dense_embedding_matrix(h, h.vertex_weight, lam1, lam2)
     X = rng.normal(size=(1, h.n, 3))
-    assert op.value(X).tolist() == [pytest.approx(-np.sum(C * (X[0] @ X[0].T)), rel=1e-10)]
+    assert objective(op, X)[0].tolist() == [pytest.approx(-np.sum(C * (X[0] @ X[0].T)), rel=1e-10)]
 
 
 def test_operator_validates_inputs():

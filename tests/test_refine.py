@@ -81,7 +81,7 @@ def test_bipartition_identical_features_flagged_infeasible():
     L = laplacian(CliqueGraph.from_adjacency(random_adjacency(np.random.default_rng(0), 6)))
     res = mst_bipartition(X, np.ones(6), 5.0, L)
     assert not res.feasible
-    assert np.all(res.labels == -1.0)
+    assert res.labels is None
     assert not any(f for _, f, _ in scored_cuts(X, np.ones(6), 5.0, L))
 
 
@@ -127,22 +127,21 @@ def test_bipartition_candidate_envelope_and_brute_force():
         B = rng.integers(1, 5, size=n).astype(np.float64)
         cap = 0.75 * float(B.sum())
         res = mst_bipartition(X, B, cap, L)
-        objective = 0.25 * float(res.labels @ (L @ res.labels))
 
-        # the returned labeling is the minimum over the scored cuts
+        # the returned labeling is the minimum over the feasible cuts
         cuts = scored_cuts(X, B, cap, L)
         feas = [obj for obj, f, _ in cuts if f]
-        if res.feasible:
-            assert objective == min(feas)
-        else:
+        if not res.feasible:
             assert not feas
-            assert objective == min(obj for obj, _, _ in cuts)
+            assert res.labels is None
+            continue
+        objective = 0.25 * float(res.labels @ (L @ res.labels))
+        assert objective == min(feas)
 
         best = brute_force_signed_labels(L.toarray(), B, cap)
-        if res.feasible:
-            assert best is not None
-            assert objective >= best - 1e-9
-            checked_feasible += 1
+        assert best is not None
+        assert objective >= best - 1e-9
+        checked_feasible += 1
     assert checked_feasible >= 15
 
 
@@ -161,12 +160,50 @@ def test_bipartition_candidates_match_subtree_oracle():
 
         cuts = scored_cuts(X, B, cap, L)
         several += len(cuts) >= 2
-        # the first feasible cut of least score, else the first overall
-        pool = [i for i, (_, f, _) in enumerate(cuts) if f] or range(len(cuts))
-        best = min(pool, key=lambda i: cuts[i][0])
-        assert res.feasible == cuts[best][1]
-        assert np.array_equal(res.labels, cuts[best][2])
+        # the first feasible cut of least score, else no split
+        pool = [i for i, (_, f, _) in enumerate(cuts) if f]
+        assert res.feasible == bool(pool)
+        if pool:
+            best = min(pool, key=lambda i: cuts[i][0])
+            assert np.array_equal(res.labels, cuts[best][2])
+        else:
+            assert res.labels is None
     assert several >= 10
+
+
+class CountedLaplacian:
+    """A Laplacian that records every vector it multiplies."""
+
+    def __init__(self, L):
+        self.L, self.vectors = L, []
+
+    def __matmul__(self, y):
+        self.vectors.append(y.copy())
+        return self.L @ y
+
+
+def test_bipartition_scores_only_feasible_cuts():
+    # L @ y runs once per feasible cut, on that cut's labels, and never when
+    # no cut fits the cap
+    rng = np.random.default_rng(61)
+    mixed = none = 0
+    for _ in range(20):
+        n = int(rng.integers(200, 401))  # 10 to 20 keys: 2 to 4 scored cuts
+        X = rng.normal(size=(n, 2))
+        A = np.triu(rng.integers(1, 5, size=(n, n)) * (rng.random((n, n)) < 0.05), 1)
+        L = laplacian(CliqueGraph.from_adjacency((A + A.T).astype(np.float64)))
+        B = rng.integers(1, 5, size=n).astype(np.float64)
+        cap = float(rng.uniform(0.52, 0.62)) * float(B.sum())
+        counted = CountedLaplacian(L)
+        res = mst_bipartition(X, B, cap, counted)
+        cuts = scored_cuts(X, B, cap, L)
+        feasible = [y for _, f, y in cuts if f]
+        assert len(counted.vectors) == len(feasible)
+        assert all(np.array_equal(a, b) for a, b in zip(counted.vectors, feasible))
+        assert (res.labels is None) == (not feasible) == (not res.feasible)
+        mixed += 0 < len(feasible) < len(cuts)
+        none += not feasible
+    assert mixed >= 5 and none >= 2
 
 
 def test_bipartition_rejects_single_vertex():
@@ -357,7 +394,7 @@ def scripted_pairwise(monkeypatch, h, start, splits):
     def stub(X, B, cap, L):
         blocks, feasible = next(results)
         labels = np.where(np.asarray(blocks) == 0, 1.0, -1.0)
-        return BipartitionResult(labels, feasible)
+        return BipartitionResult(labels if feasible else None, feasible)
 
     monkeypatch.setattr(refine, "mst_bipartition", stub)
     config = PipelineConfig(
