@@ -76,8 +76,8 @@ class ApgParams:
     max_iters: int = 3000
 
     def __post_init__(self):
-        if not self.epsilon > 0:  # NaN too
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError("epsilon must be finite and positive")
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 

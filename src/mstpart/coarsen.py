@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypergraph import BalanceSpec, Hypergraph, Partition
+from .hypergraph import BalanceSpec, Hypergraph, Partition, _group
 from .operators import clique_expand
 
 __all__ = [
@@ -98,11 +98,11 @@ def contract(h: Hypergraph, matching: list[tuple[int, int]]) -> CoarseLevel:
 
     coarse_vw = np.bincount(ids, weights=h.vertex_weight, minlength=next_id).astype(np.int64)
 
-    offsets = h.pin_offsets.tolist()
-    coarse_pins = ids[h.pin_list].tolist()
+    edge_ids = np.repeat(np.arange(h.m, dtype=np.int64), np.diff(h.pin_offsets))
+    offsets, coarse_pins = (a.tolist() for a in _group(edge_ids, ids[h.pin_list], h.m)[:2])
     merged: Counter[tuple[int, ...]] = Counter()
     for e, w in enumerate(h.edge_weight.tolist()):
-        key = tuple(sorted(set(coarse_pins[offsets[e]:offsets[e + 1]])))
+        key = tuple(coarse_pins[offsets[e]:offsets[e + 1]])
         if len(key) >= 2:  # else it collapsed to a single coarse pin
             merged[key] += w
 

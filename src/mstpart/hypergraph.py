@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,44 +65,40 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, pins, n=None, vertex_weight=None, edge_weight=None) -> "Hypergraph":
-        """Build from a list of pin lists.  Pins are deduplicated and sorted."""
-        cleaned = []
-        for i, edge in enumerate(pins):
-            uniq = sorted(set(int(v) for v in edge))
-            if not uniq:
-                raise ValueError(f"hyperedge {i} has no pins")
-            if uniq[0] < 0:
-                raise ValueError(f"hyperedge {i} has a negative pin")
-            cleaned.append(uniq)
-        m = len(cleaned)
-        max_pin = max((e[-1] for e in cleaned), default=-1)
+        """Build from one pin collection per net, its pins converted by ``int()``,
+        deduplicated and sorted.  The first net with no pins or a negative pin,
+        a pin >= n (default: the largest pin + 1) or a weight < 1 is a ValueError."""
+        nets = list(map(list, pins))
+        m = len(nets)
+        sizes = np.fromiter(map(len, nets), dtype=np.int64, count=m)
+        try:
+            flat = np.fromiter(chain.from_iterable(nets), dtype=np.int64, count=int(sizes.sum()))
+        except OverflowError:  # a pin beyond int64: Python ints, so the checks name it
+            flat = np.array([int(v) for v in chain.from_iterable(nets)], dtype=object)
+        net_of_pin = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        bad = (sizes == 0) | (np.bincount(net_of_pin[np.asarray(flat < 0, dtype=bool)],
+                                          minlength=m) > 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"hyperedge {i} has no pins" if sizes[i] == 0
+                             else f"hyperedge {i} has a negative pin")
+        max_pin = flat.max() if flat.size else -1
         if n is None:
-            n = max_pin + 1
+            n = int(max_pin) + 1
         elif max_pin >= n:
             raise ValueError(f"pin {max_pin} out of range for n={n}")
 
-        if vertex_weight is None:
-            vertex_weight = np.ones(n, dtype=np.int64)
-        else:
-            vertex_weight = np.asarray(vertex_weight, dtype=np.int64)
-            if vertex_weight.shape != (n,):
-                raise ValueError("vertex_weight length mismatch")
-        if edge_weight is None:
-            edge_weight = np.ones(m, dtype=np.int64)
-        else:
-            edge_weight = np.asarray(edge_weight, dtype=np.int64)
-            if edge_weight.shape != (m,):
-                raise ValueError("edge_weight length mismatch")
+        vertex_weight = np.asarray(np.ones(n) if vertex_weight is None else vertex_weight, np.int64)
+        if vertex_weight.shape != (n,):
+            raise ValueError("vertex_weight length mismatch")
+        edge_weight = np.asarray(np.ones(m) if edge_weight is None else edge_weight, np.int64)
+        if edge_weight.shape != (m,):
+            raise ValueError("edge_weight length mismatch")
         if np.any(vertex_weight < 1) or np.any(edge_weight < 1):
             raise ValueError("weights must be >= 1")
 
-        sizes = np.fromiter((len(e) for e in cleaned), dtype=np.int64, count=m)
-        pin_offsets = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=pin_offsets[1:])
-        pin_list = np.fromiter(
-            (v for e in cleaned for v in e), dtype=np.int64, count=int(pin_offsets[-1])
-        )
-        inc_offsets, inc_list = _transpose(n, m, pin_offsets, pin_list)
+        pin_offsets, pin_list, net_of_pin = _group(net_of_pin, flat, m)
+        inc_offsets, inc_list, _ = _group(pin_list, net_of_pin, n)
         return cls(n, m, vertex_weight, edge_weight, pin_offsets, pin_list, inc_offsets, inc_list)
 
     def edge_pins(self, e: int) -> np.ndarray:
@@ -130,15 +127,17 @@ class Hypergraph:
         )
 
 
-def _transpose(n, m, pin_offsets, pin_list):
-    """Per-vertex incidence lists from the per-edge pin lists."""
-    edge_ids = np.repeat(np.arange(m, dtype=np.int64), np.diff(pin_offsets))
-    order = np.argsort(pin_list, kind="stable")  # stable keeps edge ids ascending
-    counts = np.bincount(pin_list, minlength=n)
-    inc_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=inc_offsets[1:])
-    inc_list = edge_ids[order]
-    return inc_offsets, inc_list
+def _group(major, minor, n_major):
+    """CSR of the distinct (major, minor) id pairs, sorted by major and then
+    by minor: the offsets (n_major + 1 of them), the minor ids, and the
+    major id of each kept pair."""
+    order = np.lexsort((minor, major))
+    major, minor = major[order], minor[order]
+    keep = (np.diff(major, prepend=-1) != 0) | (np.diff(minor, prepend=-1) != 0)  # ids are >= 0
+    major, minor = major[keep], minor[keep]
+    offsets = np.zeros(n_major + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=n_major), out=offsets[1:])
+    return offsets, minor, major
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def pairwise_improve(
     ``config.pair_rounds`` times.  The input partition is untouched.
     """
     out = p.copy()
-    if p.k < 2 or h.n == 0:
+    if out.cutsize == 0:  # no split can lower it
         return out
     if clique is None:
         clique = clique_expand(h)
@@ -171,11 +171,11 @@ def pairwise_improve(
 
 def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> Partition | None:
     """The best re-split of blocks a and b, or None when no feasible split
-    cuts less than ``part``."""
+    cuts less than ``part``, as none does when no net spans both blocks."""
+    if not np.any((part.pin_count[:, a] > 0) & (part.pin_count[:, b] > 0)):
+        return None
     idx = np.where((part.assignment == a) | (part.assignment == b))[0]
     nbar = idx.shape[0]
-    if nbar < 2:
-        return None
     sub = clique.submatrix(idx)
     L_sub = laplacian(sub)
     B_sub = h.vertex_weight[idx]
@@ -300,7 +300,7 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     if not is_feasible(p, spec):
         raise ValueError("FM refinement requires a feasible starting partition")
     part = p.copy()
-    if h.n == 0 or part.k < 2:
+    if part.cutsize == 0:  # no move can lower it
         return part
     # what every pass reads of h, as Python lists built once
     inc, inc_off = h.inc_list.tolist(), h.inc_offsets.tolist()

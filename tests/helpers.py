@@ -38,6 +38,74 @@ def random_hypergraph(rng, n, m, max_edge_size=4, weighted=False):
     return Hypergraph.from_edges(pins, n=n, vertex_weight=vw, edge_weight=ew)
 
 
+def from_edges_reference(pins, n=None, vertex_weight=None, edge_weight=None) -> Hypergraph:
+    """``Hypergraph.from_edges`` as a per-net loop: each net is converted,
+    sorted and deduplicated on its own, and the incidence lists come from a
+    stable argsort of the pins."""
+    cleaned = []
+    for i, edge in enumerate(pins):
+        uniq = sorted(set(int(v) for v in edge))
+        if not uniq:
+            raise ValueError(f"hyperedge {i} has no pins")
+        if uniq[0] < 0:
+            raise ValueError(f"hyperedge {i} has a negative pin")
+        cleaned.append(uniq)
+    m = len(cleaned)
+    max_pin = max((e[-1] for e in cleaned), default=-1)
+    if n is None:
+        n = max_pin + 1
+    elif max_pin >= n:
+        raise ValueError(f"pin {max_pin} out of range for n={n}")
+    vertex_weight = np.ones(n, dtype=np.int64) if vertex_weight is None \
+        else np.asarray(vertex_weight, dtype=np.int64)
+    if vertex_weight.shape != (n,):
+        raise ValueError("vertex_weight length mismatch")
+    edge_weight = np.ones(m, dtype=np.int64) if edge_weight is None \
+        else np.asarray(edge_weight, dtype=np.int64)
+    if edge_weight.shape != (m,):
+        raise ValueError("edge_weight length mismatch")
+    if np.any(vertex_weight < 1) or np.any(edge_weight < 1):
+        raise ValueError("weights must be >= 1")
+
+    pin_offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in cleaned], out=pin_offsets[1:])
+    pin_list = np.array([v for e in cleaned for v in e], dtype=np.int64)
+    edge_ids = np.repeat(np.arange(m, dtype=np.int64), np.diff(pin_offsets))
+    order = np.argsort(pin_list, kind="stable")  # stable keeps edge ids ascending
+    inc_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pin_list, minlength=n), out=inc_offsets[1:])
+    return Hypergraph(n, m, vertex_weight, edge_weight, pin_offsets, pin_list,
+                      inc_offsets, edge_ids[order])
+
+
+def contract_reference(h: Hypergraph, matching):
+    """``coarsen.contract`` as a per-net loop over sorted pin sets: the
+    coarse hypergraph (built by ``from_edges_reference``) and the map."""
+    rep = np.arange(h.n)
+    for a, b in matching:
+        rep[a] = rep[b] = min(a, b)
+    reps, ids = np.unique(rep, return_inverse=True)
+    vw = np.bincount(ids, weights=h.vertex_weight, minlength=reps.shape[0]).astype(np.int64)
+    merged = {}
+    for e in range(h.m):
+        key = tuple(sorted(set(ids[h.edge_pins(e)].tolist())))
+        if len(key) >= 2:
+            merged[key] = merged.get(key, 0) + int(h.edge_weight[e])
+    keys = sorted(merged)
+    coarse = from_edges_reference(keys, n=reps.shape[0], vertex_weight=vw,
+                                  edge_weight=[merged[key] for key in keys])
+    return coarse, ids
+
+
+def assert_same_hypergraph(got: Hypergraph, want: Hypergraph):
+    """Every field equal, the arrays in dtype too."""
+    assert (type(got.n), got.n, type(got.m), got.m) == (type(want.n), want.n, type(want.m), want.m)
+    for name in ("vertex_weight", "edge_weight", "pin_offsets", "pin_list",
+                 "inc_offsets", "inc_list"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def dense_gu(n):
     """Laplacian of the complete graph on n unit-weight vertices."""
     return n * np.eye(n) - np.ones((n, n))

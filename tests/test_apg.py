@@ -452,6 +452,7 @@ def test_minimize_stack_rejects_nonfinite_solve():
 @pytest.mark.parametrize("field, value", [
     pytest.param("epsilon", 0, id="epsilon-0"),
     pytest.param("epsilon", float("nan"), id="epsilon-nan"),
+    pytest.param("epsilon", float("inf"), id="epsilon-inf"),
     pytest.param("max_iters", 0, id="max_iters-0"),
     pytest.param("max_iters", 2.5, id="max_iters-2.5"),
 ])

@@ -391,7 +391,8 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
     ("--p", "0"), ("--p", "-5"), ("--p", "1"),
-    ("--apg-epsilon", "0"), ("--apg-epsilon", "nan"), ("--apg-max-iters", "0"),
+    ("--apg-epsilon", "0"), ("--apg-epsilon", "nan"), ("--apg-epsilon", "inf"),
+    ("--apg-max-iters", "0"),
     ("--epsilon", "nan"), ("--epsilon", "inf"),
     ("--lambda1", "2"), ("--lambda1", "nan"), ("--lambda2", "-0.5"),
     ("--xi1", "1.5"), ("--xi1", "nan"), ("--xi2", "-1"),

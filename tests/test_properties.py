@@ -18,6 +18,7 @@ from scipy import sparse
 
 from mstpart.apg import ApgParams
 from mstpart.cli import main
+from mstpart.coarsen import contract
 from mstpart.hypergraph import (
     BalanceSpec,
     Hypergraph,
@@ -33,7 +34,15 @@ from mstpart.operators import ObjectiveOperator, clique_expand
 from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
 from mstpart.refine import kway_fm
 
-from helpers import dense_gu, dense_gw, dense_kpartite, km1_oracle
+from helpers import (
+    assert_same_hypergraph,
+    contract_reference,
+    dense_gu,
+    dense_gw,
+    dense_kpartite,
+    from_edges_reference,
+    km1_oracle,
+)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -113,6 +122,82 @@ def test_moves_keep_every_cache_fresh(case, moves):
             with pytest.raises(PartitionFormatError):
                 p.move(v, b)
         assert_caches_fresh(h, p)
+
+
+NET_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "array": lambda net: np.array(net, dtype=np.int64),
+    "float": lambda net: [v + 0.5 for v in net],  # int() truncates toward 0
+}
+
+
+@st.composite
+def raw_nets(draw):
+    """(nets, n, vertex weights, edge weights) as handed to ``from_edges``:
+    duplicate and unsorted pins in one of ``NET_FORMS``, n and the weights
+    given or left out; in half of the cases empty nets, negative pins and
+    weights below 1 may occur too."""
+    bad = draw(st.booleans())
+    pin = st.integers(-1 if bad else 0, 9)
+    nets = draw(st.lists(st.lists(pin, min_size=0 if bad else 1, max_size=5), max_size=8))
+    form = NET_FORMS[draw(st.sampled_from(sorted(NET_FORMS)))]
+    n = draw(st.none() | st.integers(0, 12))
+    weight = st.integers(0 if bad else 1, 3)
+    vw = draw(st.none() | st.lists(weight, min_size=n or 0, max_size=n or 0))
+    ew = draw(st.none() | st.lists(weight, min_size=len(nets), max_size=len(nets)))
+    return [form(net) for net in nets], n, vw, ew
+
+
+@SETTINGS
+@given(case=raw_nets())
+@example(case=([[1], [2**70]], 3, None, None))  # a pin beyond int64
+@example(case=([[1], [-2**70, 2]], None, None, None))  # a negative one beyond int64
+@example(case=([[True, np.int64(3), 2.7, 3]], None, None, None))
+@example(case=([], None, None, None))  # m = 0, n = 0
+@example(case=([[0], [], [-1]], None, None, None))  # the empty net comes first
+@example(case=([[0], [-1], []], None, None, None))  # the negative pin comes first
+def test_from_edges_matches_the_per_net_reference(case):
+    """The CSR arrays equal the per-net loop's, or both raise ``ValueError``
+    with the same message."""
+    nets, n, vw, ew = case
+    try:
+        want = from_edges_reference(nets, n, vw, ew)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Hypergraph.from_edges(nets, n, vw, ew)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_hypergraph(Hypergraph.from_edges(nets, n, vw, ew), want)
+
+
+@st.composite
+def matched_instances(draw):
+    """(nets, n, vertex weights, edge weights, matching): disjoint vertex
+    pairs in random order and orientation."""
+    n = draw(st.integers(1, 12))
+    nets = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5)),
+                         max_size=2 * n))
+    vw = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    ew = draw(st.lists(st.integers(1, 4), min_size=len(nets), max_size=len(nets)))
+    perm = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(0, n // 2))
+    return nets, n, vw, ew, [(perm[2 * i], perm[2 * i + 1]) for i in range(pairs)]
+
+
+@SETTINGS
+@given(case=matched_instances())
+@example(case=([], 4, [1, 2, 3, 4], [], [(0, 3)]))  # m = 0
+@example(case=([[0, 1], [2, 3], [0, 2], [1, 3], [3, 1, 0]], 4, [1] * 4, [1, 2, 3, 4, 5],
+               [(1, 0), (2, 3)]))  # two nets collapse, three merge into one
+def test_contract_matches_the_per_net_reference(case):
+    nets, n, vw, ew, matching = case
+    h = Hypergraph.from_edges(nets, n=n, vertex_weight=vw, edge_weight=ew)
+    level = contract(h, matching)
+    coarse, ids = contract_reference(h, matching)
+    assert_same_hypergraph(level.hypergraph, coarse)
+    assert level.map_to_coarse.dtype == ids.dtype
+    assert np.array_equal(level.map_to_coarse, ids)
 
 
 QUICK = PipelineConfig(num_init=2, pair_rounds=1, apg=ApgParams(max_iters=50))

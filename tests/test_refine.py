@@ -447,6 +447,56 @@ def test_pair_split_km1_tie_keeps_first_grid_point(monkeypatch, first, second):
     assert out.cutsize == 1
 
 
+def counted(monkeypatch, name):
+    """Wrap ``refine.<name>`` so that each call appends to the returned list."""
+    calls, fn = [], getattr(refine, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(refine, name, wrapper)
+    return calls
+
+
+def test_zero_cut_solves_no_pair_and_runs_no_fm_pass(monkeypatch):
+    h = Hypergraph.from_edges([], n=40)  # m = 0
+    solves, passes = counted(monkeypatch, "minimize"), counted(monkeypatch, "_fm_pass")
+    for k in (2, 3):
+        spec = BalanceSpec.for_hypergraph(h, k, 0.1)
+        p = Partition(h, np.arange(40) % k, k)
+        for out in (pairwise_improve(h, p, spec, PipelineConfig()), kway_fm(h, p, spec)):
+            assert np.array_equal(out.assignment, p.assignment)
+            assert out.cutsize == 0
+    assert solves == passes == []
+
+
+def test_pair_sharing_no_net_is_not_solved(monkeypatch):
+    # blocks 0 and 1: the two 4-cliques of two_group_graph with vertex 3
+    # misplaced; blocks 2 and 3: two paths, each touching block 0 only
+    h0 = two_group_graph()
+    nets = [h0.edge_pins(e).tolist() for e in range(h0.m)]
+    nets += [[8, 9], [9, 10], [10, 11], [12, 13], [13, 14], [14, 15], [0, 8], [1, 12]]
+    h = Hypergraph.from_edges(nets, edge_weight=h0.edge_weight.tolist() + [1] * 8)
+    p = Partition(h, [0, 0, 0, 1, 1, 1, 1, 1] + [2] * 4 + [3] * 4, 4)
+    spec = BalanceSpec.for_hypergraph(h, 4, 0.25)
+    assert pair_blocks(h, p) == [(0, 1), (2, 3)]
+    assert block_connectivity(h, p)[2, 3] == 0
+    solves = counted(monkeypatch, "minimize")
+    out = pairwise_improve(h, p, spec, PipelineConfig(pair_rounds=1))
+    assert len(solves) == 1  # the (0, 1) stack only
+    assert out.cutsize < p.cutsize
+    # a solve of the (2, 3) stack could not have lowered the cut: no
+    # feasible re-split of those blocks does
+    members = np.nonzero(out.assignment >= 2)[0]
+    for bits in itertools.product((2, 3), repeat=members.shape[0]):
+        trial = out.assignment.copy()
+        trial[members] = bits
+        trial = Partition(h, trial, 4)
+        if np.all(trial.block_weight <= spec.cap):
+            assert trial.cutsize >= out.cutsize
+
+
 # ---------------------------------------------------------------------------
 # feasibility repair
 
