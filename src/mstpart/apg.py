@@ -89,7 +89,7 @@ class ApgResult:
     ``X`` is the (S, n, c) stack of final iterates.  Per solve, ``steps``
     holds its iteration count and ``residuals`` its final residual; ``log``
     holds its step records as numeric rows (value, alpha, accepted,
-    residual, bound) over a step axis.
+    residual, bound) over a step axis, NaN past the solve's ``steps``.
     """
 
     X: np.ndarray
@@ -285,6 +285,7 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         alpha = alpha_next
         live = error > eps if k < params.max_iters else np.zeros(ids.size, dtype=bool)
 
+    log[:, np.arange(log.shape[2]) >= steps[:, None]] = np.nan  # past each solve's stop
     return ApgResult(X_out, steps, residuals, eps, log)
 
 

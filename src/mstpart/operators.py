@@ -108,8 +108,10 @@ class ObjectiveOperator:
     C[s] X[s] for every solve s.  It evaluates d X - U (coef * (U^T X)) +
     ca (Abar X) in that order on the stack; U^T X and U (.) are one small
     matrix product per solve, whose order does not depend on the stack
-    width, and only the sparse product runs on the stack laid out as one
-    (n, S*c) block.  So every slice is bit-equal to its solve alone.
+    width.  The sparse product runs once on the whole stack, laid out as one
+    (n, S*c) block: X moves there and back by copies that move each row of
+    c floats as one item, and ca scales the product once it is back in
+    (S, n, c) order.  So every slice is bit-equal to its solve alone.
     ``abar`` is required.  A nonzero coefficient without its input
     (``weights`` or ``blocks``) and a negative one are ``ValueError``.
     """
@@ -196,15 +198,25 @@ class ObjectiveOperator:
         """C @ X for every solve, without materializing the complete-graph
         parts; the result has the shape of X."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 3 or X.shape[:2] != (self.solves, self.n):
-            raise ValueError(f"X must be ({self.solves}, {self.n}, c)")
+        if X.ndim != 3 or X.shape[:2] != (self.solves, self.n) or not X.shape[2]:
+            raise ValueError(f"X must be ({self.solves}, {self.n}, c) with c >= 1")
         S, n, c = X.shape
-        out = self.d[:, :, None] * X
+        out = (X.reshape(S, n * c) * np.repeat(self.d, c, axis=1)).reshape(S, n, c)
         out -= self.U @ (self.coef[:, :, None] * (self.U.T @ X))
-        clique = self.abar @ X.transpose(1, 0, 2).reshape(n, S * c)
-        clique *= np.repeat(self.ca, c)
-        out += clique.reshape(n, S, c).transpose(1, 0, 2)
+        clique = self.abar @ _swap_rows(X).reshape(n, S * c)
+        back = _swap_rows(clique.reshape(n, S, c))
+        back *= self.ca[:, None, None]
+        out += back
         return out
+
+
+def _swap_rows(A: np.ndarray) -> np.ndarray:
+    """A contiguous copy of A.transpose(1, 0, 2) for an (a, b, c) float64
+    array A.  Each row of c floats moves as one 8c-byte void item, so the
+    copy's inner loop runs over a or b items instead of c floats."""
+    a, b, c = A.shape
+    rows = np.ascontiguousarray(A).view(f"V{8 * c}").reshape(a, b)
+    return np.ascontiguousarray(rows.T).view(np.float64).reshape(b, a, c)
 
 
 def _reinforced(g: CliqueGraph) -> sparse.csr_matrix:

@@ -18,6 +18,21 @@ def objective(op, X):
     return -(cx * X).sum(axis=(1, 2)), -2.0 * cx
 
 
+def transpose_apply(op, X):
+    """``ObjectiveOperator.apply`` as it once read, kept as its bit-level
+    oracle: d X by broadcasting d over the c columns, the stack transposed
+    float by float into one (n, S*c) block for the sparse product, scaled
+    there by ca, and added back through a transposed view."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    S, n, c = X.shape
+    out = op.d[:, :, None] * X
+    out -= op.U @ (op.coef[:, :, None] * (op.U.T @ X))
+    clique = op.abar @ X.transpose(1, 0, 2).reshape(n, S * c)
+    clique *= np.repeat(op.ca, c)
+    out += clique.reshape(n, S, c).transpose(1, 0, 2)
+    return out
+
+
 def km1_oracle(h: Hypergraph, assignment) -> int:
     """Per-edge distinct-block count, straight from the definition."""
     total = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import objective, random_hypergraph
+from helpers import objective, random_hypergraph, transpose_apply
 from mstpart import apg
 from mstpart.apg import (
     ETA,
@@ -438,6 +438,70 @@ def test_minimize_runs_on_apply_and_take_alone():
         assert np.array_equal(got.residuals, want.residuals)
         assert got.trace == want.trace
         assert len(set(want.steps.tolist())) > 1  # some solves leave the stack early
+
+
+class TransposeStack:
+    """An operator stack seen only through ``apply`` and ``take``, with
+    ``apply`` the transpose-based oracle of ``ObjectiveOperator.apply``."""
+
+    def __init__(self, op):
+        self.op = op
+        self.n = op.n
+
+    def apply(self, X):
+        return transpose_apply(self.op, X)
+
+    def take(self, solves):
+        return TransposeStack(self.op.take(solves))
+
+
+def test_minimize_equals_its_run_on_the_transpose_formula():
+    # a (6, ~300, 2) pair stack, a (2, ~200, 2) embedding stack and a c = 4
+    # stack; some solves leave the stack early and every stack takes a
+    # fallback step
+    rng = np.random.default_rng([71, 0])
+    params = ApgParams(max_iters=200)
+    stacks = []
+    n = int(rng.integers(280, 320))
+    h = random_hypergraph(rng, n, 2 * n, weighted=True)
+    op = ObjectiveOperator.pair_refinement(
+        clique_expand(h), h.vertex_weight, rng.integers(0, 2, size=n), GRID)
+    stacks.append((op, 2))
+    for size, lams, c in ((200, [(0.5, 0.8), (0.015, 1.0)], 2),
+                          (60, [(0.9, 0.8), (0.5, 1.0), (0.15, 0.9)], 4)):
+        n = int(rng.integers(size - 10, size + 20))
+        h = random_hypergraph(rng, n, 2 * n, weighted=True)
+        stacks.append((ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, lams), c))
+    early = 0
+    for op, c in stacks:
+        X0 = np.stack([seeded_features(op.n, c, stream=s) for s in range(op.solves)])
+        got = minimize(op, X0, params)
+        want = minimize(TransposeStack(op), X0, params)
+        assert np.array_equal(got.X.view(np.int64), want.X.view(np.int64))
+        assert np.array_equal(got.steps, want.steps)
+        assert np.array_equal(got.residuals.view(np.int64), want.residuals.view(np.int64))
+        assert got.trace == want.trace
+        assert np.array_equal(got.log, want.log, equal_nan=True)
+        assert not all(rec.accepted for rec in got.trace)
+        early += int((got.steps < params.max_iters).sum())
+    assert early >= 2
+
+
+def test_minimize_log_is_nan_past_each_solve():
+    # np.empty memory once filled the log past a solve's stop; make that
+    # memory dirty between the runs, then compare the whole log
+    rng = np.random.default_rng(73)
+    args, X0 = random_pair_stack(rng)
+    op = ObjectiveOperator.pair_refinement(*args, GRID)
+    first = minimize(op, X0, ApgParams(max_iters=120))
+    np.full(first.log.shape, 7.0)
+    second = minimize(op, X0, ApgParams(max_iters=120))
+    assert np.array_equal(first.log, second.log, equal_nan=True)
+    assert first.log.shape[1:] == (6, 120)
+    assert len(set(first.steps.tolist())) > 1
+    for s, steps in enumerate(first.steps.tolist()):
+        assert np.isnan(first.log[:, s, steps:]).all()
+        assert not np.isnan(first.log[:, s, :steps]).any()
 
 
 def test_minimize_stack_rejects_nonfinite_solve():

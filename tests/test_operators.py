@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import dense_gu, dense_gw, dense_kpartite, objective, random_hypergraph
+from helpers import (
+    dense_gu,
+    dense_gw,
+    dense_kpartite,
+    objective,
+    random_hypergraph,
+    transpose_apply,
+)
 from mstpart.hypergraph import Hypergraph
 from mstpart.operators import (
     CliqueGraph,
@@ -328,6 +335,50 @@ def test_stacked_apply_bit_equals_each_slice(solves, kind, c):
         assert np.array_equal(bits(op.take(pick).apply(X[pick])), bits(got[pick]))
 
 
+def random_stack(rng, kind, solves, n):
+    """An operator stack of ``solves`` solves of the given kind on a random
+    n-vertex instance; some weights are 0 or 1, which zero whole terms."""
+    h = random_hypergraph(rng, n, 2 * n, weighted=True)
+    g = clique_expand(h)
+    B = rng.uniform(0.5, 3.0, size=n)
+    blocks = rng.integers(0, 3, size=n)
+    pairs = rng.choice([0.0, 0.15, 0.5, 0.8, 1.0], size=(solves, 2))
+    if kind == "embedding":
+        return ObjectiveOperator.embedding(g, B, pairs)
+    if kind == "pair":
+        return ObjectiveOperator.pair_refinement(g, B, blocks, pairs)
+    coefs = rng.uniform(size=(4, solves)) * (rng.uniform(size=(4, solves)) < 0.7)
+    abar = (sparse.diags(g.degree) + g.adjacency).tocsr()
+    return ObjectiveOperator(n, abar=abar, ca=coefs[0], cu=coefs[1], cw=coefs[2],
+                             cp=coefs[3], weights=B, blocks=blocks)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("kind", ["embedding", "pair", "custom"])
+def test_apply_bit_equals_the_transpose_formula(kind, c):
+    # rows of c floats move as 8c-byte items; the oracle moves single floats
+    rng = np.random.default_rng([137, c, len(kind)])
+    for solves in (1, 2, 6, 10):
+        for n in (1, 2, 217):
+            op = random_stack(rng, kind, solves, n)
+            X = rng.normal(size=(solves, n, c))
+            inputs = (
+                X,
+                rng.normal(size=(solves, n, 2 * c))[:, :, ::2],  # strided columns
+                rng.normal(size=(n, solves, c)).transpose(1, 0, 2),  # strided rows
+                np.asfortranarray(X),
+                X.astype(np.float32),
+            )
+            for Y in inputs:
+                got = op.apply(Y)
+                assert got.shape == Y.shape and got.dtype == np.float64
+                assert got.flags.c_contiguous
+                assert np.array_equal(bits(got), bits(transpose_apply(op, Y)))
+            for pick in (rng.permutation(solves)[: max(1, solves // 2)], [solves - 1]):
+                sub = op.take(pick)
+                assert np.array_equal(bits(sub.apply(X[pick])), bits(transpose_apply(sub, X[pick])))
+
+
 def test_stack_shapes_are_checked():
     rng = np.random.default_rng(127)
     h = random_hypergraph(rng, 10, 12, weighted=True)
@@ -337,6 +388,8 @@ def test_stack_shapes_are_checked():
         op.apply(np.ones((h.n, 2)))  # an (n, c) block is no stack
     with pytest.raises(ValueError):
         op.apply(np.ones((3, h.n, 2)))
+    with pytest.raises(ValueError, match="c >= 1"):
+        op.apply(np.ones((2, h.n, 0)))
     with pytest.raises(ValueError):  # not even for a stack of one
         op.take([0]).apply(np.ones((h.n, 2)))
     with pytest.raises(ValueError, match="xi2"):
