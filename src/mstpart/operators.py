@@ -98,7 +98,8 @@ class ObjectiveOperator:
     U = [1, B, e_0, ..., e_{K-1}] and coef[s] = [cu[s] + cp[s], cw[s],
     -cp[s], ..., -cp[s]]; B and the e_b are there only when ``weights`` and
     ``blocks`` are given, and d, U and coef are computed once in
-    ``__init__``.  Each coefficient is a nonnegative scalar or one value per
+    ``__init__``; d repeated for c columns is kept per c at its first
+    ``apply``, and a ``take`` stack keeps its own.  Each coefficient is a nonnegative scalar or one value per
     solve; the solves share every input and constant.  With ``abar``
     positive semidefinite, as the constructors build it, C is positive
     semidefinite, which the solver's stepsize rule relies on.
@@ -152,6 +153,7 @@ class ObjectiveOperator:
             coef.extend([-cp] * sizes.shape[0])
         self.weights, self.blocks = weights, blocks
         self.d, self.U, self.coef = d, np.column_stack(columns), np.hstack(coef)
+        self._d_wide: dict[int, np.ndarray] = {}  # d repeated c times, by c
 
     @property
     def solves(self) -> int:
@@ -164,6 +166,7 @@ class ObjectiveOperator:
         sub = copy.copy(self)
         sub.ca, sub.cu, sub.cw, sub.cp, sub.d, sub.coef = (
             a[solves] for a in (self.ca, self.cu, self.cw, self.cp, self.d, self.coef))
+        sub._d_wide = {}
         return sub
 
     # -- constructors -------------------------------------------------------
@@ -201,7 +204,10 @@ class ObjectiveOperator:
         if X.ndim != 3 or X.shape[:2] != (self.solves, self.n) or not X.shape[2]:
             raise ValueError(f"X must be ({self.solves}, {self.n}, c) with c >= 1")
         S, n, c = X.shape
-        out = (X.reshape(S, n * c) * np.repeat(self.d, c, axis=1)).reshape(S, n, c)
+        d = self._d_wide.get(c)
+        if d is None:
+            d = self._d_wide[c] = np.repeat(self.d, c, axis=1)
+        out = (X.reshape(S, n * c) * d).reshape(S, n, c)
         out -= self.U @ (self.coef[:, :, None] * (self.U.T @ X))
         clique = self.abar @ _swap_rows(X).reshape(n, S * c)
         back = _swap_rows(clique.reshape(n, S, c))

@@ -5,12 +5,14 @@ bipartitioner that cuts a spanning tree over heavy "key" vertices and labels
 everything else by proximity to the two side centers, a pairwise pass that
 re-embeds two blocks at a time and re-splits them, a greedy move-and-swap
 repair for overweight blocks, and a pass-based k-way FM, all held to the
-one block weight cap ``BalanceSpec.cap``.  An FM pass runs on local copies
-of the gain table and pin counts, updates a gain only when a move takes one
-of its net's pin counts across 0/1/2, stops once the moves after its best
-prefix drift downhill (the random-walk rule of Osipov & Sanders,
-``STOP_ALPHA`` and ``STOP_BETA``), and applies only its best prefix of moves
-to the partition.
+one block weight cap ``BalanceSpec.cap``.  Repair and FM read the km1 gain
+table once per call into one ``GainTable``, which updates a gain only when
+a move takes one of its net's pin counts across 0/1/2.  A repair step pops
+its move from a heap per block instead of scanning the block.  An FM pass
+runs on a copy of the table, stops once the moves after its best prefix
+drift downhill (the random-walk rule of Osipov & Sanders, ``STOP_ALPHA`` and
+``STOP_BETA``), and applies only its best prefix of moves to the table and
+the partition.
 """
 
 from __future__ import annotations
@@ -199,6 +201,119 @@ def _refine_pair(h, part, spec, clique, a, b, rnd, pair_idx, config) -> Partitio
 
 
 # ---------------------------------------------------------------------------
+# the gain table that repair and FM share
+
+class GainTable:
+    """The km1 move gains of a partition, kept exact under moves.
+
+    ``delta[v][t]`` is the cutsize change of moving vertex v to block t (0
+    for v's own block), read once from ``Partition.move_deltas``;
+    ``pin_count``, ``block`` and ``weight`` are Python-list copies of the
+    partition's tables, and ``nets``, ``pins``, ``edge_weight`` and
+    ``vertex_weight`` those of its hypergraph.  Only ``move`` changes the
+    tables, and it never touches the partition.
+    """
+
+    __slots__ = ("nets", "pins", "edge_weight", "vertex_weight",
+                 "delta", "pin_count", "block", "weight")
+
+    def __init__(self, part: Partition):
+        h = part.h
+        inc, inc_off = h.inc_list.tolist(), h.inc_offsets.tolist()
+        pin_list, pin_off = h.pin_list.tolist(), h.pin_offsets.tolist()
+        # tuples, which the garbage collector stops tracking
+        self.nets = [tuple(inc[inc_off[v]:inc_off[v + 1]]) for v in range(h.n)]
+        self.pins = [tuple(pin_list[pin_off[e]:pin_off[e + 1]]) for e in range(h.m)]
+        self.edge_weight = h.edge_weight.tolist()
+        self.vertex_weight = h.vertex_weight.tolist()
+        self.delta = part.move_deltas(np.arange(h.n)).tolist()
+        self.pin_count = part.pin_count.tolist()
+        self.block = part.assignment.tolist()
+        self.weight = part.block_weight.tolist()
+
+    def copy(self) -> GainTable:
+        """A copy with tables of its own, sharing the hypergraph's lists."""
+        out = GainTable.__new__(GainTable)
+        out.nets, out.pins = self.nets, self.pins
+        out.edge_weight, out.vertex_weight = self.edge_weight, self.vertex_weight
+        out.delta = list(map(list.copy, self.delta))
+        out.pin_count = list(map(list.copy, self.pin_count))
+        out.block, out.weight = self.block[:], self.weight[:]
+        return out
+
+    def move(self, v: int, t: int, skip: list, push, out) -> None:
+        """Move v to block t, which must not be v's own.  The row of every
+        vertex u with ``skip[u]`` is left as it is (stale); every other
+        entry (u, b) of a move that changes, v's own row included unless
+        ``skip[v]``, is handed on as ``push(out, (delta[u][b], u, b))``
+        after each change.  ``skip[v]`` is set while v's nets are walked
+        and restored after.
+
+        A move v: s -> t changes another vertex's gain only on a net e of v
+        whose pin count Phi(e, t) rises to 1 or 2 or whose Phi(e, s) falls
+        to 1 or 0, so walking v's nets costs O(1) per net plus O(|e|) for
+        each net that crosses one of these thresholds.  v's own row drops by
+        its old gain to t in every column, O(k): v's nets count the same
+        pins in every other block, and its move turns exactly the nets that
+        made up its gain to t into its gain back to s.
+        """
+        delta, block, pin_count = self.delta, self.block, self.pin_count
+        pins, edge_weight = self.pins, self.edge_weight
+        s = block[v]
+        own = not skip[v]
+        skip[v] = True  # the walk leaves v's row alone
+        for e in self.nets[v]:
+            row = pin_count[e]
+            ps, pt = row[s], row[t]
+            row[s], row[t] = ps - 1, pt + 1
+            if ps > 2 and pt > 1:
+                continue
+            we = edge_weight[e]
+            if pt == 0:  # t newly spanned: joining t no longer costs w_e
+                for u in pins[e]:
+                    if not skip[u]:
+                        du = delta[u]
+                        du[t] -= we
+                        push(out, (du[t], u, t))
+            elif pt == 1:  # the pin alone in t no longer frees e by leaving
+                for u in pins[e]:
+                    if block[u] == t:
+                        if not skip[u]:
+                            _shift_row(delta[u], we, u, t, push, out)
+                        break
+            if ps == 1:  # s no longer spanned: joining s costs w_e
+                for u in pins[e]:
+                    if not skip[u]:
+                        du = delta[u]
+                        du[s] += we
+                        push(out, (du[s], u, s))
+            elif ps == 2:  # the pin left in s now frees e by leaving
+                for u in pins[e]:
+                    if u != v and block[u] == s:
+                        if not skip[u]:
+                            _shift_row(delta[u], -we, u, s, push, out)
+                        break
+        if own:
+            skip[v] = False
+            dv = delta[v]
+            _shift_row(dv, -dv[t], v, t, push, out)
+            dv[t] = 0
+        block[v] = t
+        w = self.vertex_weight[v]
+        self.weight[s] -= w
+        self.weight[t] += w
+
+
+def _shift_row(row: list, by: int, u: int, own: int, push, out) -> None:
+    """Add ``by`` to the delta of every move of vertex u out of block
+    ``own`` and hand on each new entry."""
+    for b in range(len(row)):
+        if b != own:
+            row[b] += by
+            push(out, (row[b], u, b))
+
+
+# ---------------------------------------------------------------------------
 # feasibility repair
 
 def repair_feasibility(
@@ -213,30 +328,29 @@ def repair_feasibility(
     of another block that keeps the partner block within cap, minimizing
     (cutsize increase, vertex, partner, target).  Gives up once it has made
     2n elementary moves (a swap counts two).  Returns a new partition and a
-    success flag.  A relocation step costs one ``move_deltas`` read; a swap
-    step costs two ``move`` calls and one ``move_deltas`` read per (vertex,
-    other block).
+    success flag.
+
+    A run of relocations reads the gain table once into a ``GainTable`` and
+    pops each move from a lazy heap per block, so a step costs O(log n) per
+    heap entry it pops plus the ``GainTable.move`` walk, with no scan over
+    the block.  A swap step costs two ``move`` calls and one
+    ``move_deltas`` read per (vertex, other block), and the relocations
+    after it read the table again.
     """
     part = p.copy()
     cap = spec.cap
     B = h.vertex_weight
     ops = 0
     while ops < 2 * h.n:
+        ops = _relocate(part, cap, ops, 2 * h.n)
         over = part.block_weight - cap
         src = int(np.argmax(over))
         if over[src] <= 0:
             return part, True
-        members = np.nonzero(part.assignment == src)[0]
-        # src itself never fits: it is over cap and weights are >= 1
-        rows, ts = np.nonzero(part.block_weight + B[members, None] <= cap)
-        if rows.size:
-            vs = members[rows]
-            delta = part.move_deltas(members)[rows, ts]
-            i = np.lexsort((ts, vs, B[vs], delta))[0]
-            part.move(int(vs[i]), int(ts[i]))
-            ops += 1
-            continue
+        if ops >= 2 * h.n:
+            break
 
+        members = np.nonzero(part.assignment == src)[0]
         blocks = [np.nonzero(part.assignment == t)[0] for t in range(part.k)]
         best_swap = None
         for v in members.tolist():
@@ -260,6 +374,64 @@ def repair_feasibility(
         part.move(u, src)
         ops += 2
     return part, bool(np.all(part.block_weight <= cap))
+
+
+def _relocate(part: Partition, cap: float, ops: int, limit: int) -> int:
+    """Make the relocation steps of ``repair_feasibility`` on ``part`` until
+    no block is over the cap, ``ops`` reaches ``limit`` or no move out of
+    the most overloaded block fits; returns ``ops``.
+
+    Block b's heap holds (delta, weight, v, t) for its vertices v and every
+    other block t.  It is built the first time b is the most overloaded
+    block, and then gets an entry for every table entry of a vertex in b
+    that changes, the row of a vertex entering b included.  A popped entry
+    is stale when v has left b or its delta has changed, and one that does
+    not fit under the cap waits in ``deferred[t]`` until block t loses
+    weight, which only a move out of t does.  So the first entry that is
+    neither is the least (delta, weight, v, t) among the moves that fit.
+    """
+    if part.block_weight.max() <= cap:
+        return ops
+    table = GainTable(part)
+    delta, block, weight, vertex_weight = table.delta, table.block, table.weight, table.vertex_weight
+    n, k = len(block), part.k
+    heaps: list[list | None] = [None] * k
+    deferred: list[list] = [[] for _ in range(k)]  # (its heap's block, entry)
+    nobody = [False] * n
+    pop, push = heapq.heappop, heapq.heappush
+    while ops < limit:
+        src = max(range(k), key=weight.__getitem__)  # the first heaviest
+        if weight[src] <= cap:
+            break
+        heap = heaps[src]
+        if heap is None:
+            heap = heaps[src] = [(delta[v][t], vertex_weight[v], v, t)
+                                 for v in range(n) if block[v] == src
+                                 for t in range(k) if t != src]
+            heapq.heapify(heap)
+        while heap:
+            item = pop(heap)
+            d, w, v, t = item
+            if block[v] != src or delta[v][t] != d:
+                continue
+            if weight[t] + w > cap:
+                deferred[t].append((src, item))  # fits only after t loses weight
+                continue
+            break
+        else:
+            break  # nothing fits: a swap step follows
+        changed: list[tuple[int, int, int]] = []
+        table.move(v, t, nobody, list.append, changed)
+        part.move(v, t)
+        for d, u, b in changed:
+            own = heaps[block[u]]
+            if own is not None:
+                push(own, (d, vertex_weight[u], u, b))
+        for b, item in deferred[src]:  # the only block that lost weight
+            push(heaps[b], item)
+        deferred[src].clear()
+        ops += 1
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -289,45 +461,34 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     + beta term keep short or noisy downhill runs going, so a pass that
     would still reach a better prefix is seldom cut.
 
-    A pass reads the gain table once and then keeps it exact itself: a move
-    v: s -> t changes a gain only on a net e of v whose pin count
-    Phi(e, t) rises to 1 or 2 or whose Phi(e, s) falls to 1 or 0.  Walking
-    v's nets therefore costs O(1) per net plus O(|e|) for each net that
-    crosses one of these thresholds.  A heap entry (gain, v, t) is pushed
-    whenever the gain of moving v to t changes, and it is live while v is
-    unlocked and the gain table still holds that gain.
+    The gain table is read once per call into a ``GainTable``.  A pass
+    moves through a copy of it, on which it lets the rows of locked
+    vertices go stale, and then replays its best prefix on the table
+    itself, so every pass starts from the exact table without reading it
+    again.  A heap entry (gain, v, t) is pushed whenever the gain of moving
+    v to t changes, and it is live while v is unlocked and the table still
+    holds that gain.
     """
     if not is_feasible(p, spec):
         raise ValueError("FM refinement requires a feasible starting partition")
     part = p.copy()
     if part.cutsize == 0:  # no move can lower it
         return part
-    # what every pass reads of h, as Python lists built once
-    inc, inc_off = h.inc_list.tolist(), h.inc_offsets.tolist()
-    pin_list, pin_off = h.pin_list.tolist(), h.pin_offsets.tolist()
-    graph = (
-        [inc[inc_off[v]:inc_off[v + 1]] for v in range(h.n)],
-        [pin_list[pin_off[e]:pin_off[e + 1]] for e in range(h.m)],
-        h.edge_weight.tolist(),
-        h.vertex_weight.tolist(),
-    )
+    table = GainTable(part)
     for _ in range(50):
-        if _fm_pass(part, spec.cap, *graph) <= 0:
+        if _fm_pass(part, spec.cap, table) <= 0:
             break
     return part
 
 
-def _fm_pass(part: Partition, cap: float, nets: list, pins: list,
-             edge_weight: list, vertex_weight: list) -> int:
-    """One FM pass on local copies of the partition's tables, ended by the
-    stop rule of ``kway_fm`` or an empty heap; applies the best prefix of
-    its moves to ``part`` and returns that prefix's gain.  ``nets`` holds
-    each vertex's nets and ``pins`` each net's pins."""
-    n, k = len(nets), part.k
-    delta = part.move_deltas(np.arange(n)).tolist()  # cutsize change of (v, t)
-    pin_count = part.pin_count.tolist()
-    block = part.assignment.tolist()
-    weight = part.block_weight.tolist()
+def _fm_pass(part: Partition, cap: float, table: GainTable) -> int:
+    """One FM pass on a copy of ``table``, ended by the stop rule of
+    ``kway_fm`` or an empty heap; applies the pass's best prefix of moves to
+    ``table`` and ``part`` and returns that prefix's gain.  On the copy the
+    rows of locked vertices go stale, as nothing reads them."""
+    work = table.copy()
+    delta, block, weight, vertex_weight = work.delta, work.block, work.weight, work.vertex_weight
+    n, k = len(block), part.k
     locked = [False] * n
     heap = [(row[t], v, t) for v, row in enumerate(delta)
             for t in range(k) if t != block[v]]
@@ -344,44 +505,12 @@ def _fm_pass(part: Partition, cap: float, nets: list, pins: list,
         d, v, t = item
         if locked[v] or d != delta[v][t]:
             continue
-        w = vertex_weight[v]
-        if weight[t] + w > cap:
+        if weight[t] + vertex_weight[v] > cap:
             deferred[t].append(item)  # fits only after t loses weight
             continue
         s = block[v]
         locked[v] = True
-        for e in nets[v]:
-            row = pin_count[e]
-            ps, pt = row[s], row[t]
-            row[s], row[t] = ps - 1, pt + 1
-            if ps > 2 and pt > 1:
-                continue
-            we = edge_weight[e]
-            if pt == 0:  # t newly spanned: joining t no longer costs w_e
-                for u in pins[e]:
-                    if not locked[u]:
-                        delta[u][t] -= we
-                        push(heap, (delta[u][t], u, t))
-            elif pt == 1:  # the pin alone in t no longer frees e by leaving
-                for u in pins[e]:
-                    if block[u] == t:
-                        if not locked[u]:
-                            _shift_row(heap, delta[u], we, u, t)
-                        break
-            if ps == 1:  # s no longer spanned: joining s costs w_e
-                for u in pins[e]:
-                    if not locked[u]:
-                        delta[u][s] += we
-                        push(heap, (delta[u][s], u, s))
-            elif ps == 2:  # the pin left in s now frees e by leaving
-                for u in pins[e]:
-                    if u != v and block[u] == s:
-                        if not locked[u]:
-                            _shift_row(heap, delta[u], -we, u, s)
-                        break
-        block[v] = t
-        weight[s] -= w
-        weight[t] += w
+        work.move(v, t, locked, push, heap)
         moves.append((v, t))
         cum -= d
         if cum > best_cum:
@@ -400,15 +529,8 @@ def _fm_pass(part: Partition, cap: float, nets: list, pins: list,
             push(heap, item)
         deferred[s].clear()
 
+    nobody = [False] * n
     for v, t in moves[:best_len]:
+        table.move(v, t, nobody, list.append, [])
         part.move(v, t)
     return best_cum
-
-
-def _shift_row(heap: list, row: list, by: int, u: int, own: int) -> None:
-    """Add ``by`` to the delta of every move of vertex u out of block ``own``
-    and push each new gain."""
-    for b in range(len(row)):
-        if b != own:
-            row[b] += by
-            heapq.heappush(heap, (row[b], u, b))

@@ -379,6 +379,23 @@ def test_apply_bit_equals_the_transpose_formula(kind, c):
                 assert np.array_equal(bits(sub.apply(X[pick])), bits(transpose_apply(sub, X[pick])))
 
 
+def test_apply_keeps_the_wide_diagonal_per_column_count():
+    rng = np.random.default_rng(139)
+    op = random_stack(rng, "pair", 6, 40)
+    for c in (2, 3, 2, 1, 3):
+        X = rng.normal(size=(6, 40, c))
+        assert np.array_equal(bits(op.apply(X)), bits(transpose_apply(op, X)))
+    assert sorted(op._d_wide) == [1, 2, 3]
+    for c, wide in op._d_wide.items():
+        assert np.array_equal(wide, np.repeat(op.d, c, axis=1))
+    sub = op.take([4, 1])  # fewer solves: its own cache, empty at first
+    assert sub._d_wide == {}
+    X = rng.normal(size=(2, 40, 2))
+    assert np.array_equal(bits(sub.apply(X)), bits(transpose_apply(sub, X)))
+    assert sub._d_wide[2].shape == (2, 80)
+    assert sorted(op._d_wide) == [1, 2, 3] and op._d_wide[2].shape == (6, 80)
+
+
 def test_stack_shapes_are_checked():
     rng = np.random.default_rng(127)
     h = random_hypergraph(rng, 10, 12, weighted=True)

@@ -9,6 +9,7 @@ The operator cases add unused block ids and stacks of 1 to 6 solves.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from mstpart.hypergraph import (
 from mstpart.initial import _p_choices
 from mstpart.operators import ObjectiveOperator, clique_expand
 from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
-from mstpart.refine import kway_fm
+from mstpart import refine
+from mstpart.refine import GainTable, kway_fm
 
 from helpers import (
     assert_same_hypergraph,
@@ -122,6 +124,84 @@ def test_moves_keep_every_cache_fresh(case, moves):
             with pytest.raises(PartitionFormatError):
                 p.move(v, b)
         assert_caches_fresh(h, p)
+
+
+def fresh_read(p):
+    """What a ``GainTable`` of ``p`` holds, read from ``p`` itself."""
+    return (p.move_deltas(np.arange(p.h.n)).tolist(), p.pin_count.tolist(),
+            p.assignment.tolist(), p.block_weight.tolist())
+
+
+def table_state(table):
+    return table.delta, table.pin_count, table.block, table.weight
+
+
+@SETTINGS
+@given(case=instances(), moves=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 7)),
+                                        max_size=20),
+       frozen=st.lists(st.integers(0, 11), max_size=4))
+@example(case=([], 6, [1, 2, 1, 3, 1, 2], [], 2, 0.1, [0, 1, 0, 1, 0, 1]),  # m = 0
+         moves=[(0, 1), (3, 0), (5, 0)], frozen=[])
+@example(case=([[0, 1], [1, 2]], 6, [1] * 6, [2, 1], 3, 0.0, [0, 1, 2, 0, 1, 2]),  # isolated
+         moves=[(1, 2), (4, 0), (2, 1), (1, 0), (0, 2)], frozen=[5])
+@example(case=([list(range(7))], 7, [1] * 7, [3], 2, 0.2, [0, 1, 0, 1, 0, 1, 0]),  # one net over all
+         moves=[(1, 0), (3, 0), (5, 0), (0, 1), (1, 1)], frozen=[])
+@example(case=([[0, 1], [1, 2], [0, 2]], 3, [1, 1, 1], [1, 1, 1], 5, 0.0, [0, 1, 2]),  # k >= n
+         moves=[(0, 3), (1, 3), (2, 4), (0, 1), (2, 0)], frozen=[1])
+def test_gain_table_moves_match_a_fresh_read(case, moves, frozen):
+    # rows of ``frozen`` vertices are skipped, as FM skips locked ones:
+    # they keep their first values while every other row stays exact
+    h, _, p = build(case)
+    assume(p is not None)
+    table = GainTable(p)
+    assert table_state(table) == fresh_read(p)
+    skip = [False] * h.n
+    for u in frozen:
+        skip[u % h.n] = True
+    start = [row[:] for row in table.delta]
+    for v, b in moves:
+        v, b = v % h.n, b % p.k
+        if b == table.block[v]:
+            continue
+        before, handed = [row[:] for row in table.delta], {}
+        table.move(v, b, skip, lambda out, entry: out.__setitem__(entry[1:], entry[0]), handed)
+        p.move(v, b)
+        delta, *rest = fresh_read(p)
+        assert table_state(table)[1:] == tuple(rest)
+        for u in range(h.n):
+            assert table.delta[u] == (start[u] if skip[u] else delta[u])
+            for c in range(p.k):  # each changed move was handed on, last at its value
+                if c != table.block[u] and table.delta[u][c] != before[u][c]:
+                    assert handed[u, c] == table.delta[u][c]
+        for (u, c), d in handed.items():
+            assert not skip[u] and table.delta[u][c] == d
+        assert sum(skip) == len({u % h.n for u in frozen})  # skip[v] was restored
+    assert_caches_fresh(h, p)
+
+
+@SETTINGS
+@given(case=instances())
+@example(case=([], 6, [1, 2, 1, 3, 1, 2], [], 2, 0.1, [0, 1, 0, 1, 0, 1]))  # m = 0
+@example(case=([[0, 1], [1, 2]], 6, [1] * 6, [2, 1], 3, 0.0, [0, 1, 2, 0, 1, 2]))  # isolated
+@example(case=([list(range(7))], 7, [1] * 7, [3], 2, 0.2, [0, 1, 0, 1, 0, 1, 0]))  # one net over all
+@example(case=([[0, 1], [1, 2], [0, 2]], 3, [1, 1, 1], [1, 1, 1], 5, 0.0, [0, 1, 2]))  # k >= n
+def test_every_fm_pass_starts_from_a_fresh_read(case):
+    h, spec, p = build(case)
+    assume(p is not None)
+    fm_pass, passes = refine._fm_pass, []
+
+    def checked(part, cap, table):
+        assert table_state(table) == fresh_read(part)
+        passes.append(fm_pass(part, cap, table))
+        assert table_state(table) == fresh_read(part)  # the kept prefix, replayed
+        return passes[-1]
+
+    with mock.patch.object(refine, "_fm_pass", checked):
+        out = kway_fm(h, p, spec)
+    assert (len(passes) == 0) == (p.cutsize == 0)
+    assert all(gain > 0 for gain in passes[:-1])
+    assert p.cutsize - out.cutsize == sum(passes[:-1]) + max(passes[-1:] + [0])
+    assert_caches_fresh(h, out)
 
 
 NET_FORMS = {

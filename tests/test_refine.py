@@ -643,6 +643,69 @@ def test_repair_matches_reference_rule():
     assert swapped >= 20
 
 
+def repair_edge_cases():
+    """Overloaded starts with a vertex heavier than the cap, with k >= n and
+    with m = 0, each as (h, p, spec)."""
+    cases = []
+    # vertex 0 weighs 9 against caps of 7 (k = 2) and 5 (k = 3)
+    h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]],
+                              vertex_weight=[9, 1, 1, 1, 1])
+    for k, start in ((2, [0, 0, 0, 1, 1]), (2, [1, 0, 0, 0, 0]), (3, [0, 0, 1, 1, 2])):
+        cases.append((h, Partition(h, start, k), BalanceSpec.for_hypergraph(h, k, 0.0)))
+    # k >= n: every vertex starts in block 0
+    for n, k in ((3, 3), (3, 5), (4, 6)):
+        h = Hypergraph.from_edges([[0, 1], [1, 2], [0, n - 1]], n=n)
+        cases.append((h, Partition(h, [0] * n, k), BalanceSpec.for_hypergraph(h, k, 0.0)))
+    # m = 0; the first start ends with a swap, as no relocation fits
+    h = Hypergraph.from_edges([], n=8, vertex_weight=[3, 1, 2, 3, 1, 2, 3, 1])
+    for k, start in ((2, [0] * 8), (3, [0] * 8), (2, [0, 1, 0, 1, 0, 1, 0, 0])):
+        cases.append((h, Partition(h, start, k), BalanceSpec.for_hypergraph(h, k, 0.0)))
+    return cases
+
+
+def test_repair_edge_cases_match_reference_rule():
+    flags = []
+    for h, p, spec in repair_edge_cases():
+        ref, ref_ok, _ = reference_repair(h, p, spec)
+        out, ok = repair_feasibility(h, p, spec)
+        assert np.array_equal(out.assignment, ref.assignment)
+        assert ok == ref_ok
+        assert out.cutsize == ref.cutsize == km1_oracle(h, out.assignment)
+        assert np.array_equal(out.block_weight, Partition(h, out.assignment, p.k).block_weight)
+        flags.append(ok)
+    assert flags[:3] == [False] * 3  # no block can hold the heavy vertex
+    assert all(flags[3:])
+
+
+def test_gain_table_is_read_once_per_repair_and_per_fm_call(monkeypatch):
+    n, k = 2000, 4
+    h, _ = planted_instance(n, 2 * k, seed=5)
+    spec = BalanceSpec.for_hypergraph(h, k, 0.03)
+    reads, move_deltas = [], Partition.move_deltas
+
+    def counting(self, vertices):
+        reads.append(len(vertices))
+        return move_deltas(self, vertices)
+
+    monkeypatch.setattr(Partition, "move_deltas", counting)
+    # unit weights: from all-in-block-0 some relocation always fits, so no swap
+    out, ok = repair_feasibility(h, Partition(h, np.zeros(n, dtype=np.int64), k), spec)
+    assert ok and np.count_nonzero(out.assignment) >= n - spec.cap
+    assert reads == [n]  # every relocation step takes its move from that one read
+
+    passes = counted(monkeypatch, "_fm_pass")
+    reads.clear()
+    refined = kway_fm(h, out, spec)
+    assert len(passes) >= 3
+    assert refined.cutsize < out.cutsize
+    assert reads == [n]
+
+    reads.clear()
+    again, ok = repair_feasibility(h, refined, spec)  # feasible: nothing to read
+    assert ok and reads == []
+    assert np.array_equal(again.assignment, refined.assignment)
+
+
 def count_move_calls(monkeypatch):
     calls = []
     original = Partition.move
