@@ -335,8 +335,10 @@ class Partition:
     def move(self, v: int, block: int) -> int:
         """Move vertex v to `block`, updating caches.  Returns the cutsize delta.
 
-        A block id outside 0..k-1 is a ``PartitionFormatError``, raised
-        before any cache changes."""
+        A vertex id outside 0..n-1 or a block id outside 0..k-1 is a
+        ``PartitionFormatError``, raised before any cache changes."""
+        if not 0 <= v < self.h.n:
+            raise PartitionFormatError(f"vertex id {v} out of range 0..{self.h.n - 1}")
         if not 0 <= block < self.k:
             raise PartitionFormatError(f"block id {block} out of range 0..{self.k - 1}")
         old = int(self.assignment[v])

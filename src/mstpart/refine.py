@@ -7,12 +7,11 @@ re-embeds two blocks at a time and re-splits them, a greedy move-and-swap
 repair for overweight blocks, and a pass-based k-way FM, all held to the
 one block weight cap ``BalanceSpec.cap``.  Repair and FM read the km1 gain
 table once per call into one ``GainTable``, which updates a gain only when
-a move takes one of its net's pin counts across 0/1/2.  A repair step pops
-its move from a heap per block instead of scanning the block.  An FM pass
-runs on a copy of the table, stops once the moves after its best prefix
-drift downhill (the random-walk rule of Osipov & Sanders, ``STOP_ALPHA`` and
-``STOP_BETA``), and applies only its best prefix of moves to the table and
-the partition.
+a move takes one of its net's pin counts across 0/1/2, and take every move
+gain from it: repair pops its relocations from a heap per block and scores
+its swaps by trial moves on the table, and FM runs each pass on a copy,
+stops it by the random-walk rule of Osipov & Sanders (``STOP_ALPHA``,
+``STOP_BETA``) and applies only its best prefix of moves.
 """
 
 from __future__ import annotations
@@ -324,74 +323,26 @@ def repair_feasibility(
     While any block exceeds the cap: from the most-overloaded block, apply
     the single relocation into a block that stays within the cap minimizing
     (cutsize increase, vertex weight, vertex index, target).  If no vertex
-    fits anywhere, try the best strictly-load-reducing swap with a vertex
+    fits anywhere, apply the best strictly-load-reducing swap with a vertex
     of another block that keeps the partner block within cap, minimizing
     (cutsize increase, vertex, partner, target).  Gives up once it has made
     2n elementary moves (a swap counts two).  Returns a new partition and a
     success flag.
 
-    A run of relocations reads the gain table once into a ``GainTable`` and
-    pops each move from a lazy heap per block, so a step costs O(log n) per
-    heap entry it pops plus the ``GainTable.move`` walk, with no scan over
-    the block.  A swap step costs two ``move`` calls and one
-    ``move_deltas`` read per (vertex, other block), and the relocations
-    after it read the table again.
+    The gain table is read once per call, when a block is over the cap,
+    into a ``GainTable`` that every move updates.  Block b's heap of
+    (delta, weight, v, t), built the first time b is the most overloaded
+    block, gets every changed entry of a vertex in b, the row of a vertex
+    entering b included.  A popped entry is stale when v has left b or its
+    delta has changed; one that does not fit waits in ``deferred[t]`` until
+    block t loses weight.  So the first entry that is neither is the least
+    move that fits, found without a scan.  The heaps and deferred entries
+    carry across swaps, and ``_best_swap`` scores a swap from the table.
     """
     part = p.copy()
     cap = spec.cap
-    B = h.vertex_weight
-    ops = 0
-    while ops < 2 * h.n:
-        ops = _relocate(part, cap, ops, 2 * h.n)
-        over = part.block_weight - cap
-        src = int(np.argmax(over))
-        if over[src] <= 0:
-            return part, True
-        if ops >= 2 * h.n:
-            break
-
-        members = np.nonzero(part.assignment == src)[0]
-        blocks = [np.nonzero(part.assignment == t)[0] for t in range(part.k)]
-        best_swap = None
-        for v in members.tolist():
-            bv = int(B[v])
-            for t, us in enumerate(blocks):
-                if t == src:
-                    continue
-                us = us[(B[us] < bv) & (part.block_weight[t] - B[us] + bv <= cap)]
-                if us.size == 0:
-                    continue
-                d = part.move(v, t) + part.move_deltas(us)[:, src]
-                part.move(v, src)
-                j = int(np.argmin(d))
-                key = (int(d[j]), v, int(us[j]), t)
-                if best_swap is None or key < best_swap:
-                    best_swap = key
-        if best_swap is None:
-            return part, False
-        _, v, u, t = best_swap
-        part.move(v, t)
-        part.move(u, src)
-        ops += 2
-    return part, bool(np.all(part.block_weight <= cap))
-
-
-def _relocate(part: Partition, cap: float, ops: int, limit: int) -> int:
-    """Make the relocation steps of ``repair_feasibility`` on ``part`` until
-    no block is over the cap, ``ops`` reaches ``limit`` or no move out of
-    the most overloaded block fits; returns ``ops``.
-
-    Block b's heap holds (delta, weight, v, t) for its vertices v and every
-    other block t.  It is built the first time b is the most overloaded
-    block, and then gets an entry for every table entry of a vertex in b
-    that changes, the row of a vertex entering b included.  A popped entry
-    is stale when v has left b or its delta has changed, and one that does
-    not fit under the cap waits in ``deferred[t]`` until block t loses
-    weight, which only a move out of t does.  So the first entry that is
-    neither is the least (delta, weight, v, t) among the moves that fit.
-    """
     if part.block_weight.max() <= cap:
-        return ops
+        return part, True
     table = GainTable(part)
     delta, block, weight, vertex_weight = table.delta, table.block, table.weight, table.vertex_weight
     n, k = len(block), part.k
@@ -399,10 +350,25 @@ def _relocate(part: Partition, cap: float, ops: int, limit: int) -> int:
     deferred: list[list] = [[] for _ in range(k)]  # (its heap's block, entry)
     nobody = [False] * n
     pop, push = heapq.heappop, heapq.heappush
-    while ops < limit:
+
+    def apply(v: int, t: int) -> None:
+        s = block[v]
+        changed: list[tuple[int, int, int]] = []
+        table.move(v, t, nobody, list.append, changed)
+        part.move(v, t)
+        for d, u, b in changed:
+            own = heaps[block[u]]
+            if own is not None:
+                push(own, (d, vertex_weight[u], u, b))
+        for b, item in deferred[s]:  # the only block that lost weight
+            push(heaps[b], item)
+        deferred[s].clear()
+
+    ops = 0
+    while ops < 2 * n:
         src = max(range(k), key=weight.__getitem__)  # the first heaviest
         if weight[src] <= cap:
-            break
+            return part, True
         heap = heaps[src]
         if heap is None:
             heap = heaps[src] = [(delta[v][t], vertex_weight[v], v, t)
@@ -417,21 +383,52 @@ def _relocate(part: Partition, cap: float, ops: int, limit: int) -> int:
             if weight[t] + w > cap:
                 deferred[t].append((src, item))  # fits only after t loses weight
                 continue
+            apply(v, t)
+            ops += 1
             break
-        else:
-            break  # nothing fits: a swap step follows
-        changed: list[tuple[int, int, int]] = []
-        table.move(v, t, nobody, list.append, changed)
-        part.move(v, t)
-        for d, u, b in changed:
-            own = heaps[block[u]]
-            if own is not None:
-                push(own, (d, vertex_weight[u], u, b))
-        for b, item in deferred[src]:  # the only block that lost weight
-            push(heaps[b], item)
-        deferred[src].clear()
-        ops += 1
-    return ops
+        else:  # nothing fits: swap
+            swap = _best_swap(table, src, cap)
+            if swap is None:
+                return part, False
+            v, u, t = swap
+            apply(v, t)
+            apply(u, src)
+            ops += 2
+    return part, max(weight) <= cap
+
+
+def _best_swap(table: GainTable, src: int, cap: float) -> tuple[int, int, int] | None:
+    """The swap of ``repair_feasibility`` out of block ``src`` as (v, u, t):
+    v leaves src for t and a lighter u of t takes its place, t staying
+    within the cap, minimizing (cutsize increase, v, u, t); None when no
+    swap fits.  Each (v, t) is scored by moving v to t on ``table`` and
+    back, which leaves it as it was, reading u's gain to src in between."""
+    delta, block, weight, vertex_weight = table.delta, table.block, table.weight, table.vertex_weight
+    members = [[u for u, b in enumerate(block) if b == c] for c in range(len(weight))]
+    nobody = [False] * len(block)
+    partners: dict[tuple[int, int], list[int]] = {}  # by (weight of v, t)
+    swaps = []
+    for v in members[src]:
+        wv = vertex_weight[v]
+        for t, us in enumerate(members):
+            if t == src:
+                continue
+            if (wv, t) not in partners:
+                partners[wv, t] = [u for u in us if vertex_weight[u] < wv
+                                   and weight[t] - vertex_weight[u] + wv <= cap]
+            fitting = partners[wv, t]
+            if not fitting:
+                continue
+            table.move(v, t, nobody, _drop, None)
+            gains = [delta[u][src] for u in fitting]
+            du = min(gains)  # lowest u first; v's delta back to src is minus its delta to t
+            swaps.append((du - delta[v][src], v, fitting[gains.index(du)], t))
+            table.move(v, src, nobody, _drop, None)
+    return min(swaps)[1:] if swaps else None
+
+
+def _drop(out, entry) -> None:
+    """A ``GainTable.move`` push that keeps nothing."""
 
 
 # ---------------------------------------------------------------------------

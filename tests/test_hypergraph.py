@@ -250,6 +250,19 @@ def test_move_rejects_block_ids_outside_k(block):
     assert p.cutsize == fresh.cutsize == 1
 
 
+@pytest.mark.parametrize("v", [-1, 4])
+def test_move_rejects_vertex_ids_outside_n(v):
+    h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
+    p = Partition(h, [0, 0, 1, 1], 2)
+    with pytest.raises(PartitionFormatError, match=f"vertex id {v} "):
+        p.move(v, 0)
+    fresh = Partition(h, [0, 0, 1, 1], 2)
+    assert p.assignment.tolist() == [0, 0, 1, 1]
+    assert p.block_weight.tolist() == fresh.block_weight.tolist()
+    assert np.array_equal(p.pin_count, fresh.pin_count)
+    assert p.cutsize == fresh.cutsize == 1
+
+
 def pin_count_oracle(h, assignment, k):
     table = np.zeros((h.m, k), dtype=np.int64)
     for e in range(h.m):

@@ -159,17 +159,27 @@ def test_gain_table_moves_match_a_fresh_read(case, moves, frozen):
     for u in frozen:
         skip[u % h.n] = True
     start = [row[:] for row in table.delta]
-    for v, b in moves:
-        v, b = v % h.n, b % p.k
-        if b == table.block[v]:
-            continue
-        before, handed = [row[:] for row in table.delta], {}
-        table.move(v, b, skip, lambda out, entry: out.__setitem__(entry[1:], entry[0]), handed)
-        p.move(v, b)
+
+    def assert_fresh():
         delta, *rest = fresh_read(p)
         assert table_state(table)[1:] == tuple(rest)
         for u in range(h.n):
             assert table.delta[u] == (start[u] if skip[u] else delta[u])
+
+    for v, b in moves:
+        v, b = v % h.n, b % p.k
+        s = table.block[v]
+        if b == s:
+            continue
+        # a trial move there and back, as a repair swap step makes, restores the table
+        table.move(v, b, skip, lambda out, entry: None, None)
+        table.move(v, s, skip, lambda out, entry: None, None)
+        assert_fresh()
+        before, handed = [row[:] for row in table.delta], {}
+        table.move(v, b, skip, lambda out, entry: out.__setitem__(entry[1:], entry[0]), handed)
+        p.move(v, b)
+        assert_fresh()
+        for u in range(h.n):
             for c in range(p.k):  # each changed move was handed on, last at its value
                 if c != table.block[u] and table.delta[u][c] != before[u][c]:
                     assert handed[u, c] == table.delta[u][c]

@@ -660,7 +660,30 @@ def repair_edge_cases():
     h = Hypergraph.from_edges([], n=8, vertex_weight=[3, 1, 2, 3, 1, 2, 3, 1])
     for k, start in ((2, [0] * 8), (3, [0] * 8), (2, [0, 1, 0, 1, 0, 1, 0, 0])):
         cases.append((h, Partition(h, start, k), BalanceSpec.for_hypergraph(h, k, 0.0)))
+    # k = 3: a move that waits for its target block to lose weight fits
+    # again later; the first repair also makes a swap
+    for pins, vw, ew, start in (
+        ([[6], [0, 1, 4], [3, 4, 5, 6], [1, 2, 3, 4], [0, 5], [4], [2, 5, 6]],
+         [1, 3, 1, 4, 5, 2, 2], [2, 3, 2, 2, 4, 2, 3], [0, 0, 0, 2, 2, 0, 0]),
+        ([[4, 5], [1, 2, 4], [1, 4, 5, 6], [0, 3, 5, 7], [1, 2, 3, 7], [2, 5], [6], [1, 3]],
+         [3, 2, 5, 2, 3, 3, 1, 2], [1, 4, 4, 1, 3, 2, 1, 3], [1, 2, 2, 0, 0, 0, 2, 2]),
+    ):
+        h = Hypergraph.from_edges(pins, vertex_weight=vw, edge_weight=ew)
+        cases.append((h, Partition(h, start, 3), BalanceSpec.for_hypergraph(h, 3, 0.0)))
+    cases.append(multi_swap_instance(30, 30))
     return cases
+
+
+def multi_swap_instance(n0, n1):
+    """k = 2, block 0 of n0 weight-50 vertices, block 1 of n1 weight-49
+    ones, cap = ceil(total / 2).  No relocation ever fits, and each swap of
+    a 50 for a 49 drains block 0 by 1: at 30/30 that is 15 swap steps."""
+    n = n0 + n1
+    rng = np.random.default_rng(1)
+    pins = [rng.choice(n, size=int(rng.integers(2, 5)), replace=False).tolist()
+            for _ in range(2 * n)]
+    h = Hypergraph.from_edges(pins, n=n, vertex_weight=[50] * n0 + [49] * n1)
+    return h, Partition(h, [0] * n0 + [1] * n1, 2), BalanceSpec.for_hypergraph(h, 2, 0.0)
 
 
 def test_repair_edge_cases_match_reference_rule():
@@ -705,6 +728,13 @@ def test_gain_table_is_read_once_per_repair_and_per_fm_call(monkeypatch):
     assert ok and reads == []
     assert np.array_equal(again.assignment, refined.assignment)
 
+    h, p, spec = multi_swap_instance(30, 30)
+    assert reference_repair(h, p, spec)[2] == 15
+    reads.clear()
+    out, ok = repair_feasibility(h, p, spec)
+    assert ok and out.block_weight.tolist() == [1485, 1485]
+    assert reads == [h.n]  # the 15 swap steps score their pairs from that read
+
 
 def count_move_calls(monkeypatch):
     calls = []
@@ -734,7 +764,7 @@ def test_repair_swap_step_move_calls_are_bounded(monkeypatch):
     calls = count_move_calls(monkeypatch)
     out, ok = repair_feasibility(h, p, spec)
     assert ok and out.block_weight.tolist() == [299, 299]
-    assert len(calls) <= 2 * (2 - 1) * 100 + 2
+    assert len(calls) == 2  # the swap itself: the step scores pairs on the gain table
 
 
 # ---------------------------------------------------------------------------
