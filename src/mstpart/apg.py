@@ -33,12 +33,16 @@ iteration cap.
 
 ``minimize`` runs a stack of independent solves in lockstep, one operator
 application per step for all live solves; a single solve is a stack of one.
-Every solve of a stack ends bit-identical to its own run.
+Every solve of a stack ends bit-identical to its own run.  A step's
+per-solve scalars are Python floats, which do the same IEEE double
+arithmetic as numpy in the same order, and its log fields go into a compact
+flat record that is copied into the log in blocks of steps.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -78,7 +82,7 @@ class ApgParams:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:  # NaN fails too
             raise ValueError("epsilon must be finite and positive")
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+        if not (_is_count(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
@@ -171,6 +175,11 @@ def _secant(dx: np.ndarray, dg: np.ndarray) -> float:
     return float(num / den)
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _grow_term(k: int) -> float:
     # summable increments; the k = 0 call reuses the k = 1 value
     return 1.0 / max(k, 1) ** (1.0 + P_TILDE)
@@ -199,6 +208,13 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     step only to the rejected ones; the gradient at the extrapolated point
     comes from the last two.  Every solve's iterates equal those of its own
     run bit for bit, and every iterate stays on the row sphere.
+
+    The per-solve scalars (stepsize, δ1, δ2, F, bound, residual, acceptance)
+    are lists of Python floats, whose arithmetic is the same IEEE double
+    arithmetic in the same order as numpy's on arrays, so the tests and
+    updates of a step cost no array calls.  A step's log fields go into a
+    flat record, which is copied into ``log`` in blocks of steps that share
+    one live set.
     """
     params = params or ApgParams()
     X_cur = project_rows(X0)
@@ -219,74 +235,128 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     steps = np.zeros(S, dtype=np.int64)
     residuals = np.empty(S)
     log = np.empty((5, S, min(params.max_iters, 4096)))  # pages fill as steps are logged
+    record = array("d")  # per step: F, alpha, accepted, residual, bound of each live solve
+    logged = 0  # the steps before ``record`` are in ``log``
 
     # resolve delta2 from the first grown stepsize, then freeze it
     alpha1 = alpha + np.minimum(1.0, alpha) * _grow_term(0)
     delta2 = np.minimum(2.0 * DELTA1, 0.49 * (1.0 - MU0) / alpha1)
     delta1 = np.where(delta2 > DELTA1, DELTA1, delta2 / 2.0)
 
+    alpha, delta1, delta2, F_cur, error = (
+        v.tolist() for v in (alpha, delta1, delta2, F_cur, error))
+    bound = F_cur  # nonmonotone averaged objective c_k
     op_live = op
     X_prev, g_prev = X_cur, g_cur
-    bound = F_cur  # nonmonotone averaged objective c_k
     q = 1.0
     k = 0
-    live = error > eps
+    live = [e > eps for e in error]
 
     while True:
-        if not live.all():  # stopped solves leave the stack
-            done = ids[~live]
-            X_out[done], steps[done], residuals[done] = X_cur[~live], k, error[~live]
-            ids = ids[live]
+        if not all(live):  # stopped solves leave the stack
+            log, logged = _write_log(log, record, ids, logged), k
+            keep = np.array(live)
+            done = ids[~keep]
+            X_out[done], steps[done] = X_cur[~keep], k
+            residuals[done] = [e for e, on in zip(error, live) if not on]
+            ids = ids[keep]
             if not ids.size:
                 break
-            X_prev, X_cur, F_cur = X_prev[live], X_cur[live], F_cur[live]
-            g_prev, g_cur = g_prev[live], g_cur[live]
-            alpha, delta1, delta2, bound = alpha[live], delta1[live], delta2[live], bound[live]
+            X_prev, X_cur, g_prev, g_cur = X_prev[keep], X_cur[keep], g_prev[keep], g_cur[keep]
+            F_cur, alpha, delta1, delta2, bound = (
+                [x for x, on in zip(v, live) if on] for v in (F_cur, alpha, delta1, delta2, bound))
             op_live = op.take(ids)
+        elif k - logged >= 64:  # so the record never grows to the log's size
+            log, logged = _write_log(log, record, ids, logged), k
 
-        alpha_next = alpha + np.minimum(1.0, alpha) * _grow_term(k)
-        beta = k / (k + 3.0)
-        y = X_cur + beta * (X_cur - X_prev)
-        gy = g_cur + beta * (g_cur - g_prev)  # grad F(y): the gradient is linear
-        a = alpha_next[:, None, None]
-        z = project_rows(y - a * gy)
-
-        zy2 = ((z - y) ** 2).sum(axis=(1, 2))
-        zx2 = ((z - X_cur) ** 2).sum(axis=(1, 2))
-        yx2 = ((y - X_cur) ** 2).sum(axis=(1, 2))
+        grow = _grow_term(k)
+        alpha = [al + (al if al < 1.0 else 1.0) * grow for al in alpha]
+        a = np.array(alpha)[:, None, None]
+        z, (zy2, zx2, yx2) = _trial_point(X_cur, X_prev, g_cur, g_prev, k / (k + 3.0), a)
         inflate = 1.0 + SIGMA / k ** R if k >= 1 else 1.0
-        phi1 = zy2 + zx2 - inflate * yx2
-        phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
 
-        F_next, g_next = _objective(op_live, z)
-        _check_finite(F_next, ids, "trial", k)
-        accepted = (phi1 >= 0.0) & (F_next <= np.minimum(F_cur + phi2, bound))
+        F_z, g_next = _objective(op_live, z)
+        F_next = F_z.tolist()
+        if not all(map(math.isfinite, F_next)):
+            _check_finite(F_z, ids, "trial", k)
+        # phi1 >= 0 and F <= min(F_cur + phi2, bound), tested without min()
+        # so that a NaN rejects as it does in numpy
+        accepted = [
+            (zy + zx) - inflate * yx >= 0.0
+            and f <= fc + (d1 * zx - d2 * ((zy + zx) - yx)) and f <= b
+            for zy, zx, yx, f, fc, b, d1, d2
+            in zip(zy2, zx2, yx2, F_next, F_cur, bound, delta1, delta2)]
         X_next = z
-        if not accepted.all():
-            rej = np.flatnonzero(~accepted)
+        if not all(accepted):
+            rej = np.flatnonzero(np.logical_not(accepted))
             X_f = project_rows(X_cur[rej] - a[rej] * g_cur[rej])
             op_rej = op_live if rej.size == ids.size else op.take(ids[rej])
             F_f, g_f = _objective(op_rej, X_f)
             _check_finite(F_f, ids[rej], "fallback", k)
-            X_next[rej], F_next[rej], g_next[rej] = X_f, F_f, g_f
+            X_next[rej], g_next[rej] = X_f, g_f
+            for s, f in zip(rej.tolist(), F_f.tolist()):
+                F_next[s] = f
 
-        error = np.abs((X_next - X_cur) / a + g_next - g_cur).max(axis=(1, 2))
+        # the residual max |(X_next - X_cur) / a + g_next - g_cur| per solve
+        res = np.subtract(X_next, X_cur)
+        res /= a
+        res += g_next
+        res -= g_cur
+        np.abs(res, out=res)
+        error = np.maximum.reduce(res.reshape(ids.size, -1), axis=1).tolist()
         k += 1
-        if k > log.shape[2]:
-            log = np.concatenate((log, np.empty_like(log)), axis=2)
-        log[:, ids, k - 1] = (F_next, alpha_next, accepted, error, bound)
+        for field in (F_next, alpha, accepted, error, bound):
+            record.extend(field)
 
-        q_next = 1.0 + ETA * q
-        bound = (ETA * q * bound + F_next) / q_next
-        q = q_next
+        eq = ETA * q
+        q = 1.0 + eq
+        bound = [(eq * b + f) / q for b, f in zip(bound, F_next)]
 
         X_prev, X_cur, F_cur = X_cur, X_next, F_next
         g_prev, g_cur = g_cur, g_next
-        alpha = alpha_next
-        live = error > eps if k < params.max_iters else np.zeros(ids.size, dtype=bool)
+        live = [e > eps for e in error] if k < params.max_iters else [False] * ids.size
 
     log[:, np.arange(log.shape[2]) >= steps[:, None]] = np.nan  # past each solve's stop
     return ApgResult(X_out, steps, residuals, eps, log)
+
+
+def _trial_point(X_cur, X_prev, g_cur, g_prev, beta: float, a: np.ndarray):
+    """The trial point z = project(y - a gy) from the extrapolated point
+    y = X_k + beta (X_k - X_{k-1}), where the gradient is
+    gy = g_k + beta (g_k - g_{k-1}), and per solve the lists of
+    ||z - y||^2, ||z - X_k||^2 and ||y - X_k||^2.  The work arrays are
+    freed on return, before the step applies the operator."""
+    y = np.subtract(X_cur, X_prev)
+    y *= beta
+    y += X_cur
+    gy = np.subtract(g_cur, g_prev)
+    gy *= beta
+    gy += g_cur
+    gy *= a
+    z = project_rows(np.subtract(y, gy, out=gy))
+    # one buffer, one square and one sum: on contiguous rows the sum over
+    # the last axis adds as .sum(axis=(1, 2)) does on each (n, c) solve
+    sq = np.empty((3,) + z.shape)
+    np.subtract(z, y, out=sq[0])
+    np.subtract(z, X_cur, out=sq[1])
+    np.subtract(y, X_cur, out=sq[2])
+    sq *= sq
+    return z, np.add.reduce(sq.reshape(3, z.shape[0], -1), axis=2).tolist()
+
+
+def _write_log(log: np.ndarray, record: array, ids: np.ndarray, start: int) -> np.ndarray:
+    """``log`` with ``record``, the step records of the solves ``ids`` from
+    step ``start`` on, moved in (``record`` ends empty); the step axis
+    doubles until they fit."""
+    if not record:
+        return log
+    width = len(record) // (5 * ids.size)
+    end = start + width
+    while log.shape[2] < end:
+        log = np.concatenate((log, np.empty_like(log)), axis=2)
+    log[:, ids, start:end] = np.frombuffer(record).reshape(width, 5, ids.size).transpose(1, 2, 0)
+    del record[:]
+    return log
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,11 @@ class ObjectiveOperator:
             d = self._d_wide[c] = np.repeat(self.d, c, axis=1)
         out = (X.reshape(S, n * c) * d).reshape(S, n, c)
         out -= self.U @ (self.coef[:, :, None] * (self.U.T @ X))
-        clique = self.abar @ _swap_rows(X).reshape(n, S * c)
-        back = _swap_rows(clique.reshape(n, S, c))
+        if S == 1:  # the swapped layout has the bytes of X itself
+            back = (self.abar @ X.reshape(n, c)).reshape(1, n, c)
+        else:
+            clique = self.abar @ _swap_rows(X).reshape(n, S * c)
+            back = _swap_rows(clique.reshape(n, S, c))
         back *= self.ca[:, None, None]
         out += back
         return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apg import ApgParams, minimize, seeded_features
+from .apg import ApgParams, _is_count, minimize, seeded_features
 from .coarsen import Hierarchy, coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
@@ -52,9 +52,9 @@ class PipelineConfig:
 
     def check(self, k: int) -> "PipelineConfig":
         """This config, once it is valid for k blocks.  A count or factor
-        that is not an integer in range, an empty weight grid or one with a
-        value outside [0, 1], and an empty ``p``, an unknown rule or a fixed
-        count below k raise ``ValueError``."""
+        that is not an integer in range (a bool is not one), an empty weight
+        grid or one with a value outside [0, 1], and an empty ``p``, an
+        unknown rule or a fixed count below k raise ``ValueError``."""
         for name in ("lambda1", "lambda2", "xi1", "xi2"):
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -64,7 +64,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} values must lie in [0, 1], got {bad[0]}")
         for name, low in (("num_init", 1), ("pair_rounds", 0), ("coarsest_factor", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
+            if not (_is_count(value) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if len(self.p) == 0:
             raise ValueError("p must not be empty")
@@ -73,7 +73,7 @@ class PipelineConfig:
                 if entry not in P_RULES:
                     rules = " and ".join(map(repr, P_RULES))
                     raise ValueError(f"p rules are {rules}, got {entry!r}")
-            elif not (isinstance(entry, (int, np.integer)) and entry >= k):
+            elif not (_is_count(entry) and entry >= k):
                 raise ValueError(f"p counts must be integers >= k ({k}), got {entry!r}")
         return self
 

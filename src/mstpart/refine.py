@@ -464,7 +464,9 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     itself, so every pass starts from the exact table without reading it
     again.  A heap entry (gain, v, t) is pushed whenever the gain of moving
     v to t changes, and it is live while v is unlocked and the table still
-    holds that gain.
+    holds that gain.  A live entry that does not fit waits until block t
+    loses weight; then the waiting entries that fit go back on the heap, the
+    stale ones are dropped and the rest wait on.
     """
     if not is_feasible(p, spec):
         raise ValueError("FM refinement requires a feasible starting partition")
@@ -522,9 +524,17 @@ def _fm_pass(part: Partition, cap: float, table: GainTable) -> int:
                 var = gain_sq / steps - mean * mean
                 if steps * mean * mean > STOP_ALPHA * var + beta:
                     break
-        for item in deferred[s]:  # the only block that lost weight
-            push(heap, item)
-        deferred[s].clear()
+        if deferred[s]:  # the only block that lost weight
+            wait = []
+            for item in deferred[s]:
+                d, u, _ = item
+                if locked[u] or d != delta[u][s]:
+                    continue  # stale: a fresh entry was pushed when the gain changed
+                if weight[s] + vertex_weight[u] > cap:
+                    wait.append(item)
+                else:
+                    push(heap, item)
+            deferred[s] = wait
 
     nobody = [False] * n
     for v, t in moves[:best_len]:

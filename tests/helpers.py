@@ -8,6 +8,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from mstpart.apg import (
+    DELTA1,
+    ETA,
+    MU0,
+    R,
+    SIGMA,
+    ApgParams,
+    ApgResult,
+    _check_finite,
+    _grow_term,
+    _objective,
+    initial_stepsize,
+    project_rows,
+)
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition
 
 
@@ -31,6 +45,100 @@ def transpose_apply(op, X):
     clique *= np.repeat(op.ca, c)
     out += clique.reshape(n, S, c).transpose(1, 0, 2)
     return out
+
+
+def reference_minimize(op, X0, params=None) -> ApgResult:
+    """``apg.minimize`` as it read with every per-solve scalar a numpy array
+    and one log write per step, kept as the bit-level oracle of the solver
+    loop: the same iterates, step counts, residuals and log, and the same
+    ``FloatingPointError`` text."""
+    params = params or ApgParams()
+    X_cur = project_rows(X0)
+    S = X_cur.shape[0]
+    eps = params.epsilon
+    ids = np.arange(S)  # the live solves
+
+    F_cur, g_cur = _objective(op, X_cur)
+    _check_finite(F_cur, ids, "start", 0)
+    alpha = initial_stepsize(op, X_cur, g_cur)
+
+    # stationarity probe: a fixed point of the projected gradient map stops here
+    a = alpha[:, None, None]
+    probe = project_rows(X_cur - a * g_cur)
+    error = np.abs((probe - X_cur) / a + _objective(op, probe)[1] - g_cur).max(axis=(1, 2))
+
+    X_out = np.empty_like(X_cur)
+    steps = np.zeros(S, dtype=np.int64)
+    residuals = np.empty(S)
+    log = np.empty((5, S, min(params.max_iters, 4096)))  # pages fill as steps are logged
+
+    # resolve delta2 from the first grown stepsize, then freeze it
+    alpha1 = alpha + np.minimum(1.0, alpha) * _grow_term(0)
+    delta2 = np.minimum(2.0 * DELTA1, 0.49 * (1.0 - MU0) / alpha1)
+    delta1 = np.where(delta2 > DELTA1, DELTA1, delta2 / 2.0)
+
+    op_live = op
+    X_prev, g_prev = X_cur, g_cur
+    bound = F_cur  # nonmonotone averaged objective c_k
+    q = 1.0
+    k = 0
+    live = error > eps
+
+    while True:
+        if not live.all():  # stopped solves leave the stack
+            done = ids[~live]
+            X_out[done], steps[done], residuals[done] = X_cur[~live], k, error[~live]
+            ids = ids[live]
+            if not ids.size:
+                break
+            X_prev, X_cur, F_cur = X_prev[live], X_cur[live], F_cur[live]
+            g_prev, g_cur = g_prev[live], g_cur[live]
+            alpha, delta1, delta2, bound = alpha[live], delta1[live], delta2[live], bound[live]
+            op_live = op.take(ids)
+
+        alpha_next = alpha + np.minimum(1.0, alpha) * _grow_term(k)
+        beta = k / (k + 3.0)
+        y = X_cur + beta * (X_cur - X_prev)
+        gy = g_cur + beta * (g_cur - g_prev)  # grad F(y): the gradient is linear
+        a = alpha_next[:, None, None]
+        z = project_rows(y - a * gy)
+
+        zy2 = ((z - y) ** 2).sum(axis=(1, 2))
+        zx2 = ((z - X_cur) ** 2).sum(axis=(1, 2))
+        yx2 = ((y - X_cur) ** 2).sum(axis=(1, 2))
+        inflate = 1.0 + SIGMA / k ** R if k >= 1 else 1.0
+        phi1 = zy2 + zx2 - inflate * yx2
+        phi2 = delta1 * zx2 - delta2 * (zy2 + zx2 - yx2)
+
+        F_next, g_next = _objective(op_live, z)
+        _check_finite(F_next, ids, "trial", k)
+        accepted = (phi1 >= 0.0) & (F_next <= np.minimum(F_cur + phi2, bound))
+        X_next = z
+        if not accepted.all():
+            rej = np.flatnonzero(~accepted)
+            X_f = project_rows(X_cur[rej] - a[rej] * g_cur[rej])
+            op_rej = op_live if rej.size == ids.size else op.take(ids[rej])
+            F_f, g_f = _objective(op_rej, X_f)
+            _check_finite(F_f, ids[rej], "fallback", k)
+            X_next[rej], F_next[rej], g_next[rej] = X_f, F_f, g_f
+
+        error = np.abs((X_next - X_cur) / a + g_next - g_cur).max(axis=(1, 2))
+        k += 1
+        if k > log.shape[2]:
+            log = np.concatenate((log, np.empty_like(log)), axis=2)
+        log[:, ids, k - 1] = (F_next, alpha_next, accepted, error, bound)
+
+        q_next = 1.0 + ETA * q
+        bound = (ETA * q * bound + F_next) / q_next
+        q = q_next
+
+        X_prev, X_cur, F_cur = X_cur, X_next, F_next
+        g_prev, g_cur = g_cur, g_next
+        alpha = alpha_next
+        live = error > eps if k < params.max_iters else np.zeros(ids.size, dtype=bool)
+
+    log[:, np.arange(log.shape[2]) >= steps[:, None]] = np.nan  # past each solve's stop
+    return ApgResult(X_out, steps, residuals, eps, log)
 
 
 def km1_oracle(h: Hypergraph, assignment) -> int:

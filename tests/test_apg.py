@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
-from helpers import objective, random_hypergraph, transpose_apply
+from helpers import objective, random_hypergraph, reference_minimize, transpose_apply
 from mstpart import apg
 from mstpart.apg import (
     ETA,
@@ -519,6 +521,7 @@ def test_minimize_stack_rejects_nonfinite_solve():
     pytest.param("epsilon", float("inf"), id="epsilon-inf"),
     pytest.param("max_iters", 0, id="max_iters-0"),
     pytest.param("max_iters", 2.5, id="max_iters-2.5"),
+    pytest.param("max_iters", True, id="max_iters-True"),  # a bool is not a count
 ])
 def test_params_validation(field, value):
     with pytest.raises(ValueError, match=field):
@@ -539,3 +542,140 @@ def test_seeded_features_streams_differ():
     a = seeded_features(30, 2, stream=0)
     b = seeded_features(30, 2, stream=1)
     assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the solver loop against its array-scalar oracle
+
+class Blowup:
+    """An operator stack whose solve ``bad`` returns inf from its
+    ``after``-th application on (counted over the applications that include
+    it, ``take`` stacks too)."""
+
+    def __init__(self, op, bad, after, ids=None, count=None):
+        self.op, self.bad, self.after = op, bad, after
+        self.ids = np.arange(op.solves) if ids is None else ids
+        self.count = [0] if count is None else count
+        self.n = op.n
+
+    def apply(self, X):
+        out = self.op.apply(X)
+        hit = self.ids == self.bad
+        if hit.any():
+            self.count[0] += 1
+            if self.count[0] > self.after:
+                out[hit] = np.inf
+        return out
+
+    def take(self, solves):
+        return Blowup(self.op.take(solves), self.bad, self.after, self.ids[solves], self.count)
+
+
+WEIGHTS = [1.0, 0.9, 0.5, 0.15, 0.015, 0.0]
+
+
+@st.composite
+def solver_cases(draw):
+    """(kind, n, c, seed, still, epsilon, max_iters, blowup): an embedding
+    or pair stack of len(still) solves on an n-vertex random hypergraph with
+    c columns, whose solve s starts at constant rows, a fixed point, when
+    still[s]; blowup is None or (solve, applications) for ``Blowup``."""
+    kind = draw(st.sampled_from(["embedding", "pair"]))
+    n = draw(st.integers(2, 24))
+    c = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    still = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    epsilon = draw(st.sampled_from([1e-1, 1e-3, 1e-6]))
+    max_iters = draw(st.integers(1, 200))
+    blowup = draw(st.one_of(st.none(), st.tuples(st.integers(0, len(still) - 1),
+                                                 st.integers(0, 30))))
+    return kind, n, c, seed, still, epsilon, max_iters, blowup
+
+
+def build_solver_case(case):
+    """The operator, start stack and params of a ``solver_cases`` case."""
+    kind, n, c, seed, still, epsilon, max_iters, blowup = case
+    rng = np.random.default_rng(seed)
+    h = random_hypergraph(rng, n, 2 * n, weighted=True)
+    pairs = rng.choice(WEIGHTS, size=(len(still), 2)).tolist()
+    if kind == "embedding":
+        op = ObjectiveOperator.embedding(clique_expand(h), h.vertex_weight, pairs)
+    else:
+        blocks = rng.integers(0, 2, size=n)
+        op = ObjectiveOperator.pair_refinement(clique_expand(h), h.vertex_weight, blocks, pairs)
+    X0 = rng.normal(size=(len(still), n, c))
+    for s in np.flatnonzero(still):
+        X0[s] = rng.normal(size=c)
+    return op, X0, ApgParams(epsilon=epsilon, max_iters=max_iters)
+
+
+def run_solver_case(solve, case):
+    """The result of ``solve`` on a case, or the text of the
+    ``FloatingPointError`` it raised."""
+    op, X0, params = build_solver_case(case)
+    quiet = "ignore" if case[-1] is not None else "raise"
+    if case[-1] is not None:
+        op = Blowup(op, *case[-1])
+    try:
+        with np.errstate(invalid=quiet):  # inf - inf in a blown-up objective
+            return solve(op, X0, params)
+    except FloatingPointError as exc:
+        return str(exc)
+
+
+STILL = [False, True, False, False, False, False]
+SOLVER_EXAMPLES = {
+    "stops": ("pair", 20, 2, 4, STILL, 1e-3, 200, None),
+    "rejects": ("embedding", 16, 4, 11, [False, True, False, False], 1e-1, 200, None),
+    "cap": ("pair", 12, 3, 7, [False] * 3, 1e-6, 8, None),
+    "bound": ("pair", 24, 2, 199, [False, False], 1e-6, 200, None),
+    "long": ("embedding", 20, 2, 1, [False, True, False], 1e-6, 4100, None),
+    "stationary": ("pair", 10, 2, 5, [True] * 3, 1e-3, 50, None),
+    "single": ("pair", 16, 2, 1, [False], 1e-3, 200, None),
+    "start-inf": ("pair", 8, 2, 3, [False, False], 1e-3, 50, (1, 0)),
+    "trial-inf": ("pair", 20, 2, 4, STILL, 1e-3, 200, (2, 20)),
+    "fallback-inf": ("pair", 20, 2, 4, STILL, 1e-3, 200, (3, 10)),
+}
+
+
+def test_solver_examples_take_their_paths():
+    # each example of the oracle property below reaches the path it names
+    got = {name: run_solver_case(minimize, case) for name, case in SOLVER_EXAMPLES.items()}
+    assert len(set(got["stops"].steps.tolist())) == 6
+    assert got["stops"].steps[1] == 0
+    assert (got["rejects"].log[2] == 0.0).any()
+    assert got["cap"].steps.tolist() == [8, 8, 8]
+    # F above the averaged bound, so the bound, not F + phi2, decides a step
+    value, bound = got["bound"].log[0], got["bound"].log[4]
+    assert (value[:, :-1] > bound[:, 1:]).any()
+    # past 4096 steps the log's step axis doubles
+    assert got["long"].steps.max() == 4100 and got["long"].log.shape[2] == 8192
+    assert got["stationary"].steps.tolist() == [0, 0, 0]
+    assert 0 < got["single"].steps[0] < 200
+    assert got["start-inf"] == "non-finite objective in solve 1 at iteration 0 (start)"
+    assert got["trial-inf"].endswith("(trial)") and "solve 2" in got["trial-inf"]
+    assert got["fallback-inf"].endswith("(fallback)") and "solve 3" in got["fallback-inf"]
+
+
+def examples(cases):
+    """Decorate a property with one ``example`` per case."""
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=solver_cases())
+@examples(SOLVER_EXAMPLES.values())
+def test_minimize_equals_its_array_scalar_oracle(case):
+    got = run_solver_case(minimize, case)
+    want = run_solver_case(reference_minimize, case)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.X.view(np.int64), want.X.view(np.int64))
+    assert np.array_equal(got.steps, want.steps)
+    assert np.array_equal(got.residuals, want.residuals, equal_nan=True)
+    assert np.array_equal(got.log, want.log, equal_nan=True)

@@ -80,6 +80,11 @@ def test_num_init_below_one_is_rejected():
     pytest.param("coarsest_factor", 0, id="coarsest_factor-0"),
     pytest.param("coarsest_factor", -3, id="coarsest_factor--3"),
     pytest.param("coarsest_factor", 2.5, id="coarsest_factor-2.5"),
+    pytest.param("num_init", True, id="num_init-True"),  # a bool is not a count
+    pytest.param("pair_rounds", True, id="pair_rounds-True"),
+    pytest.param("pair_rounds", False, id="pair_rounds-False"),
+    pytest.param("coarsest_factor", True, id="coarsest_factor-True"),
+    pytest.param("p", (True,), id="p-True"),
 ])
 def test_out_of_range_config_is_rejected(field, value):
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
@@ -89,6 +94,14 @@ def test_out_of_range_config_is_rejected(field, value):
         run_pipeline(h, spec, config)
     with pytest.raises(ValueError, match=field):
         improve_partition(h, Partition(h, [0, 0, 1, 1], 2), spec, config)
+
+
+@pytest.mark.parametrize("p", [(True,), ("sqrt", np.True_)])
+def test_a_bool_is_not_a_fixed_count(p):
+    # True equals 1, a count that k = 1 would accept
+    assert PipelineConfig(p=(1,)).check(1).p == (1,)
+    with pytest.raises(ValueError, match="p counts"):
+        PipelineConfig(p=p).check(1)
 
 
 @pytest.mark.parametrize("field, value", [("xi1", (2.0,)), ("lambda1", (1.5,))])
