@@ -67,6 +67,7 @@ ETA = 0.8
 P_TILDE = 0.1
 SIGMA = 1.0
 R = 2.0
+BOOLS = (bool, np.bool_)  # no count, tolerance or weight is a bool
 
 
 @dataclass
@@ -80,8 +81,8 @@ class ApgParams:
     max_iters: int = 3000
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:  # NaN fails too
-            raise ValueError("epsilon must be finite and positive")
+        if isinstance(self.epsilon, BOOLS) or not 0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
         if not (_is_count(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
@@ -177,7 +178,7 @@ def _secant(dx: np.ndarray, dg: np.ndarray) -> float:
 
 def _is_count(value) -> bool:
     """Whether ``value`` is an integer and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, BOOLS)
 
 
 def _grow_term(k: int) -> float:

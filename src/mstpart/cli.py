@@ -77,6 +77,7 @@ def _grid(help):
 # Every flag that sets a config value: the PipelineConfig field it sets
 # ("apg." for a solver parameter), how its parsed value becomes the field's
 # value, and its argparse settings.  ``_set`` runs the library's checks.
+# ``improve`` alone runs pair solves, so it alone takes the pair-solve flags.
 REFINE_FLAGS = {
     "--xi1": ("xi1", tuple, _grid("pair-refinement grid for xi1")),
     "--xi2": ("xi2", tuple, _grid("pair-refinement grid for xi2")),
@@ -85,7 +86,7 @@ REFINE_FLAGS = {
     "--apg-epsilon": ("apg.epsilon", float, {"type": float, "help": "solver residual tolerance"}),
 }
 PIPELINE_FLAGS = {
-    **REFINE_FLAGS,
+    **{flag: REFINE_FLAGS[flag] for flag in ("--apg-max-iters", "--apg-epsilon")},
     "--num-init": ("num_init", int, {"type": int, "help": "initial partition candidates (default 10)"}),
     "--lambda1": ("lambda1", tuple, _grid("embedding grid for lambda1")),
     "--lambda2": ("lambda2", tuple, _grid("embedding grid for lambda2")),
@@ -94,7 +95,7 @@ PIPELINE_FLAGS = {
                          "nargs": "+",
                          "help": "cluster counts and rules (sqrt, linear) to try (default both rules)"}),
 }
-SWEEP_AXES = ("p", "num_init", "lambda1", "lambda2", "xi1", "xi2")
+SWEEP_AXES = ("p", "num_init", "lambda1", "lambda2")
 
 
 def _dest(flag: str) -> str:
@@ -155,7 +156,7 @@ def _flagged(flag: str, check, *args):
 def _set(config: PipelineConfig, flag: str, value, k: int) -> PipelineConfig:
     """A copy of ``config`` with the field of ``flag`` set from its parsed
     ``value``, checked for k blocks by the library's own checks."""
-    field, to_field, _ = PIPELINE_FLAGS[flag]
+    field, to_field, _ = {**REFINE_FLAGS, **PIPELINE_FLAGS}[flag]
     try:
         value = to_field(value)
         if field.startswith("apg."):

@@ -1,11 +1,11 @@
 """End-to-end k-way partitioning.
 
 Coarsens the hypergraph, generates embedding-driven initial partitions on
-the coarsest level (their embeddings solved as one stack) and repairs each,
-keeps the best, pairwise-improves that one once, and projects it back up
-with FM refinement at every level.  A partition that is still infeasible is
-repaired after each projection, and FM runs once it is feasible; the walk
-is ``_uncoarsen``, and ``improve_partition`` ends with it over no levels.
+the coarsest level (their embeddings solved as one stack), repairs each and
+FM-refines it once feasible, keeps the best, and projects it back up with FM
+at every level: a partition that is still infeasible is repaired after each
+projection, and FM runs once it is feasible.  The walk is ``_uncoarsen``;
+``improve_partition``, the one caller of the pair solves, ends with it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apg import ApgParams, _is_count, minimize, seeded_features
+from .apg import BOOLS, ApgParams, _is_count, minimize, seeded_features
 from .coarsen import Hierarchy, coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
@@ -53,15 +53,15 @@ class PipelineConfig:
     def check(self, k: int) -> "PipelineConfig":
         """This config, once it is valid for k blocks.  A count or factor
         that is not an integer in range (a bool is not one), an empty weight
-        grid or one with a value outside [0, 1], and an empty ``p``, an
-        unknown rule or a fixed count below k raise ``ValueError``."""
+        grid or one with a bool or a value outside [0, 1], and an empty
+        ``p``, an unknown rule or a fixed count below k raise ``ValueError``."""
         for name in ("lambda1", "lambda2", "xi1", "xi2"):
             grid = getattr(self, name)
             if len(grid) == 0:
                 raise ValueError(f"{name} must not be empty")
-            bad = [x for x in grid if not 0.0 <= x <= 1.0]  # NaN fails too
+            bad = [x for x in grid if isinstance(x, BOOLS) or not 0.0 <= x <= 1.0]  # NaN fails too
             if bad:
-                raise ValueError(f"{name} values must lie in [0, 1], got {bad[0]}")
+                raise ValueError(f"{name} values must be numbers in [0, 1], got {bad[0]!r}")
         for name, low in (("num_init", 1), ("pair_rounds", 0), ("coarsest_factor", 1)):
             value = getattr(self, name)
             if not (_is_count(value) and value >= low):
@@ -81,7 +81,7 @@ class PipelineConfig:
 @dataclass
 class CandidateReport:
     """One initial partition: its embedding weights, its cluster count, and
-    its cutsize and feasibility after ``repair_feasibility``."""
+    its cutsize and feasibility after repair and FM (``_refine``)."""
 
     lam1: float
     lam2: float
@@ -100,18 +100,24 @@ class PipelineResult:
     candidates: list
 
 
+def _refine(h, part, spec):
+    """``part`` repaired and, once feasible, FM-refined, with its feasibility."""
+    part, feasible = repair_feasibility(h, part, spec)
+    return (kway_fm(h, part, spec) if feasible else part), feasible
+
+
 def _build_candidates(h, spec, clique, config):
-    """The ``config.num_init`` repaired initial partitions and their reports.
-    Candidate i embeds seeded start i with grid pair i (wrapping around), all
-    in one stack, and keeps the first cluster count of lowest cutsize."""
+    """The ``config.num_init`` refined initial partitions and their reports.
+    Candidate i embeds seeded start i with grid pair i (wrapping around), all in
+    one stack, and keeps the first count of lowest (not feasible, cutsize)."""
     combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
     lams = [combos[i % len(combos)] for i in range(config.num_init)]
     op = ObjectiveOperator.embedding(clique, h.vertex_weight, lams)
     X0 = np.stack([seeded_features(h.n, spec.k, stream=i) for i in range(config.num_init)])
     parts, reports = [], []
     for (lam1, lam2), X in zip(lams, minimize(op, X0, config.apg).X):
-        part, p = min(_route_partitions(X, h, spec, config.p), key=lambda r: r[0].cutsize)
-        part, feasible = repair_feasibility(h, part, spec)
+        refined = [(*_refine(h, part, spec), p) for part, p in _route_partitions(X, h, spec, config.p)]
+        part, feasible, p = min(refined, key=lambda r: (not r[1], r[0].cutsize))
         parts.append(part)
         reports.append(CandidateReport(lam1, lam2, p, part.cutsize, feasible))
     return parts, reports
@@ -140,21 +146,14 @@ def run_pipeline(
     timings["coarsen"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    clique = clique_expand(coarse)
-
     if coarse.n <= spec.k:
         # too few supervertices to embed meaningfully; spread them out
-        part = Partition(coarse, np.arange(coarse.n, dtype=np.int64), spec.k)
-        part, feasible = repair_feasibility(coarse, part, spec)
-        parts = [part]
-        reports = [CandidateReport(0.0, 0.0, coarse.n, part.cutsize, feasible)]
+        part, feasible = _refine(coarse, Partition(coarse, np.arange(coarse.n), spec.k), spec)
+        parts, reports = [part], [CandidateReport(0.0, 0.0, coarse.n, part.cutsize, feasible)]
     else:
-        parts, reports = _build_candidates(coarse, spec, clique, config)
-    chosen = min(
-        range(len(parts)),
-        key=lambda i: (not reports[i].feasible, parts[i].cutsize, i),
-    )
-    part = pairwise_improve(coarse, parts[chosen], spec, config, clique=clique)
+        parts, reports = _build_candidates(coarse, spec, clique_expand(coarse), config)
+    # the first of the lowest (not feasible, cutsize)
+    _, part = min(zip(reports, parts), key=lambda rp: (not rp[0].feasible, rp[0].cutsize))
     timings["initial"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

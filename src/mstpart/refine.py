@@ -27,7 +27,7 @@ import numpy as np
 from .apg import minimize, seeded_features
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from .initial import heaviest, prim_mst
-from .operators import CliqueGraph, ObjectiveOperator, clique_expand, laplacian
+from .operators import ObjectiveOperator, clique_expand, laplacian
 
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
@@ -140,7 +140,6 @@ def pairwise_improve(
     p: Partition,
     spec: BalanceSpec,
     config: PipelineConfig,
-    clique: CliqueGraph | None = None,
 ) -> Partition:
     """Re-split block pairs through fresh 2-D embeddings.
 
@@ -157,8 +156,7 @@ def pairwise_improve(
     out = p.copy()
     if out.cutsize == 0:  # no split can lower it
         return out
-    if clique is None:
-        clique = clique_expand(h)
+    clique = clique_expand(h)
     for rnd in range(config.pair_rounds):
         improved = False
         for pi, (a, b) in enumerate(pair_blocks(h, out)):

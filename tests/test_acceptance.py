@@ -95,8 +95,8 @@ DEFAULT_EPS = {2: 0.04, 3: 0.06, 4: 0.08}
 
 def test_criterion_02_feasibility_of_emitted_partitions(tmp_path):
     rng = np.random.default_rng(1002)
-    fast = ["--num-init", "2", "--apg-max-iters", "200", "--pair-rounds", "1"]
-    big = ["--num-init", "1", "--apg-max-iters", "100", "--pair-rounds", "1"]
+    fast = ["--num-init", "2", "--apg-max-iters", "200"]
+    big = ["--num-init", "1", "--apg-max-iters", "100"]
     plan = []
     for i in range(40):
         n = int(rng.integers(20, 401))

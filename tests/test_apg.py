@@ -522,6 +522,8 @@ def test_minimize_stack_rejects_nonfinite_solve():
     pytest.param("max_iters", 0, id="max_iters-0"),
     pytest.param("max_iters", 2.5, id="max_iters-2.5"),
     pytest.param("max_iters", True, id="max_iters-True"),  # a bool is not a count
+    pytest.param("epsilon", True, id="epsilon-True"),  # nor a tolerance
+    pytest.param("epsilon", np.True_, id="epsilon-np.True_"),
 ])
 def test_params_validation(field, value):
     with pytest.raises(ValueError, match=field):

@@ -388,6 +388,9 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
     assert metrics_path.read_text() == stdout
 
 
+PAIR_SOLVE_FLAGS = ("--xi1", "--xi2", "--pair-rounds")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--num-init", "0"), ("--threads", "-1"), ("--pair-rounds", "-1"),
     ("--p", "0"), ("--p", "-5"), ("--p", "1"),
@@ -400,22 +403,50 @@ def test_metrics_file_matches_stdout(tmp_path, capsys):
 ])
 def test_out_of_range_pipeline_flags_are_errors(tmp_path, capsys, flag, value):
     hgr = two_clique_file(tmp_path)
+    command = ["partition"]
+    if flag in PAIR_SOLVE_FLAGS:  # improve alone takes them
+        part = tmp_path / "opt.part"
+        part.write_text("0\n" * 5 + "1\n" * 5)
+        command = ["improve", "--partition", str(part)]
     code = main([
-        "partition", "--input", str(hgr), "--k", "2", flag, value,
+        *command, "--input", str(hgr), "--k", "2", flag, value,
         "--output", str(tmp_path / "o.txt"),
     ])
     assert code == 1
     assert flag in capsys.readouterr().err
-    if flag in ("--xi1", "--xi2"):  # the refinement grids are improve flags too
-        part = tmp_path / "opt.part"
-        part.write_text("0\n" * 5 + "1\n" * 5)
-        code = main([
-            "improve", "--input", str(hgr), "--partition", str(part),
-            "--k", "2", flag, value, "--output", str(tmp_path / "o.txt"),
-        ])
-        assert code == 1
-        assert flag in capsys.readouterr().err
-        assert not (tmp_path / "o.txt").exists()
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "sweep"])
+@pytest.mark.parametrize("flag", PAIR_SOLVE_FLAGS)
+def test_pair_solve_flags_are_improve_only(tmp_path, capsys, monkeypatch, command, flag):
+    # run_pipeline runs no pair solve, so no flag of one would change its run
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: runs.append(args))
+    hgr = two_clique_file(tmp_path)
+    out = tmp_path / "o.txt"
+    extra = (["--output", str(out)] if command == "partition"
+             else ["--axis", "num_init", "--values", "1"])
+    code = main([command, "--input", str(hgr), "--k", "2", flag, "1", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert runs == []
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["xi1", "xi2"])
+def test_sweep_has_no_pair_solve_axis(tmp_path, capsys, monkeypatch, axis):
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: runs.append(args))
+    hgr = two_clique_file(tmp_path)
+    code = main(["sweep", "--input", str(hgr), "--k", "2", "--axis", axis, "--values", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert runs == []
+    assert "--axis" in captured.err and repr(axis) in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -472,8 +503,6 @@ def test_sweep_p_below_k_is_an_error(tmp_path, capsys, extra):
     pytest.param("--num-init", "2", "num_init", ["1"], id="num-init"),
     pytest.param("--lambda1", "0.3", "lambda1", ["0.5"], id="lambda1"),
     pytest.param("--lambda2", "0.3", "lambda2", ["0.5"], id="lambda2"),
-    pytest.param("--xi1", "0.3", "xi1", ["0.5"], id="xi1"),
-    pytest.param("--xi2", "0.3", "xi2", ["0.5"], id="xi2"),
 ])
 def test_sweep_rejects_the_flag_of_its_own_axis(tmp_path, capsys, monkeypatch,
                                                 flag, value, axis, values):

@@ -15,6 +15,7 @@ from helpers import (
 from mstpart.apg import minimize, project_rows, seeded_features
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 import mstpart.initial as initial_module
+import mstpart.pipeline as pipeline_module
 from mstpart.initial import (
     P_RULES,
     SpanningTree,
@@ -29,7 +30,7 @@ from mstpart.initial import (
 )
 from mstpart.operators import ObjectiveOperator, clique_expand
 from mstpart.pipeline import CandidateReport, PipelineConfig, _build_candidates
-from mstpart.refine import repair_feasibility
+from mstpart.refine import kway_fm, repair_feasibility
 
 
 def angles_to_features(angles):
@@ -430,20 +431,25 @@ def build_candidates(h, spec, num_init):
 
 def candidates_one_by_one(h, spec, clique, config):
     """The candidates with one embedding operator and one solve each, in
-    order: the builder's reference."""
+    order, each count's partition repaired and then FM-refined when feasible:
+    the builder's reference."""
     combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
     out = []
     for i in range(config.num_init):
         lam1, lam2 = combos[i % len(combos)]
         op = ObjectiveOperator.embedding(clique, h.vertex_weight, [(lam1, lam2)])
         X = minimize(op, seeded_features(h.n, spec.k, stream=i)[None], config.apg).X[0]
-        best_part, best_p = None, None
+        best = None
         for entry in config.p:
             part, p = _route_partitions(X, h, spec, (entry,))[0]  # a tree of its own
-            if best_part is None or part.cutsize < best_part.cutsize:
-                best_part, best_p = part, p
-        part, _ = repair_feasibility(h, best_part, spec)
-        out.append((part, CandidateReport(lam1, lam2, best_p, part.cutsize,
+            part, _ = repair_feasibility(h, part, spec)
+            if is_feasible(part, spec):
+                part = kway_fm(h, part, spec)
+            key = (not is_feasible(part, spec), part.cutsize)
+            if best is None or key < best[0]:
+                best = key, part, p
+        _, part, p = best
+        out.append((part, CandidateReport(lam1, lam2, p, part.cutsize,
                                           is_feasible(part, spec))))
     return out
 
@@ -464,6 +470,22 @@ def test_stacked_candidates_equal_one_solve_each(k):
     for part, report, (want_part, want_report) in zip(parts, reports, want):
         assert np.array_equal(part.assignment, want_part.assignment)
         assert report == want_report
+
+
+def test_a_candidate_keeps_a_feasible_count_over_a_lower_infeasible_cut(monkeypatch):
+    # repair is switched off, so the count of lowest cut stays over the cap;
+    # FM takes the other two counts from cut 5 to cut 1, and the first is kept
+    h = Hypergraph.from_edges([[i, i + 1] for i in range(5)])
+    spec = BalanceSpec.for_hypergraph(h, 2, 1 / 3)
+    assert spec.cap == 4
+    over = Partition(h, [0, 0, 0, 0, 0, 1], 2)  # cut 1, weights 5 and 1
+    routes = [(over, 2), (Partition(h, [0, 1] * 3, 2), 3), (Partition(h, [1, 0] * 3, 2), 4)]
+    monkeypatch.setattr(pipeline_module, "_route_partitions", lambda *args: routes)
+    monkeypatch.setattr(pipeline_module, "repair_feasibility",
+                        lambda h, part, spec: (part, is_feasible(part, spec)))
+    [part], [report] = _build_candidates(h, spec, clique_expand(h), PipelineConfig(num_init=1))
+    assert (report.p, report.feasible, report.cutsize) == (3, True, 1)
+    assert is_feasible(part, spec) and part.cutsize == 1 < routes[1][0].cutsize
 
 
 def test_candidates_build_one_tree_each(monkeypatch):

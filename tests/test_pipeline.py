@@ -8,7 +8,8 @@ import pytest
 
 import mstpart.pipeline as pipeline
 from mstpart.hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
-from mstpart.pipeline import PipelineConfig, improve_partition, run_pipeline
+from mstpart.operators import ObjectiveOperator
+from mstpart.pipeline import CandidateReport, PipelineConfig, improve_partition, run_pipeline
 
 from helpers import km1_oracle, random_hypergraph, two_cluster_hypergraph
 
@@ -85,6 +86,9 @@ def test_num_init_below_one_is_rejected():
     pytest.param("pair_rounds", False, id="pair_rounds-False"),
     pytest.param("coarsest_factor", True, id="coarsest_factor-True"),
     pytest.param("p", (True,), id="p-True"),
+    pytest.param("lambda1", (True,), id="lambda1-True"),  # nor a weight
+    pytest.param("xi2", (False,), id="xi2-False"),
+    pytest.param("lambda2", (0.5, np.True_), id="lambda2-np.True_"),
 ])
 def test_out_of_range_config_is_rejected(field, value):
     h = Hypergraph.from_edges([[0, 1], [1, 2], [2, 3]])
@@ -116,37 +120,88 @@ def test_weight_grids_are_checked_where_they_are_not_read(field, value):
         improve_partition(h, Partition(h, [0, 1, 2], 3), spec, config)
 
 
-def count_pairwise_calls(monkeypatch):
+def record_calls(monkeypatch, owner, name):
+    """The arguments and result of every call to ``owner.name``, which still runs."""
     calls = []
-    real = pipeline.pairwise_improve
+    real = getattr(owner, name)
 
-    def counting(h, p, *args, **kwargs):
-        calls.append(p.cutsize)
-        return real(h, p, *args, **kwargs)
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(pipeline, "pairwise_improve", counting)
+    monkeypatch.setattr(owner, name, recording)
     return calls
 
 
-@pytest.mark.parametrize("num_init", [1, 3])
-def test_pairwise_runs_once_on_the_chosen_candidate(monkeypatch, num_init):
-    calls = count_pairwise_calls(monkeypatch)
-    rng = np.random.default_rng(7)
-    h = two_cluster_hypergraph(rng, half=15, inner=25, cross=2)
-    spec = BalanceSpec.for_hypergraph(h, 2, 0.04)
-    res = run_pipeline(h, spec, quick_config(num_init=num_init, pair_rounds=1))
-    assert len(res.candidates) == num_init
-    _, chosen_cut = min((not r.feasible, r.cutsize) for r in res.candidates)
-    assert calls == [chosen_cut]
+def candidate_instance(k):
+    rng = np.random.default_rng([11, k])
+    h = random_hypergraph(rng, 60, 100, max_edge_size=4)
+    return h, BalanceSpec.for_hypergraph(h, k, 0.05)
 
 
-def test_pairwise_runs_once_on_the_spread_and_never_for_k1(monkeypatch):
-    calls = count_pairwise_calls(monkeypatch)
-    h = Hypergraph.from_edges([[0, 1], [1, 2]], n=3)
-    run_pipeline(h, BalanceSpec.for_hypergraph(h, 3, 0.0))
-    assert len(calls) == 1
-    run_pipeline(h, BalanceSpec.for_hypergraph(h, 1, 0.0), quick_config(num_init=3))
-    assert len(calls) == 1
+@pytest.mark.parametrize("k", [2, 3])
+def test_run_pipeline_runs_no_pair_solve(monkeypatch, k):
+    pairwise = record_calls(monkeypatch, pipeline, "pairwise_improve")
+    built = record_calls(monkeypatch, ObjectiveOperator, "pair_refinement")
+    h, spec = candidate_instance(k)
+    config = quick_config(pair_rounds=1)
+    res = run_pipeline(h, spec, config)
+    assert res.feasible and len(res.candidates) == 3
+    assert pairwise == [] and built == []
+    # improve_partition still re-splits block pairs, through the same hooks
+    improve_partition(h, Partition(h, np.arange(h.n) % k, k), spec, config)
+    assert len(pairwise) == 1 and len(built) >= 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_chosen_candidate_has_the_least_refined_cut(monkeypatch, k):
+    built = record_calls(monkeypatch, pipeline, "_build_candidates")
+    fm = record_calls(monkeypatch, pipeline, "kway_fm")
+    started = record_calls(monkeypatch, pipeline, "_uncoarsen")
+    h, spec = candidate_instance(k)
+    res = run_pipeline(h, spec, quick_config(num_init=6))
+    [(_, (parts, reports))] = built
+    assert res.candidates == reports
+    assert len({r.cutsize for r in reports}) > 1  # the choice is not a tie
+    refined = [out for _, out in fm]
+    for part, report in zip(parts, reports, strict=True):
+        assert report.cutsize == part.cutsize
+        assert report.feasible == is_feasible(part, spec)
+        if report.feasible:  # FM's own output, not the repaired input
+            assert any(part is out for out in refined)
+    chosen = min(range(len(parts)), key=lambda i: (not reports[i].feasible, reports[i].cutsize, i))
+    [((_, _, start, _), _)] = started
+    assert start is parts[chosen]
+
+
+def test_the_chosen_candidate_is_the_first_feasible_one_of_least_cut(monkeypatch):
+    h = Hypergraph.from_edges([[i, i + 1] for i in range(5)])
+    spec = BalanceSpec.for_hypergraph(h, 2, 0.0)
+    parts = [Partition(h, a, 2) for a in ([0] * 5 + [1], [0, 1] * 3, [1, 0] * 3)]
+    reports = [CandidateReport(0.9, 1.0, 2, p.cutsize, is_feasible(p, spec)) for p in parts]
+    assert [(r.cutsize, r.feasible) for r in reports] == [(1, False), (5, True), (5, True)]
+    monkeypatch.setattr(pipeline, "_build_candidates", lambda *args: (parts, reports))
+    started = record_calls(monkeypatch, pipeline, "_uncoarsen")
+    run_pipeline(h, spec, quick_config())
+    [((_, _, start, _), _)] = started
+    assert start is parts[1]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_spread_is_fm_refined(monkeypatch, k):
+    # a path of k vertices spread one per block cuts k - 1 nets; a cap of 2
+    # lets FM put two neighbours together
+    fm = record_calls(monkeypatch, pipeline, "kway_fm")
+    h = Hypergraph.from_edges([[i, i + 1] for i in range(k - 1)], n=k)
+    spec = BalanceSpec.for_hypergraph(h, k, 1.0)
+    assert spec.cap == 2
+    res = run_pipeline(h, spec)
+    [report] = res.candidates
+    assert (report.p, report.feasible) == (k, True)
+    assert report.cutsize == fm[0][1].cutsize < k - 1
+    assert res.cutsize <= report.cutsize
+    run_pipeline(h, BalanceSpec.for_hypergraph(h, 1, 0.0))
+    assert len(fm) == 2  # k = 1 refines nothing
 
 
 def test_planted_clusters_and_validity():

@@ -321,7 +321,9 @@ def test_pipeline_and_improve_report_their_partitions_accurately(case):
         assert report["cutsize_after"] <= report["cutsize_before"]
 
 
-QUICK_FLAGS = ["--pair-rounds", "1", "--apg-max-iters", "50"]
+# partition runs no pair solves, so only improve takes --pair-rounds
+QUICK_FLAGS = {"partition": ["--apg-max-iters", "50"],
+               "improve": ["--pair-rounds", "1", "--apg-max-iters", "50"]}
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -339,12 +341,12 @@ def test_cli_exit_code_and_cutsize_match_the_written_partition(case):
         (d / "in.hgr").write_text(write_hmetis(h))
         (d / "start.part").write_text(write_partition(Partition(h, wants, k)))
         common = ["--input", str(d / "in.hgr"), "--k", str(k), "--epsilon", str(epsilon),
-                  "--output", str(d / "out.part"), "--metrics", str(d / "metrics"), *QUICK_FLAGS]
+                  "--output", str(d / "out.part"), "--metrics", str(d / "metrics")]
         for command, extra, key in (
             ("partition", ["--num-init", "2"], "cutsize"),
             ("improve", ["--partition", str(d / "start.part")], "cutsize_after"),
         ):
-            code = main([command, *common, *extra])
+            code = main([command, *common, *QUICK_FLAGS[command], *extra])
             part = read_partition((d / "out.part").read_text(), h, k)
             metrics = dict(line.split("=", 1) for line in (d / "metrics").read_text().splitlines())
             assert code == (0 if is_feasible(part, spec) else 2)
