@@ -35,8 +35,9 @@ iteration cap.
 application per step for all live solves; a single solve is a stack of one.
 Every solve of a stack ends bit-identical to its own run.  A step's
 per-solve scalars are Python floats, which do the same IEEE double
-arithmetic as numpy in the same order, and its log fields go into a compact
-flat record that is copied into the log in blocks of steps.
+arithmetic as numpy in the same order, and its log fields go into a flat
+record per run of steps that share one live set, from which the log is
+built once, at the end.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class ApgResult:
     ``X`` is the (S, n, c) stack of final iterates.  Per solve, ``steps``
     holds its iteration count and ``residuals`` its final residual; ``log``
     holds its step records as numeric rows (value, alpha, accepted,
-    residual, bound) over a step axis, NaN past the solve's ``steps``.
+    residual, bound) over a step axis ``steps.max()`` wide, NaN past the
+    solve's ``steps``.
     """
 
     X: np.ndarray
@@ -213,9 +215,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     The per-solve scalars (stepsize, δ1, δ2, F, bound, residual, acceptance)
     are lists of Python floats, whose arithmetic is the same IEEE double
     arithmetic in the same order as numpy's on arrays, so the tests and
-    updates of a step cost no array calls.  A step's log fields go into a
-    flat record, which is copied into ``log`` in blocks of steps that share
-    one live set.
+    updates of a step cost no array calls.  A step's log fields go into the
+    flat record of its run of steps that share one live set, and ``log`` is
+    built from the runs once, after the last step.
     """
     params = params or ApgParams()
     X_cur = project_rows(X0)
@@ -235,9 +237,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
     X_out = np.empty_like(X_cur)
     steps = np.zeros(S, dtype=np.int64)
     residuals = np.empty(S)
-    log = np.empty((5, S, min(params.max_iters, 4096)))  # pages fill as steps are logged
+    runs = []  # (live ids, first step, record) per run of steps with one live set
     record = array("d")  # per step: F, alpha, accepted, residual, bound of each live solve
-    logged = 0  # the steps before ``record`` are in ``log``
+    first = 0  # the step ``record`` starts at
 
     # resolve delta2 from the first grown stepsize, then freeze it
     alpha1 = alpha + np.minimum(1.0, alpha) * _grow_term(0)
@@ -255,7 +257,9 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
 
     while True:
         if not all(live):  # stopped solves leave the stack
-            log, logged = _write_log(log, record, ids, logged), k
+            if record:
+                runs.append((ids, first, record))
+            record, first = array("d"), k
             keep = np.array(live)
             done = ids[~keep]
             X_out[done], steps[done] = X_cur[~keep], k
@@ -267,8 +271,6 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
             F_cur, alpha, delta1, delta2, bound = (
                 [x for x, on in zip(v, live) if on] for v in (F_cur, alpha, delta1, delta2, bound))
             op_live = op.take(ids)
-        elif k - logged >= 64:  # so the record never grows to the log's size
-            log, logged = _write_log(log, record, ids, logged), k
 
         grow = _grow_term(k)
         alpha = [al + (al if al < 1.0 else 1.0) * grow for al in alpha]
@@ -317,7 +319,11 @@ def minimize(op, X0: np.ndarray, params: ApgParams | None = None) -> ApgResult:
         g_prev, g_cur = g_cur, g_next
         live = [e > eps for e in error] if k < params.max_iters else [False] * ids.size
 
-    log[:, np.arange(log.shape[2]) >= steps[:, None]] = np.nan  # past each solve's stop
+    log = np.full((5, S, steps.max()), np.nan)  # NaN past each solve's stop
+    for run_ids, start, rec in runs:
+        width = len(rec) // (5 * run_ids.size)
+        log[:, run_ids, start:start + width] = (
+            np.frombuffer(rec).reshape(width, 5, run_ids.size).transpose(1, 2, 0))
     return ApgResult(X_out, steps, residuals, eps, log)
 
 
@@ -343,21 +349,6 @@ def _trial_point(X_cur, X_prev, g_cur, g_prev, beta: float, a: np.ndarray):
     np.subtract(y, X_cur, out=sq[2])
     sq *= sq
     return z, np.add.reduce(sq.reshape(3, z.shape[0], -1), axis=2).tolist()
-
-
-def _write_log(log: np.ndarray, record: array, ids: np.ndarray, start: int) -> np.ndarray:
-    """``log`` with ``record``, the step records of the solves ``ids`` from
-    step ``start`` on, moved in (``record`` ends empty); the step axis
-    doubles until they fit."""
-    if not record:
-        return log
-    width = len(record) // (5 * ids.size)
-    end = start + width
-    while log.shape[2] < end:
-        log = np.concatenate((log, np.empty_like(log)), axis=2)
-    log[:, ids, start:end] = np.frombuffer(record).reshape(width, 5, ids.size).transpose(1, 2, 0)
-    del record[:]
-    return log
 
 
 # ---------------------------------------------------------------------------

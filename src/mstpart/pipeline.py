@@ -1,11 +1,12 @@
 """End-to-end k-way partitioning.
 
 Coarsens the hypergraph, generates embedding-driven initial partitions on
-the coarsest level (their embeddings solved as one stack), repairs each and
-FM-refines it once feasible, keeps the best, and projects it back up with FM
-at every level: a partition that is still infeasible is repaired after each
-projection, and FM runs once it is feasible.  The walk is ``_uncoarsen``;
-``improve_partition``, the one caller of the pair solves, ends with it.
+the coarsest level (their embeddings solved as one stack), refines each,
+keeps the best, and projects it back up, refining it again on every level.
+Every refinement is one ``_refine``: repair, which returns a feasible
+partition unchanged, then FM once the partition is feasible.  The walk up
+is ``_uncoarsen``.  ``improve_partition``, the one caller of the pair
+solves, repairs its input, re-splits block pairs and ends with FM.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .apg import BOOLS, ApgParams, _is_count, minimize, seeded_features
-from .coarsen import Hierarchy, coarsen
+from .coarsen import coarsen
 from .coarsen import project_partition as _project
 from .hypergraph import BalanceSpec, Hypergraph, Partition, is_feasible
 from .initial import P_RULES, _route_partitions
@@ -169,20 +170,11 @@ def run_pipeline(
 
 def _uncoarsen(h, hierarchy, part, spec) -> Partition:
     """Project ``part`` from the coarsest level of ``hierarchy`` down to
-    ``h``.  After each projection a partition that is still infeasible is
-    repaired, and FM refines it once it is feasible.  With no levels, FM
-    refines ``part`` on ``h`` itself when it is feasible."""
-    feasible = is_feasible(part, spec)
+    ``h``, refining it on each level with ``_refine``."""
     levels = hierarchy.levels
     for li in range(len(levels) - 1, -1, -1):
         finer = levels[li - 1].hypergraph if li > 0 else h
-        part = _project(levels[li], part, finer)
-        if not feasible:
-            part, feasible = repair_feasibility(finer, part, spec)
-        if feasible:
-            part = kway_fm(finer, part, spec)
-    if not levels and feasible:
-        part = kway_fm(h, part, spec)
+        part, _ = _refine(finer, _project(levels[li], part, finer), spec)
     return part
 
 
@@ -203,7 +195,8 @@ def improve_partition(
     needed_repair = not is_feasible(p, spec)
     part, repair_ok = repair_feasibility(h, p, spec)
     part = pairwise_improve(h, part, spec, config)
-    part = _uncoarsen(h, Hierarchy(), part, spec)
+    if is_feasible(part, spec):
+        part = kway_fm(h, part, spec)
     report = {
         "cutsize_before": before,
         "cutsize_after": part.cutsize,

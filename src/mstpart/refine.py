@@ -11,7 +11,8 @@ a move takes one of its net's pin counts across 0/1/2, and take every move
 gain from it: repair pops its relocations from a heap per block and scores
 its swaps by trial moves on the table, and FM runs each pass on a copy,
 stops it by the random-walk rule of Osipov & Sanders (``STOP_ALPHA``,
-``STOP_BETA``) and applies only its best prefix of moves.
+``STOP_BETA``) and applies only its best prefix of moves to the table, from
+which it builds the refined partition once.
 """
 
 from __future__ import annotations
@@ -336,6 +337,10 @@ def repair_feasibility(
     block t loses weight.  So the first entry that is neither is the least
     move that fits, found without a scan.  The heaps and deferred entries
     carry across swaps, and ``_best_swap`` scores a swap from the table.
+    Each move is also applied to the returned ``Partition`` by
+    ``Partition.move``: the benchmark's trace counts those calls as
+    ``refine.repair.move_calls``, so building the result from the table, as
+    ``kway_fm`` does, waits for a change to the benchmark.
     """
     part = p.copy()
     cap = spec.cap
@@ -442,10 +447,10 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     Every pass moves each vertex at most once, always taking the highest
     gain (cutsize decrease) among moves that keep all blocks within the cap
     (ties: lower vertex, then lower target block), working through negative
-    gains as well; only the pass's best prefix of moves is then applied to
-    the partition.  Passes repeat while they improve, at most 50 times.  The
-    result is feasible and never worse than the input, which must itself be
-    feasible.
+    gains as well; only the pass's best prefix of moves is then kept.
+    Passes repeat while they improve, at most 50 times.  The result is a new
+    partition, feasible and never worse than the input, which must itself
+    be feasible and is left untouched.
 
     A pass also stops early, as in Osipov & Sanders (ESA 2010): over the s
     moves made since it last set a new best prefix, with gain mean mu and
@@ -456,36 +461,37 @@ def kway_fm(h: Hypergraph, p: Partition, spec: BalanceSpec) -> Partition:
     + beta term keep short or noisy downhill runs going, so a pass that
     would still reach a better prefix is seldom cut.
 
-    The gain table is read once per call into a ``GainTable``.  A pass
-    moves through a copy of it, on which it lets the rows of locked
-    vertices go stale, and then replays its best prefix on the table
-    itself, so every pass starts from the exact table without reading it
-    again.  A heap entry (gain, v, t) is pushed whenever the gain of moving
-    v to t changes, and it is live while v is unlocked and the table still
-    holds that gain.  A live entry that does not fit waits until block t
-    loses weight; then the waiting entries that fit go back on the heap, the
-    stale ones are dropped and the rest wait on.
+    The gain table is read once per call into a ``GainTable``, the one
+    state FM moves.  A pass moves through a copy of it, on which it lets
+    the rows of locked vertices go stale, and then replays its best prefix
+    on the table itself, so every pass starts from the exact table without
+    reading it again; the returned partition is built once, from the
+    table's blocks after the last pass.  A heap entry (gain, v, t) is
+    pushed whenever the gain of moving v to t changes, and it is live while
+    v is unlocked and the table still holds that gain.  A live entry that
+    does not fit waits until block t loses weight; then the waiting entries
+    that fit go back on the heap, the stale ones are dropped and the rest
+    wait on.
     """
     if not is_feasible(p, spec):
         raise ValueError("FM refinement requires a feasible starting partition")
-    part = p.copy()
-    if part.cutsize == 0:  # no move can lower it
-        return part
-    table = GainTable(part)
+    if p.cutsize == 0:  # no move can lower it
+        return p.copy()
+    table = GainTable(p)
     for _ in range(50):
-        if _fm_pass(part, spec.cap, table) <= 0:
+        if _fm_pass(table, spec.cap) <= 0:
             break
-    return part
+    return Partition(h, table.block, p.k)
 
 
-def _fm_pass(part: Partition, cap: float, table: GainTable) -> int:
+def _fm_pass(table: GainTable, cap: float) -> int:
     """One FM pass on a copy of ``table``, ended by the stop rule of
     ``kway_fm`` or an empty heap; applies the pass's best prefix of moves to
-    ``table`` and ``part`` and returns that prefix's gain.  On the copy the
-    rows of locked vertices go stale, as nothing reads them."""
+    ``table`` and returns that prefix's gain.  On the copy the rows of
+    locked vertices go stale, as nothing reads them."""
     work = table.copy()
     delta, block, weight, vertex_weight = work.delta, work.block, work.weight, work.vertex_weight
-    n, k = len(block), part.k
+    n, k = len(block), len(weight)
     locked = [False] * n
     heap = [(row[t], v, t) for v, row in enumerate(delta)
             for t in range(k) if t != block[v]]
@@ -536,6 +542,5 @@ def _fm_pass(part: Partition, cap: float, table: GainTable) -> int:
 
     nobody = [False] * n
     for v, t in moves[:best_len]:
-        table.move(v, t, nobody, list.append, [])
-        part.move(v, t)
+        table.move(v, t, nobody, _drop, None)
     return best_cum

@@ -50,8 +50,8 @@ def transpose_apply(op, X):
 def reference_minimize(op, X0, params=None) -> ApgResult:
     """``apg.minimize`` as it read with every per-solve scalar a numpy array
     and one log write per step, kept as the bit-level oracle of the solver
-    loop: the same iterates, step counts, residuals and log, and the same
-    ``FloatingPointError`` text."""
+    loop: the same iterates, step counts, residuals and log (``steps.max()``
+    steps wide), and the same ``FloatingPointError`` text."""
     params = params or ApgParams()
     X_cur = project_rows(X0)
     S = X_cur.shape[0]
@@ -138,7 +138,7 @@ def reference_minimize(op, X0, params=None) -> ApgResult:
         live = error > eps if k < params.max_iters else np.zeros(ids.size, dtype=bool)
 
     log[:, np.arange(log.shape[2]) >= steps[:, None]] = np.nan  # past each solve's stop
-    return ApgResult(X_out, steps, residuals, eps, log)
+    return ApgResult(X_out, steps, residuals, eps, log[:, :, :steps.max()])
 
 
 def km1_oracle(h: Hypergraph, assignment) -> int:

@@ -200,8 +200,26 @@ def test_the_spread_is_fm_refined(monkeypatch, k):
     assert (report.p, report.feasible) == (k, True)
     assert report.cutsize == fm[0][1].cutsize < k - 1
     assert res.cutsize <= report.cutsize
+    assert len(fm) == 1  # no level to walk up: nothing refines it again
     run_pipeline(h, BalanceSpec.for_hypergraph(h, 1, 0.0))
-    assert len(fm) == 2  # k = 1 refines nothing
+    assert len(fm) == 1  # k = 1 refines nothing
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_run_that_does_not_coarsen_runs_fm_once_per_feasible_candidate(monkeypatch, k):
+    # every (candidate, count) pair is repaired once, and FM refines each
+    # one that is feasible; with no level to walk up nothing refines again
+    repaired = record_calls(monkeypatch, pipeline, "repair_feasibility")
+    fm = record_calls(monkeypatch, pipeline, "kway_fm")
+    h, spec = candidate_instance(k)
+    config = quick_config()
+    assert h.n <= config.coarsest_factor * k
+    res = run_pipeline(h, spec, config)
+    assert res.levels == 0 and res.feasible
+    feasible = [part for _, (part, ok) in repaired if ok]
+    assert len(repaired) >= len(res.candidates) and feasible
+    assert len(fm) == len(feasible)
+    assert all(args[1] is part for (args, _), part in zip(fm, feasible))
 
 
 def test_planted_clusters_and_validity():

@@ -200,10 +200,11 @@ def test_every_fm_pass_starts_from_a_fresh_read(case):
     assume(p is not None)
     fm_pass, passes = refine._fm_pass, []
 
-    def checked(part, cap, table):
-        assert table_state(table) == fresh_read(part)
-        passes.append(fm_pass(part, cap, table))
-        assert table_state(table) == fresh_read(part)  # the kept prefix, replayed
+    def checked(table, cap):
+        assert table_state(table) == fresh_read(Partition(h, table.block, spec.k))
+        passes.append(fm_pass(table, cap))
+        # the kept prefix, replayed
+        assert table_state(table) == fresh_read(Partition(h, table.block, spec.k))
         return passes[-1]
 
     with mock.patch.object(refine, "_fm_pass", checked):

@@ -828,16 +828,19 @@ def test_fm_random_instances_monotone_and_feasible():
 
 
 def test_fm_move_calls_are_kept_moves(monkeypatch):
+    # FM keeps its moves on its gain table alone and builds the result from it
     h = triangle_pair_instance()
     calls = count_move_calls(monkeypatch)
     p = Partition(h, [0, 0, 0, 1, 1, 1], 2)
-    kway_fm(h, p, BalanceSpec.for_hypergraph(h, 2, 0.04))
+    out = kway_fm(h, p, BalanceSpec.for_hypergraph(h, 2, 0.04))
     assert calls == []  # already a local optimum: no move is kept
+    assert out.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
     p = Partition(h, [0, 0, 1, 1, 1, 1], 2)
     out = kway_fm(h, p, BalanceSpec.for_hypergraph(h, 2, 0.34))
-    assert calls == [(2, 0)]
+    assert calls == []  # the kept move (2, 0) never goes through Partition.move
     assert out.assignment.tolist() == [0, 0, 0, 1, 1, 1]
+    assert p.assignment.tolist() == [0, 0, 1, 1, 1, 1]
 
 
 def reference_fm(h, p, spec):
