@@ -2,13 +2,16 @@
 
 The complete feature graph joins every pair of vertices with an edge of
 weight 1 - <x_i, x_j>.  Its MST is pruned at the heaviest edges to form
-clusters, labelled per tree position, which are then merged into k blocks.
-Both scales run one routine, ``_cluster_partitions``, which builds one tree
-per embedding and cuts a partition per cluster count from it: small
-instances cluster every vertex under the true block cap; large ones cluster
-only the heaviest fifth of the vertices under a cap adapted to their mass,
-and then places the rest by nearest centroid.  ``_route_partitions`` alone
-resolves a level's cluster counts, each in k..(size of the clustered set).
+clusters, every cluster still heavier than the merge cap is split further
+along its own heaviest edges, and the clusters, labelled per tree position,
+are then merged into k blocks.  Both scales run one routine,
+``_cluster_partitions``, which builds one tree and one single-linkage
+dendrogram per embedding and cuts a partition per cluster count from them:
+small instances cluster every vertex under the true block cap; large ones
+cluster only the heaviest fifth of the vertices under a cap adapted to their
+mass, and then places the rest by nearest centroid.  ``_route_partitions``
+alone resolves a level's cluster counts, each in k..(size of the clustered
+set).
 """
 
 from __future__ import annotations
@@ -127,6 +130,42 @@ def prune_clusters(tree: SpanningTree, p: int) -> np.ndarray:
     return tree.cut(tree.heaviest_first()[: p - 1])
 
 
+def _split_clusters(tree: SpanningTree, weights: np.ndarray, ps, cap: float) -> list[np.ndarray]:
+    """For each count p in ``ps``, the clusters of ``prune_clusters(tree, p)``
+    with every cluster heavier than ``cap`` split along its own heaviest
+    edges, labelled as ``SpanningTree.cut`` labels them.
+
+    The rule is sequential: after the first p - 1 cuts, walk the rest of
+    ``tree.heaviest_first()`` and cut each edge whose cluster, as cut so
+    far, weighs more than ``cap`` (``weights`` per tree position), so a
+    cluster stops splitting once it fits or is one vertex.  No count walks.
+    Union-find over the edges, lightest first, builds the tree's
+    single-linkage dendrogram once: each edge closes the cluster of the two
+    parts it joins, and its closing weight is their summed weight.  When the
+    walk reaches an edge, every lighter edge is still whole, so the edge's
+    cluster holds the one it closes, and is that one once every edge above
+    it in the dendrogram is cut.  Weights are positive, so each edge above
+    closes a heavier cluster: when the edge's closing weight is over the
+    cap, so are theirs, and the walk has cut them all.  The walk therefore
+    cuts exactly the first p - 1 edges and the edges whose closing weight is
+    over the cap.
+    """
+    order = tree.heaviest_first()
+    root = list(range(len(weights)))
+    mass = weights.tolist()
+    over = [False] * len(order)
+    for e in reversed(order):
+        u, v, _ = tree.edges[e]
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        root[v] = u
+        mass[u] += mass[v]
+        over[e] = mass[u] > cap
+    return [tree.cut(order[: p - 1] + [e for e in order[p - 1:] if over[e]]) for p in ps]
+
+
 def _merge_clusters(vertices: np.ndarray, labels: np.ndarray, B, X, k: int, cap: float):
     """Seed blocks with the k heaviest clusters, then fold each remaining
     cluster into the centroid-nearest block when it fits the cap, else into
@@ -183,11 +222,12 @@ def representative_partition_large(X: np.ndarray, h: Hypergraph, spec: BalanceSp
 
 def _cluster_partitions(X, h, spec, vertices, ps, merge_cap) -> list[Partition]:
     """Prim over ``vertices`` once; for each p in ``ps``, prune the tree to
-    p clusters and merge them into k blocks under ``merge_cap``.  Each
-    vertex left out of ``vertices`` is then placed, in index order, at its
-    nearest block centroid among the blocks that still fit it under the true
-    cap, else in the lightest block; centroids track running means as
-    vertices arrive.
+    p clusters, split every cluster heavier than ``merge_cap`` until it fits
+    or is one vertex (``_split_clusters``), and merge the clusters into k
+    blocks under ``merge_cap``.  Each vertex left out of ``vertices`` is
+    then placed, in index order, at its nearest block centroid among the
+    blocks that still fit it under the true cap, else in the lightest block;
+    centroids track running means as vertices arrive.
     """
     for p in ps:
         if not spec.k <= p <= len(vertices):
@@ -195,8 +235,7 @@ def _cluster_partitions(X, h, spec, vertices, ps, merge_cap) -> list[Partition]:
     B = h.vertex_weight
     tree = prim_mst(X, vertices=vertices)
     parts = []
-    for p in ps:
-        labels = prune_clusters(tree, p)
+    for labels in _split_clusters(tree, B[tree.vertices], ps, merge_cap):
         block, weights, centroids, counts = _merge_clusters(
             tree.vertices, labels, B, X, spec.k, merge_cap)
         assignment = np.full(h.n, -1, dtype=np.int64)

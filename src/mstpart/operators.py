@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -29,8 +28,6 @@ __all__ = [
     "ObjectiveOperator",
     "clique_expand",
     "laplacian",
-    "pairwise_product_sum",
-    "max_product_compositions",
 ]
 
 
@@ -242,39 +239,3 @@ def _unit_pairs(pairs, name):
         if not ((col >= 0.0) & (col <= 1.0)).all():  # NaN fails too
             raise ValueError(f"{name}{j} must lie in [0, 1]")
     return pairs.T
-
-
-# ---------------------------------------------------------------------------
-# composition utility for balance sanity checks
-
-def pairwise_product_sum(parts) -> int:
-    """Sum of pairwise products of a composition's parts."""
-    total = 0
-    for a, b in combinations(parts, 2):
-        total += a * b
-    return total
-
-
-def max_product_compositions(total: int, k: int):
-    """Maximum pairwise-product sum over all compositions of ``total`` into k
-    nonnegative parts, together with every composition attaining it.
-    """
-    if k < 1 or total < 0:
-        raise ValueError("need k >= 1 and total >= 0")
-    best, argmax = -1, []
-
-    def rec(prefix, remaining, slots):
-        nonlocal best, argmax
-        if slots == 1:
-            comp = prefix + (remaining,)
-            val = pairwise_product_sum(comp)
-            if val > best:
-                best, argmax = val, [comp]
-            elif val == best:
-                argmax.append(comp)
-            return
-        for a in range(remaining + 1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), total, k)
-    return best, argmax

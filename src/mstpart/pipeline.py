@@ -82,7 +82,11 @@ class PipelineConfig:
 @dataclass
 class CandidateReport:
     """One initial partition: its embedding weights, its cluster count, and
-    its cutsize and feasibility after repair and FM (``_refine``)."""
+    its cutsize and feasibility after repair and FM (``_refine``).
+
+    ``p`` is the pruned count, the number of heaviest tree edges cut first
+    plus one; splitting the clusters heavier than the merge cap can leave
+    more clusters than that."""
 
     lam1: float
     lam2: float
@@ -110,14 +114,21 @@ def _refine(h, part, spec):
 def _build_candidates(h, spec, clique, config):
     """The ``config.num_init`` refined initial partitions and their reports.
     Candidate i embeds seeded start i with grid pair i (wrapping around), all in
-    one stack, and keeps the first count of lowest (not feasible, cutsize)."""
+    one stack, and keeps the first count of lowest (not feasible, cutsize).
+    Each distinct partition is refined once: a count whose partition an
+    earlier count already gave shares that refinement."""
     combos = [(l1, l2) for l1 in config.lambda1 for l2 in config.lambda2]
     lams = [combos[i % len(combos)] for i in range(config.num_init)]
     op = ObjectiveOperator.embedding(clique, h.vertex_weight, lams)
     X0 = np.stack([seeded_features(h.n, spec.k, stream=i) for i in range(config.num_init)])
-    parts, reports = [], []
+    parts, reports, done = [], [], {}
     for (lam1, lam2), X in zip(lams, minimize(op, X0, config.apg).X):
-        refined = [(*_refine(h, part, spec), p) for part, p in _route_partitions(X, h, spec, config.p)]
+        refined = []
+        for part, p in _route_partitions(X, h, spec, config.p):
+            key = part.assignment.tobytes()
+            if key not in done:
+                done[key] = _refine(h, part, spec)
+            refined.append((*done[key], p))
         part, feasible, p = min(refined, key=lambda r: (not r[1], r[0].cutsize))
         parts.append(part)
         reports.append(CandidateReport(lam1, lam2, p, part.cutsize, feasible))

@@ -6,6 +6,8 @@ matrices, exhaustive enumeration) kept separate from the package code.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from mstpart.apg import (
@@ -377,3 +379,36 @@ def dense_similarity_edges(X, tau=-np.inf):
             if s > tau:
                 edges.append((i, j, 1.0 - s))
     return edges
+
+
+def pairwise_product_sum(parts) -> int:
+    """Sum of pairwise products of a composition's parts."""
+    total = 0
+    for a, b in combinations(parts, 2):
+        total += a * b
+    return total
+
+
+def max_product_compositions(total: int, k: int):
+    """Maximum pairwise-product sum over all compositions of ``total`` into k
+    nonnegative parts, together with every composition attaining it.
+    """
+    if k < 1 or total < 0:
+        raise ValueError("need k >= 1 and total >= 0")
+    best, argmax = -1, []
+
+    def rec(prefix, remaining, slots):
+        nonlocal best, argmax
+        if slots == 1:
+            comp = prefix + (remaining,)
+            val = pairwise_product_sum(comp)
+            if val > best:
+                best, argmax = val, [comp]
+            elif val == best:
+                argmax.append(comp)
+            return
+        for a in range(remaining + 1):
+            rec(prefix + (a,), remaining - a, slots - 1)
+
+    rec((), total, k)
+    return best, argmax

@@ -25,7 +25,9 @@ from helpers import (
     dense_similarity_edges,
     km1_oracle,
     kruskal_total,
+    max_product_compositions,
     objective,
+    pairwise_product_sum,
     random_hypergraph,
     two_cluster_hypergraph,
 )
@@ -35,12 +37,7 @@ from mstpart import cli
 from mstpart.apg import ApgParams, minimize, seeded_features
 from mstpart.hypergraph import BalanceSpec, Partition, parse_hmetis, write_hmetis
 from mstpart.initial import prim_mst
-from mstpart.operators import (
-    ObjectiveOperator,
-    clique_expand,
-    max_product_compositions,
-    pairwise_product_sum,
-)
+from mstpart.operators import ObjectiveOperator, clique_expand
 from mstpart.pipeline import PipelineConfig, run_pipeline
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmarks" / "ibm01.hgr"

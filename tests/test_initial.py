@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     UnionFind,
@@ -22,6 +24,7 @@ from mstpart.initial import (
     _merge_clusters,
     _p_choices,
     _route_partitions,
+    _split_clusters,
     heaviest,
     mst_partition_small,
     prim_mst,
@@ -350,11 +353,28 @@ def test_representative_at_cap_falls_to_lightest():
     assert part.block_weight.tolist() == [25, 25]
 
 
+def sequential_split(tree, weights, p, cap):
+    """The over-cap split written out naively: cut the p - 1 heaviest edges
+    (ties by lower id), then walk the rest heaviest first, recompute the
+    clusters after every cut, and cut each edge whose cluster weighs more
+    than ``cap`` (``weights`` per tree position)."""
+    order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
+    cuts = order[: p - 1]
+    labels = tree.cut(cuts)
+    for e in order[p - 1:]:
+        child = tree.edges[e][1]
+        if weights[labels == labels[child]].sum() > cap:
+            cuts = cuts + [e]
+            labels = tree.cut(cuts)
+    return labels
+
+
 def reference_small(X, h, spec, p):
     """Small-scale partition written out straight: one tree per count,
-    cluster every vertex, merge under the true cap."""
+    cluster every vertex, split the clusters over the true cap, merge under
+    it."""
     tree = prim_mst(X)
-    labels = prune_clusters(tree, p)
+    labels = sequential_split(tree, h.vertex_weight, p, spec.cap)
     block, _, _, _ = _merge_clusters(tree.vertices, labels, h.vertex_weight, X, spec.k, spec.cap)
     assignment = np.empty(h.n, dtype=np.int64)
     for v, c in zip(tree.vertices, labels):
@@ -364,13 +384,14 @@ def reference_small(X, h, spec, p):
 
 def reference_large(X, h, spec, p):
     """Large-scale partition written out straight: cluster the heaviest
-    fifth under the adapted cap, then place the rest one by one."""
+    fifth, split and merge under the adapted cap, then place the rest one
+    by one."""
     n, B = h.n, h.vertex_weight
     n_rep = math.ceil(0.2 * n)
     reps = np.sort(np.lexsort((np.arange(n), -B))[:n_rep])
     tree = prim_mst(X, vertices=reps)
-    labels = prune_clusters(tree, p)
     adapted_cap = (1.0 + spec.epsilon) * int(B[reps].sum()) / spec.k
+    labels = sequential_split(tree, B[reps], p, adapted_cap)
     block, weights, centroids, counts = _merge_clusters(
         tree.vertices, labels, B, X, spec.k, adapted_cap)
     assignment = np.full(n, -1, dtype=np.int64)
@@ -412,6 +433,49 @@ def test_both_scales_match_their_written_out_references():
             ps = list(range(k, n_rep + 1))
             for p, part in zip(ps, representative_partition_large(X, h, spec, ps), strict=True):
                 assert np.array_equal(part.assignment, reference_large(X, h, spec, p))
+
+
+@st.composite
+def split_cases(draw):
+    """(features, vertex weights, k, epsilon): rows drawn from a small pool,
+    so tree weights tie, and weights of 1..5 with at times one vertex heavier
+    than the true cap."""
+    n = draw(st.integers(1, 24))
+    pool = draw(st.integers(1, n))
+    rows = draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**16))
+    X = project_rows(np.random.default_rng(seed).normal(size=(pool, 3)))[rows]
+    B = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        B[draw(st.integers(0, n - 1))] = 5 * n + 1
+    return X, B, draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.05, 0.3]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=split_cases())
+@example(case=(angles_to_features([0.0] * 4), np.array([1, 21, 1, 1]), 2, 0.0))
+def test_split_equals_the_sequential_rule(case):
+    # both caps: every vertex under the true cap, and the heaviest fifth
+    # under the cap adapted to its mass; every count from 1 to nv
+    X, B, k, epsilon = case
+    h = Hypergraph.from_edges([], n=B.shape[0], vertex_weight=B)
+    spec = BalanceSpec.for_hypergraph(h, k, epsilon)
+    reps = heaviest(B, math.ceil(0.2 * h.n))
+    for vertices, cap in ((np.arange(h.n), spec.cap),
+                          (reps, (1.0 + epsilon) * int(B[reps].sum()) / k)):
+        tree = prim_mst(X, vertices=vertices)
+        weights = B[tree.vertices]
+        ps = range(1, len(vertices) + 1)
+        for p, labels in zip(ps, _split_clusters(tree, weights, ps, cap), strict=True):
+            assert np.array_equal(labels, sequential_split(tree, weights, p, cap))
+            # at least the p pruned parts; each part fits or is one vertex
+            assert labels.max() + 1 >= p
+            part_weights = np.bincount(labels, weights=weights)
+            sizes = np.bincount(labels)
+            assert np.all((part_weights <= cap) | (sizes == 1))
+            # every part is a union of the pruned parts' pieces
+            pruned = prune_clusters(tree, p)
+            assert all(np.unique(pruned[labels == c]).size == 1 for c in range(sizes.size))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +550,32 @@ def test_a_candidate_keeps_a_feasible_count_over_a_lower_infeasible_cut(monkeypa
     [part], [report] = _build_candidates(h, spec, clique_expand(h), PipelineConfig(num_init=1))
     assert (report.p, report.feasible, report.cutsize) == (3, True, 1)
     assert is_feasible(part, spec) and part.cutsize == 1 < routes[1][0].cutsize
+
+
+def test_candidates_refine_each_distinct_partition_once(monkeypatch):
+    # the three counts of candidate 0 give two distinct partitions, and those
+    # of candidate 1 one partition, which candidate 0 did not give
+    rng = np.random.default_rng(272)
+    h = random_hypergraph(rng, 60, 90, max_edge_size=5, weighted=True)
+    spec = BalanceSpec.for_hypergraph(h, 3, 0.05)
+    config = PipelineConfig(num_init=2, p=(3, 4, 5))
+    clique = clique_expand(h)
+    routed, refined = [], []
+    route, refine = pipeline_module._route_partitions, pipeline_module._refine
+    monkeypatch.setattr(pipeline_module, "_route_partitions",
+                        lambda *args: routed.append(route(*args)) or routed[-1])
+    monkeypatch.setattr(pipeline_module, "_refine",
+                        lambda h, part, spec: refined.append(part.assignment.tobytes())
+                        or refine(h, part, spec))
+    parts, reports = _build_candidates(h, spec, clique, config)
+    given = [[part.assignment.tobytes() for part, _ in r] for r in routed]
+    assert [len(set(g)) for g in given] == [2, 1]
+    assert len(refined) == len(set(refined)) == 3
+    assert set(refined) == set(given[0]) | set(given[1])
+    want = candidates_one_by_one(h, spec, clique, config)
+    for part, report, (want_part, want_report) in zip(parts, reports, want, strict=True):
+        assert np.array_equal(part.assignment, want_part.assignment)
+        assert report == want_report
 
 
 def test_candidates_build_one_tree_each(monkeypatch):

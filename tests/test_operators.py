@@ -8,7 +8,9 @@ from helpers import (
     dense_gu,
     dense_gw,
     dense_kpartite,
+    max_product_compositions,
     objective,
+    pairwise_product_sum,
     random_hypergraph,
     transpose_apply,
 )
@@ -18,8 +20,6 @@ from mstpart.operators import (
     ObjectiveOperator,
     clique_expand,
     laplacian,
-    max_product_compositions,
-    pairwise_product_sum,
 )
 
 
