@@ -22,7 +22,7 @@ from .hypergraph import (
 )
 from .apg import ApgParams, ApgResult, minimize, project_rows, seeded_features
 from .coarsen import Hierarchy, coarsen, project_partition
-from .initial import prim_mst, prune_clusters
+from .initial import prim_mst
 from .operators import CliqueGraph, ObjectiveOperator, clique_expand, laplacian
 from .pipeline import PipelineConfig, PipelineResult, improve_partition, run_pipeline
 from .refine import (

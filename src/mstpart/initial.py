@@ -28,7 +28,6 @@ __all__ = [
     "P_RULES",
     "heaviest",
     "prim_mst",
-    "prune_clusters",
     "mst_partition_small",
     "representative_partition_large",
 ]
@@ -38,33 +37,34 @@ LARGE_SCALE_THRESHOLD = 35_000
 
 @dataclass
 class SpanningTree:
-    """Spanning tree over a vertex subset.
+    """Spanning tree over a vertex subset: ``vertices`` holds original ids,
+    the arrays are positional into it, and position 0 is the root.
 
-    ``vertices`` holds original ids; ``edges`` are (u, v, weight) triples and
-    ``parent`` is the Prim parent pointer (-1 at the root), both positional
-    into ``vertices``.  Position 0 is the root, and every edge joins a
-    vertex to its parent: ``u == parent[v]``.
-    """
+    ``parent`` is the Prim parent pointer (-1 at the root).  Edge i joins
+    ``child[i]``, the position Prim reached i-th after the root, to
+    ``parent[child[i]]``, and weighs ``weight[i]``."""
 
     vertices: np.ndarray
-    edges: list[tuple[int, int, float]]
     parent: np.ndarray
+    child: np.ndarray
+    weight: np.ndarray
 
-    def heaviest_first(self) -> list[int]:
+    def heaviest_first(self) -> np.ndarray:
         """Edge ids from the heaviest edge down, ties by lower id: the order
         in which pruning and re-bisection cut the tree."""
-        return sorted(range(len(self.edges)), key=lambda i: (-self.edges[i][2], i))
+        return _heaviest_first(self.weight)
 
     def cut(self, edge_ids) -> np.ndarray:
         """Component of every tree position once the listed edges are removed.
 
         Components are numbered in order of their lowest position, so the
-        root's component is 0.  Reads ``parent`` only: each position points
-        at its parent unless it is the root or the child end of a removed
-        edge, and pointer jumping then reaches every component's top.
+        root's component is 0.  Reads ``parent`` and the removed edges'
+        ``child`` ends: each position points at its parent unless it is the
+        root or such a child end, and pointer jumping then reaches every
+        component's top.
         """
         head = np.where(self.parent < 0, np.arange(self.parent.shape[0]), self.parent)
-        children = [self.edges[i][1] for i in edge_ids]
+        children = self.child[edge_ids]
         head[children] = children
         while True:
             nxt = head[head]
@@ -79,8 +79,8 @@ class SpanningTree:
 
 def prim_mst(X: np.ndarray, vertices: np.ndarray | None = None) -> SpanningTree:
     """Prim's algorithm over the complete graph of the feature rows of
-    ``vertices``, each edge weighted 1 - <x_i, x_j>.
-    """
+    ``vertices``, each edge weighted 1 - <x_i, x_j>; edge i is the i-th edge
+    Prim adds."""
     X = np.asarray(X, dtype=np.float64)
     if vertices is None:
         vertices = np.arange(X.shape[0])
@@ -95,45 +95,42 @@ def prim_mst(X: np.ndarray, vertices: np.ndarray | None = None) -> SpanningTree:
     parent = np.full(nv, -1, dtype=np.int64)
     in_tree = np.zeros(nv, dtype=bool)
     dist[0] = 0.0
-    edges: list[tuple[int, int, float]] = []
+    reached = np.empty(nv, dtype=np.int64)
+    weight = np.empty(nv - 1)
 
-    for _ in range(nv):
+    for i in range(nv):
         u = int(np.argmin(np.where(in_tree, INF, dist)))
         in_tree[u] = True
-        if parent[u] >= 0:
+        reached[i] = u
+        if i:
             # recompute the weight from a canonical scalar product so equal
             # trees compare exactly against edge-list oracles
             pu = int(parent[u])
             a, b = (pu, u) if pu < u else (u, pu)
-            edges.append((pu, u, 1.0 - float(np.dot(local[a], local[b]))))
+            weight[i - 1] = 1.0 - float(np.dot(local[a], local[b]))
         # relax from u
         w = 1.0 - local @ local[u]
         better = ~in_tree & (w < dist)
         dist[better] = w[better]
         parent[better] = u
-    return SpanningTree(vertices, edges, parent)
+    return SpanningTree(vertices, parent, reached[1:], weight)
+
+
+def _heaviest_first(weights: np.ndarray) -> np.ndarray:
+    """Indices of ``weights`` from the heaviest entry down, ties by lower index."""
+    return np.lexsort((np.arange(weights.shape[0]), -weights))
 
 
 def heaviest(weights: np.ndarray, m: int) -> np.ndarray:
     """The indices of the m heaviest entries of ``weights`` (ties by lower
     index), in index order."""
-    return np.sort(np.lexsort((np.arange(weights.shape[0]), -weights))[:m])
-
-
-def prune_clusters(tree: SpanningTree, p: int) -> np.ndarray:
-    """Remove the first p - 1 edges of ``tree.heaviest_first()``, leaving
-    exactly p connected parts, and label each tree position with its part
-    as ``SpanningTree.cut`` does (in order of the lowest position)."""
-    nv = tree.vertices.shape[0]
-    if not 1 <= p <= nv:
-        raise ValueError(f"p={p} out of range 1..{nv}")
-    return tree.cut(tree.heaviest_first()[: p - 1])
+    return np.sort(_heaviest_first(weights)[:m])
 
 
 def _split_clusters(tree: SpanningTree, weights: np.ndarray, ps, cap: float) -> list[np.ndarray]:
-    """For each count p in ``ps``, the clusters of ``prune_clusters(tree, p)``
-    with every cluster heavier than ``cap`` split along its own heaviest
-    edges, labelled as ``SpanningTree.cut`` labels them.
+    """For each count p in ``ps``, the p parts left by the first p - 1 cuts of
+    ``tree.heaviest_first()``, every part heavier than ``cap`` split along its
+    own heaviest edges, labelled as ``SpanningTree.cut`` labels them.
 
     The rule is sequential: after the first p - 1 cuts, walk the rest of
     ``tree.heaviest_first()`` and cut each edge whose cluster, as cut so
@@ -148,42 +145,43 @@ def _split_clusters(tree: SpanningTree, weights: np.ndarray, ps, cap: float) -> 
     closes a heavier cluster: when the edge's closing weight is over the
     cap, so are theirs, and the walk has cut them all.  The walk therefore
     cuts exactly the first p - 1 edges and the edges whose closing weight is
-    over the cap.
+    over the cap: one boolean mask over the heaviest-first order per count.
     """
     order = tree.heaviest_first()
+    child = tree.child[order]
     root = list(range(len(weights)))
     mass = weights.tolist()
-    over = [False] * len(order)
-    for e in reversed(order):
-        u, v, _ = tree.edges[e]
+    over = []  # lightest edge first
+    for u, v in zip(tree.parent[child][::-1].tolist(), child[::-1].tolist()):
         while root[u] != u:
             root[u] = u = root[root[u]]
         while root[v] != v:
             root[v] = v = root[root[v]]
         root[v] = u
         mass[u] += mass[v]
-        over[e] = mass[u] > cap
-    return [tree.cut(order[: p - 1] + [e for e in order[p - 1:] if over[e]]) for p in ps]
+        over.append(mass[u] > cap)
+    over = np.array(over[::-1], dtype=bool)
+    return [tree.cut(order[over | (np.arange(over.shape[0]) < p - 1)]) for p in ps]
 
 
 def _merge_clusters(vertices: np.ndarray, labels: np.ndarray, B, X, k: int, cap: float):
     """Seed blocks with the k heaviest clusters, then fold each remaining
     cluster into the centroid-nearest block when it fits the cap, else into
-    the lightest block.  Cluster ``labels[i]`` holds ``vertices[i]``.
+    the lightest block.  Cluster ``labels[i]`` holds ``vertices[i]``, and one
+    stable sort of the labels gives each cluster's members in position order.
     Returns each cluster's block and the blocks' weights, centroids, counts.
     """
-    p = int(labels.max()) + 1
-    members = [vertices[labels == c] for c in range(p)]
-    weights = np.array([int(B[c].sum()) for c in members], dtype=np.int64)
-    centroids = np.array([X[c].mean(axis=0) for c in members])
     sizes = np.bincount(labels)
-    order = sorted(range(p), key=lambda i: (-int(weights[i]), i))
-    seeds, rest = order[:k], sorted(order[k:])
-    block = np.empty(p, dtype=np.int64)
-    block[seeds] = np.arange(len(seeds))
+    members = np.split(vertices[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])
+    weights = np.bincount(labels, weights=B[vertices]).astype(np.int64)
+    centroids = np.array([X[c].mean(axis=0) for c in members])
+    order = _heaviest_first(weights)
+    seeds, rest = order[:k], np.sort(order[k:])
+    block = np.empty(sizes.shape[0], dtype=np.int64)
+    block[seeds] = np.arange(seeds.shape[0])
     b_weights, b_centroids, b_counts = weights[seeds], centroids[seeds], sizes[seeds]
 
-    for ci in rest:
+    for ci in rest.tolist():
         d = np.linalg.norm(b_centroids - centroids[ci], axis=1)
         j = int(np.argmin(d))
         if b_weights[j] + weights[ci] > cap:

@@ -1,18 +1,18 @@
 """Partition improvement and repair.
 
-Four tools that share the clique-expansion view of the hypergraph: a
-bipartitioner that cuts a spanning tree over heavy "key" vertices and labels
-everything else by proximity to the two side centers, a pairwise pass that
-re-embeds two blocks at a time and re-splits them, a greedy move-and-swap
-repair for overweight blocks, and a pass-based k-way FM, all held to the
-one block weight cap ``BalanceSpec.cap``.  Repair and FM read the km1 gain
-table once per call into one ``GainTable``, which updates a gain only when
-a move takes one of its net's pin counts across 0/1/2, and take every move
-gain from it: repair pops its relocations from a heap per block and scores
-its swaps by trial moves on the table, and FM runs each pass on a copy,
-stops it by the random-walk rule of Osipov & Sanders (``STOP_ALPHA``,
-``STOP_BETA``) and applies only its best prefix of moves to the table, from
-which it builds the refined partition once.
+Four tools, all held to the one block weight cap ``BalanceSpec.cap``.  Two
+read the clique-expansion view of the hypergraph: a bipartitioner that cuts
+a spanning tree over heavy "key" vertices and labels everything else by
+proximity to the two side centers, and a pairwise pass that re-embeds two
+blocks at a time and re-splits them.  Two read only the km1 gains: a greedy
+move-and-swap repair for overweight blocks and a pass-based k-way FM.
+Repair and FM read the km1 gain table once per call into one ``GainTable``,
+which updates a gain only when a move takes one of its net's pin counts
+across 0/1/2, and take every move gain from it: repair pops its relocations
+from a heap per block and scores its swaps by trial moves on the table, and
+FM runs each pass on a copy, stops it by the random-walk rule of Osipov &
+Sanders (``STOP_ALPHA``, ``STOP_BETA``) and applies only its best prefix of
+moves to the table, from which it builds the refined partition once.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def mst_bipartition(X: np.ndarray, B: np.ndarray, cap: float, L) -> BipartitionR
     n_key = math.ceil(KEY_FRACTION * n)
     keys = heaviest(B, n_key if n_key >= 2 else n)
     tree = prim_mst(X, vertices=keys)
-    m_cand = max(1, math.ceil(CUT_FRACTION * len(tree.edges)))
+    m_cand = max(1, math.ceil(CUT_FRACTION * len(tree.weight)))
 
     total = float(B.sum())
     best = None

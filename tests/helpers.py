@@ -381,6 +381,23 @@ def dense_similarity_edges(X, tau=-np.inf):
     return edges
 
 
+def edges_of(tree):
+    """A ``SpanningTree``'s edges as (parent, child, weight) triples of tree
+    positions, in the order Prim adds them."""
+    return [(int(tree.parent[c]), int(c), float(w)) for c, w in zip(tree.child, tree.weight)]
+
+
+def prune_clusters(tree, p):
+    """Remove the first p - 1 edges of ``tree.heaviest_first()``, leaving
+    exactly p connected parts, and label each tree position with its part
+    as ``SpanningTree.cut`` does (in order of the lowest position): the
+    pruning alone, whose parts the over-cap split only refines."""
+    nv = tree.vertices.shape[0]
+    if not 1 <= p <= nv:
+        raise ValueError(f"p={p} out of range 1..{nv}")
+    return tree.cut(tree.heaviest_first()[: p - 1])
+
+
 def pairwise_product_sum(parts) -> int:
     """Sum of pairwise products of a composition's parts."""
     total = 0

@@ -23,6 +23,7 @@ from helpers import (
     UnionFind,
     brute_force_bipartition,
     dense_similarity_edges,
+    edges_of,
     km1_oracle,
     kruskal_total,
     max_product_compositions,
@@ -328,7 +329,7 @@ def test_criterion_06_mst_agreement_and_pruning_properties():
         except ValueError:
             continue
         tree = prim_mst(X)
-        sorted_weights = np.sort([w for _, _, w in tree.edges])
+        sorted_weights = np.sort([w for _, _, w in edges_of(tree)])
         for total, weights in (thresholded, kruskal_total(n, dense_similarity_edges(X))):
             assert float(sorted_weights.sum()) == total
             assert np.array_equal(sorted_weights, weights)

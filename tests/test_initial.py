@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from helpers import (
     UnionFind,
     dense_similarity_edges,
+    edges_of,
     kruskal_total,
+    prune_clusters,
     random_hypergraph,
 )
 from mstpart.apg import minimize, project_rows, seeded_features
@@ -28,7 +30,6 @@ from mstpart.initial import (
     heaviest,
     mst_partition_small,
     prim_mst,
-    prune_clusters,
     representative_partition_large,
 )
 from mstpart.operators import ObjectiveOperator, clique_expand
@@ -49,20 +50,20 @@ def test_prim_three_point_path():
     step = math.acos(0.9)
     X = angles_to_features([0.0, step, 2 * step])
     tree = prim_mst(X)
-    pairs = {tuple(sorted((u, v))) for u, v, _ in tree.edges}
+    pairs = {tuple(sorted((u, v))) for u, v, _ in edges_of(tree)}
     assert pairs == {(0, 1), (1, 2)}
-    assert sum(w for _, _, w in tree.edges) == pytest.approx(0.2, abs=1e-12)
+    assert sum(w for _, _, w in edges_of(tree)) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_prim_two_vertices():
     X = angles_to_features([0.0, 0.3])
     tree = prim_mst(X)
-    assert len(tree.edges) == 1
-    assert sum(w for _, _, w in tree.edges) == pytest.approx(1.0 - math.cos(0.3), abs=1e-12)
+    assert len(edges_of(tree)) == 1
+    assert sum(w for _, _, w in edges_of(tree)) == pytest.approx(1.0 - math.cos(0.3), abs=1e-12)
 
 
 def assert_same_mst_weights(tree, total, weights):
-    sorted_weights = np.sort([w for _, _, w in tree.edges])
+    sorted_weights = np.sort([w for _, _, w in edges_of(tree)])
     assert float(sorted_weights.sum()) == total
     assert np.array_equal(sorted_weights, weights)
 
@@ -98,7 +99,7 @@ def test_prim_is_the_complete_graph_mst():
             vertices = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
         local = X if vertices is None else X[vertices]
         tree = prim_mst(X, vertices=vertices)
-        assert len(tree.edges) == local.shape[0] - 1
+        assert len(edges_of(tree)) == local.shape[0] - 1
         assert_same_mst_weights(tree, *kruskal_total(local.shape[0], dense_similarity_edges(local)))
 
 
@@ -106,13 +107,13 @@ def test_prim_disconnected_bridges():
     # two far-apart groups: the heaviest tree edge is the one joining them
     X = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
     tree = prim_mst(X)
-    assert len(tree.edges) == 3  # spans all four vertices
-    touched = {v for u, v, _ in tree.edges} | {u for u, v, _ in tree.edges}
+    assert len(edges_of(tree)) == 3  # spans all four vertices
+    touched = {v for u, v, _ in edges_of(tree)} | {u for u, v, _ in edges_of(tree)}
     assert touched == {0, 1, 2, 3}
     group = [0, 0, 1, 1]
-    joining = [i for i, (u, v, _) in enumerate(tree.edges) if group[u] != group[v]]
-    assert joining == tree.heaviest_first()[:1]
-    assert tree.edges[joining[0]][2] == 2.0
+    joining = [i for i, (u, v, _) in enumerate(edges_of(tree)) if group[u] != group[v]]
+    assert joining == tree.heaviest_first()[:1].tolist()
+    assert edges_of(tree)[joining[0]][2] == 2.0
 
 
 def test_prim_euclidean_metric_same_tree_on_unit_rows():
@@ -127,7 +128,7 @@ def test_prim_euclidean_metric_same_tree_on_unit_rows():
         if uf.union(i, j)
     ]
     tree = prim_mst(X)
-    heaviest_first = [tuple(sorted(tree.edges[i][:2])) for i in tree.heaviest_first()]
+    heaviest_first = [tuple(sorted(edges_of(tree)[i][:2])) for i in tree.heaviest_first()]
     assert heaviest_first == euclidean[::-1]
 
 
@@ -144,8 +145,9 @@ def test_prune_cuts_heaviest_edge():
     # path with edge weights 0.9, 0.1, 0.5: p=2 removes the 0.9 edge
     tree = SpanningTree(
         np.arange(4),
-        [(0, 1, 0.9), (1, 2, 0.1), (2, 3, 0.5)],
         np.array([-1, 0, 1, 2]),
+        np.array([1, 2, 3]),
+        np.array([0.9, 0.1, 0.5]),
     )
     groups = sorted(clusters_of(tree, prune_clusters(tree, 2)))
     assert groups == [[0], [1, 2, 3]]
@@ -154,8 +156,9 @@ def test_prune_cuts_heaviest_edge():
 def test_prune_tie_break_by_edge_index():
     tree = SpanningTree(
         np.arange(3),
-        [(0, 1, 0.5), (1, 2, 0.5)],
         np.array([-1, 0, 1]),
+        np.array([1, 2]),
+        np.array([0.5, 0.5]),
     )
     groups = sorted(clusters_of(tree, prune_clusters(tree, 2)))
     assert groups == [[0], [1, 2]]  # first of the tied edges is removed
@@ -179,10 +182,11 @@ def test_prune_extremes_and_oracle():
             labels = prune_clusters(tree, p)
             clusters = clusters_of(tree, labels)
             # oracle: union-find over the kept edges
-            order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
+            edges = edges_of(tree)
+            order = sorted(range(len(edges)), key=lambda i: (-edges[i][2], i))
             removed = set(order[: p - 1])
             uf = UnionFind(12)
-            for i, (u, v, _) in enumerate(tree.edges):
+            for i, (u, v, _) in enumerate(edges):
                 if i not in removed:
                     uf.union(u, v)
             want = {}
@@ -213,11 +217,11 @@ def test_spanning_tree_cut_matches_union_find():
             X = X[rng.integers(0, n, size=n)]
         tree = prim_mst(X)
         assert tree.parent[0] == -1
-        assert all(tree.parent[v] == u for u, v, _ in tree.edges)
-        n_cut = int(rng.integers(0, len(tree.edges) + 1))
-        ids = rng.permutation(len(tree.edges))[:n_cut].tolist()
+        assert all(tree.parent[v] == u for u, v, _ in edges_of(tree))
+        n_cut = int(rng.integers(0, len(edges_of(tree)) + 1))
+        ids = rng.permutation(len(edges_of(tree)))[:n_cut].tolist()
         uf = UnionFind(n)
-        for i, (u, v, _) in enumerate(tree.edges):
+        for i, (u, v, _) in enumerate(edges_of(tree)):
             if i not in ids:
                 uf.union(u, v)
         # components numbered in order of their lowest position
@@ -358,11 +362,12 @@ def sequential_split(tree, weights, p, cap):
     (ties by lower id), then walk the rest heaviest first, recompute the
     clusters after every cut, and cut each edge whose cluster weighs more
     than ``cap`` (``weights`` per tree position)."""
-    order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
+    edges = edges_of(tree)
+    order = sorted(range(len(edges)), key=lambda i: (-edges[i][2], i))
     cuts = order[: p - 1]
     labels = tree.cut(cuts)
     for e in order[p - 1:]:
-        child = tree.edges[e][1]
+        child = edges[e][1]
         if weights[labels == labels[child]].sum() > cap:
             cuts = cuts + [e]
             labels = tree.cut(cuts)
@@ -476,6 +481,69 @@ def test_split_equals_the_sequential_rule(case):
             # every part is a union of the pruned parts' pieces
             pruned = prune_clusters(tree, p)
             assert all(np.unique(pruned[labels == c]).size == 1 for c in range(sizes.size))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=split_cases())
+@example(case=(angles_to_features([0.0] * 4), np.array([1, 21, 1, 1]), 2, 0.0))
+def test_heaviest_first_and_heaviest_share_one_ranking(case):
+    # tree weights tie on repeated rows, vertex weights tie among 1..5: both
+    # rank heaviest first, ties by lower index
+    X, B, _, _ = case
+    tree = prim_mst(X)
+    for weights in (tree.weight, B):
+        ranking = sorted(range(weights.shape[0]), key=lambda i: (-weights[i], i))
+        for m in range(weights.shape[0] + 1):
+            assert heaviest(weights, m).tolist() == sorted(ranking[:m])
+        if weights is tree.weight:
+            assert tree.heaviest_first().tolist() == ranking
+
+
+def mask_merge(vertices, labels, B, X, k, cap):
+    """``_merge_clusters`` with each cluster's members taken by a boolean
+    mask, its weight as an integer sum and the seeds by a Python sort: the
+    bit-level oracle of the grouped statistics."""
+    p = int(labels.max()) + 1
+    members = [vertices[labels == c] for c in range(p)]
+    weights = np.array([int(B[c].sum()) for c in members], dtype=np.int64)
+    centroids = np.array([X[c].mean(axis=0) for c in members])
+    sizes = np.bincount(labels)
+    order = sorted(range(p), key=lambda i: (-int(weights[i]), i))
+    seeds, rest = order[:k], sorted(order[k:])
+    block = np.empty(p, dtype=np.int64)
+    block[seeds] = np.arange(len(seeds))
+    b_weights, b_centroids, b_counts = weights[seeds], centroids[seeds], sizes[seeds]
+    for ci in rest:
+        d = np.linalg.norm(b_centroids - centroids[ci], axis=1)
+        j = int(np.argmin(d))
+        if b_weights[j] + weights[ci] > cap:
+            j = int(np.argmin(b_weights))
+        block[ci] = j
+        b_weights[j] += weights[ci]
+        n_j, n_c = b_counts[j], sizes[ci]
+        b_centroids[j] = (n_j * b_centroids[j] + n_c * centroids[ci]) / (n_j + n_c)
+        b_counts[j] += n_c
+    return block, b_weights, b_centroids, b_counts
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=split_cases(), seed=st.integers(0, 2**16))
+def test_merge_statistics_equal_a_mask_per_cluster_bit_for_bit(case, seed):
+    # tied rows as drawn, then distinct ones; both caps; every cluster count
+    X, B, k, epsilon = case
+    h = Hypergraph.from_edges([], n=B.shape[0], vertex_weight=B)
+    spec = BalanceSpec.for_hypergraph(h, k, epsilon)
+    reps = heaviest(B, math.ceil(0.2 * h.n))
+    for X in (X, project_rows(np.random.default_rng(seed).normal(size=X.shape))):
+        for vertices, cap in ((np.arange(h.n), spec.cap),
+                              (reps, (1.0 + epsilon) * int(B[reps].sum()) / k)):
+            tree = prim_mst(X, vertices=vertices)
+            ps = range(1, len(vertices) + 1)
+            for labels in _split_clusters(tree, B[tree.vertices], ps, cap):
+                got = _merge_clusters(tree.vertices, labels, B, X, k, cap)
+                want = mask_merge(tree.vertices, labels, B, X, k, cap)
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from helpers import (
     brute_force_bipartition,
     brute_force_signed_labels,
     clique_cut_oracle,
+    edges_of,
     km1_oracle,
     random_hypergraph,
 )
@@ -95,10 +96,11 @@ def scored_cuts(X, B, cap, L):
     n_key = math.ceil(refine.KEY_FRACTION * n)
     keys = np.arange(n) if n_key < 2 else np.sort(np.lexsort((np.arange(n), -B))[:n_key])
     tree = prim_mst(X, vertices=keys)
-    order = sorted(range(len(tree.edges)), key=lambda i: (-tree.edges[i][2], i))
+    edges = edges_of(tree)
+    order = sorted(range(len(edges)), key=lambda i: (-edges[i][2], i))
     cuts = []
-    for ei in order[: max(1, math.ceil(refine.CUT_FRACTION * len(tree.edges)))]:
-        child = tree.edges[ei][1]
+    for ei in order[: max(1, math.ceil(refine.CUT_FRACTION * len(edges)))]:
+        child = edges[ei][1]
         side2 = np.zeros(keys.shape[0], dtype=bool)
         for v in range(keys.shape[0]):
             u = v
